@@ -13,13 +13,19 @@
 ///   dot           xor_i a[i] * b[i]           (inner product)
 ///
 /// The scalar implementations walk the 64 KiB full multiplication table
-/// one byte at a time. The SIMD implementations use the classic
-/// nibble-split technique (as in Intel ISA-L / GF-Complete): write the
-/// multiplier's table row as two 16-entry half-tables
+/// one byte at a time. The SIMD implementations of the first three use
+/// the classic nibble-split technique (as in Intel ISA-L / GF-Complete):
+/// write the multiplier's table row as two 16-entry half-tables
 ///   lo[x] = c * x         for x in [0, 16)
 ///   hi[x] = c * (x << 4)  for x in [0, 16)
 /// so that c * b == lo[b & 0xF] ^ hi[b >> 4], then evaluate 16 (SSSE3)
 /// or 32 (AVX2) of those lookups per instruction with PSHUFB/VPSHUFB.
+/// dot has a different multiplier per byte, so the SIMD kernels
+/// bit-slice it instead: with b[i] = sum_k bit_k(b[i]) x^k,
+///   xor_i a[i] * b[i] = sum_k x^k * P_k,
+///   P_k = xor of the a[i] whose b[i] has bit k set,
+/// which needs only AND/XOR per byte, and a Horner fold of the eight
+/// P_k in x once per call.
 ///
 /// Dispatch model: a single function-pointer table (`KernelTable`)
 /// selected once — at static initialization from CPUID (plus the

@@ -2,8 +2,9 @@
 /// AVX2 GF(2^8) kernels: 32 bytes per step (64 with the 2x-unrolled main
 /// loop) via VPSHUFB nibble-split half-table lookups, the same scheme as
 /// the SSSE3 kernels with the 16-byte half-tables broadcast to both
-/// lanes. Compiled with -mavx2 (this TU only); selected at runtime only
-/// when CPUID reports AVX2.
+/// lanes; dot is bit-sliced like the SSSE3 one, 32 bytes per step.
+/// Compiled with -mavx2 (this TU only); selected at runtime only when
+/// CPUID reports AVX2.
 
 #include "gf/kernels.h"
 
@@ -99,10 +100,45 @@ void avx2_add_scaled(Element* dst, const Element* src, Element c,
   for (; i < n; ++i) dst[i] ^= row[src[i]];
 }
 
-const KernelTable kAvx2Kernels{
-    avx2_add_assign, avx2_scale_assign, avx2_add_scaled,
-    // See kernels_ssse3.cpp: dot is not nibble-split vectorizable.
-    detail::kScalarKernels.dot, "avx2"};
+/// Bit-sliced dot, 32 bytes per step; see ssse3_dot.
+Element avx2_dot(const Element* a, const Element* b, std::size_t n) {
+  if (n < 32) return detail::kScalarKernels.dot(a, b, n);
+  const __m256i zero = _mm256_setzero_si256();
+  __m256i planes[8];
+  for (auto& p : planes) p = zero;
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    const __m256i va =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
+    __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
+#pragma GCC unroll 8
+    for (int k = 7; k >= 0; --k) {
+      planes[k] = _mm256_xor_si256(
+          planes[k], _mm256_and_si256(va, _mm256_cmpgt_epi8(zero, vb)));
+      vb = _mm256_add_epi8(vb, vb);
+    }
+  }
+  // Horner's rule in x over the planes, bytewise (see ssse3_dot), then
+  // XOR all 32 bytes together.
+  const __m256i poly = _mm256_set1_epi8(0x1D);
+  __m256i acc = planes[7];
+  for (int k = 6; k >= 0; --k) {
+    const __m256i carry = _mm256_and_si256(_mm256_cmpgt_epi8(zero, acc), poly);
+    acc = _mm256_xor_si256(
+        _mm256_xor_si256(_mm256_add_epi8(acc, acc), carry), planes[k]);
+  }
+  __m128i x = _mm_xor_si128(_mm256_castsi256_si128(acc),
+                            _mm256_extracti128_si256(acc, 1));
+  x = _mm_xor_si128(x, _mm_srli_si128(x, 8));
+  x = _mm_xor_si128(x, _mm_srli_si128(x, 4));
+  x = _mm_xor_si128(x, _mm_srli_si128(x, 2));
+  x = _mm_xor_si128(x, _mm_srli_si128(x, 1));
+  return static_cast<Element>(_mm_cvtsi128_si32(x)) ^
+         detail::kScalarKernels.dot(a + i, b + i, n - i);
+}
+
+const KernelTable kAvx2Kernels{avx2_add_assign, avx2_scale_assign,
+                               avx2_add_scaled, avx2_dot, "avx2"};
 
 }  // namespace
 

@@ -1,8 +1,8 @@
 /// \file kernels_ssse3.cpp
 /// SSSE3 GF(2^8) kernels: 16 bytes per step via PSHUFB nibble-split
-/// half-table lookups. Compiled with -mssse3 (this TU only); selected at
-/// runtime only when CPUID reports SSSE3, so the rest of the binary
-/// carries no ISA requirement.
+/// half-table lookups, and a bit-sliced dot. Compiled with -mssse3 (this
+/// TU only); selected at runtime only when CPUID reports SSSE3, so the
+/// rest of the binary carries no ISA requirement.
 
 #include "gf/kernels.h"
 
@@ -74,12 +74,46 @@ void ssse3_add_scaled(Element* dst, const Element* src, Element c,
   for (; i < n; ++i) dst[i] ^= row[src[i]];
 }
 
-const KernelTable kSsse3Kernels{
-    ssse3_add_assign, ssse3_scale_assign, ssse3_add_scaled,
-    // dot has a data-dependent multiplier per byte, which the
-    // nibble-split trick cannot vectorize; the branch-free scalar table
-    // walk is the fastest known portable form.
-    detail::kScalarKernels.dot, "ssse3"};
+/// Bit-sliced dot (see kernels.h): plane k collects the a bytes whose b
+/// partner has bit k set. Bit k of every b byte is its sign bit after
+/// 7 - k byte-wise doublings, and a signed compare against zero widens
+/// it into a whole-byte mask.
+Element ssse3_dot(const Element* a, const Element* b, std::size_t n) {
+  if (n < 16) return detail::kScalarKernels.dot(a, b, n);
+  const __m128i zero = _mm_setzero_si128();
+  __m128i planes[8];
+  for (auto& p : planes) p = zero;
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m128i va = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
+    __m128i vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i));
+#pragma GCC unroll 8
+    for (int k = 7; k >= 0; --k) {
+      planes[k] = _mm_xor_si128(
+          planes[k], _mm_and_si128(va, _mm_cmpgt_epi8(zero, vb)));
+      vb = _mm_add_epi8(vb, vb);
+    }
+  }
+  // sum_k x^k * P_k by Horner's rule in x, one byte lane at a time:
+  // x * v is v doubled, XOR the field polynomial's low byte (0x1D)
+  // where v's top bit was set. The lanes then XOR into one byte.
+  const __m128i poly = _mm_set1_epi8(0x1D);
+  __m128i acc = planes[7];
+  for (int k = 6; k >= 0; --k) {
+    const __m128i carry = _mm_and_si128(_mm_cmpgt_epi8(zero, acc), poly);
+    acc = _mm_xor_si128(_mm_xor_si128(_mm_add_epi8(acc, acc), carry),
+                        planes[k]);
+  }
+  acc = _mm_xor_si128(acc, _mm_srli_si128(acc, 8));
+  acc = _mm_xor_si128(acc, _mm_srli_si128(acc, 4));
+  acc = _mm_xor_si128(acc, _mm_srli_si128(acc, 2));
+  acc = _mm_xor_si128(acc, _mm_srli_si128(acc, 1));
+  return static_cast<Element>(_mm_cvtsi128_si32(acc)) ^
+         detail::kScalarKernels.dot(a + i, b + i, n - i);
+}
+
+const KernelTable kSsse3Kernels{ssse3_add_assign, ssse3_scale_assign,
+                                ssse3_add_scaled, ssse3_dot, "ssse3"};
 
 }  // namespace
 

@@ -160,9 +160,7 @@ void PeerNode::corrupt_outgoing(coding::CodedBlock& block) {
     case proto::CorruptionStrategy::kRandomPayload:
       // Honest coding vector, scrambled data — caught by payload-aware
       // verification w.p. 1 - 256^-checks.
-      for (auto& byte : block.payload) {
-        byte = static_cast<std::uint8_t>(rng_.gf_element());
-      }
+      rng_.fill_gf(block.payload);
       break;
     case proto::CorruptionStrategy::kGarbageCoefficients:
       // Honest payload, scrambled header: wire CRCs all pass; only the

@@ -481,9 +481,7 @@ void Network::corrupt_block(std::size_t slot, coding::CodedBlock& block) {
       // Honest coding vector, scrambled data: the classic pollution
       // attack. Undetectable without a payload-aware check; with one,
       // caught w.p. 1 - 256^-checks.
-      for (auto& byte : block.payload) {
-        byte = static_cast<std::uint8_t>(rng_.gf_element());
-      }
+      rng_.fill_gf(block.payload);
       break;
     case proto::CorruptionStrategy::kGarbageCoefficients:
       // Honest payload, scrambled header: frames and transport CRCs all

@@ -1,6 +1,11 @@
 #include "proto/integrity.h"
 
+#include <algorithm>
+#include <array>
+#include <bit>
+
 #include "common/rng.h"
+#include "gf/kernels.h"
 
 namespace icollect::proto {
 
@@ -21,19 +26,40 @@ constexpr std::uint64_t kCheckDomain = 0xC0EFF1C1E47A65ULL;
   return common::splitmix64(x ^ (static_cast<std::uint64_t>(j) + 1));
 }
 
+/// A PRF word in the byte order the check vector uses (low byte first),
+/// so a word buffer read as bytes is the check vector on any host.
+[[nodiscard]] constexpr std::uint64_t little_endian(std::uint64_t w) noexcept {
+  if constexpr (std::endian::native == std::endian::little) {
+    return w;
+  } else {
+    std::uint64_t swapped = 0;
+    for (int b = 0; b < 8; ++b) {
+      swapped = (swapped << 8U) | ((w >> (8 * b)) & 0xFFU);
+    }
+    return swapped;
+  }
+}
+
 }  // namespace
 
 gf::Element IntegrityAuthority::check_dot(
     const coding::SegmentId& id, std::size_t j,
     std::span<const std::uint8_t> v) const {
-  const std::uint64_t state = check_state(params_.key, id, j);
+  // r_j is one splitmix64 word per 8 payload bytes, low byte first. It
+  // is expanded a chunk at a time into a stack buffer of words, and the
+  // active kernel's dot reduces each chunk; the chunk dots XOR together.
+  constexpr std::size_t kChunk = 256;
+  const auto kernel_dot = gf::Kernels::active().dot;
+  std::array<std::uint64_t, kChunk / 8> words{};
+  const auto* r = reinterpret_cast<const gf::Element*>(words.data());
+  std::uint64_t counter = check_state(params_.key, id, j);
   gf::Element acc = 0;
-  std::uint64_t word = 0;
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i % 8 == 0) word = common::splitmix64(state + i / 8);
-    const auto r = static_cast<gf::Element>(word & 0xFFU);
-    word >>= 8U;
-    acc = gf::GF256::add(acc, gf::GF256::mul(r, v[i]));
+  for (std::size_t off = 0; off < v.size(); off += kChunk) {
+    const std::size_t n = std::min(kChunk, v.size() - off);
+    for (std::size_t w = 0; w < (n + 7) / 8; ++w) {
+      words[w] = little_endian(common::splitmix64(counter++));
+    }
+    acc ^= kernel_dot(r, v.data() + off, n);
   }
   return acc;
 }

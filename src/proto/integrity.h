@@ -119,8 +119,9 @@ class IntegrityAuthority {
     std::vector<gf::Element> rows;
   };
 
-  /// <r_j, v> where r_j is the (never-materialized) check vector for
-  /// (key, id, j), expanded lazily 8 bytes per splitmix64 call.
+  /// <r_j, v> where r_j is the (never-stored) check vector for
+  /// (key, id, j), expanded 8 bytes per splitmix64 call into a small
+  /// stack buffer and reduced chunk by chunk on the active GF kernel.
   [[nodiscard]] gf::Element check_dot(
       const coding::SegmentId& id, std::size_t j,
       std::span<const std::uint8_t> v) const;

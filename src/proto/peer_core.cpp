@@ -38,9 +38,7 @@ PeerCore::Injected PeerCore::inject() {
       originals.resize(s);
       for (auto& b : originals) {
         b.resize(params_.payload_bytes);
-        for (auto& byte : b) {
-          byte = static_cast<std::uint8_t>(rng_.gf_element());
-        }
+        rng_.fill_gf(b);
       }
     }
     crcs.reserve(s);

@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
 #include "common/crc32.h"
+#include "common/rng.h"
 
 namespace icollect {
 namespace {
@@ -52,6 +54,42 @@ TEST(Crc32, SingleBitChangesCrc) {
   const std::uint32_t base = common::crc32(data);
   data[17] ^= 0x01U;
   EXPECT_NE(common::crc32(data), base);
+}
+
+/// Table-free reference: one byte at a time, one bit at a time.
+std::uint32_t bitwise_crc(std::span<const std::uint8_t> bytes) {
+  std::uint32_t c = 0xFFFFFFFFU;
+  for (const std::uint8_t b : bytes) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1U) != 0 ? 0xEDB88320U ^ (c >> 1U) : c >> 1U;
+    }
+  }
+  return c ^ 0xFFFFFFFFU;
+}
+
+TEST(Crc32, SliceBy8MatchesBytewiseAtEveryLengthAndOffset) {
+  // Every split of a length into 8-byte slices plus a tail, at every
+  // alignment of the start pointer.
+  common::Rng rng{0xC4C};
+  std::vector<std::uint8_t> buf(64 + 8);
+  rng.fill_gf(buf);
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const std::span<const std::uint8_t> bytes{buf.data() + off, len};
+      ASSERT_EQ(common::crc32(bytes), bitwise_crc(bytes))
+          << "len " << len << " off " << off;
+    }
+  }
+}
+
+TEST(Crc32, SliceBy8MatchesBytewiseOnLargeBuffers) {
+  common::Rng rng{0xC4D};
+  for (const std::size_t len : {std::size_t{1024}, std::size_t{16384}}) {
+    std::vector<std::uint8_t> buf(len);
+    rng.fill_gf(buf);
+    EXPECT_EQ(common::crc32(buf), bitwise_crc(buf)) << "len " << len;
+  }
 }
 
 }  // namespace

@@ -223,6 +223,29 @@ TEST(GfKernels, DotMatchesOracleEverywhere) {
   }
 }
 
+TEST(GfKernels, DotHandlesSignBitAndSaturatedBytes) {
+  // The bit-sliced SIMD dots read b's bits through the byte sign bit;
+  // pin the bytes where that matters most against the oracle.
+  const Element patterns[] = {0x00, 0x01, 0x7F, 0x80, 0xFE, 0xFF};
+  for (const auto kind : supported_kinds()) {
+    const gf::KernelTable& t = table_for(kind);
+    for (const Element pa : patterns) {
+      for (const Element pb : patterns) {
+        for (const std::size_t n : {std::size_t{16}, std::size_t{33},
+                                    std::size_t{64}, std::size_t{1025}}) {
+          const std::vector<Element> a(n, pa), b(n, pb);
+          Element expect = 0;
+          for (std::size_t i = 0; i < n; ++i) {
+            expect = gf::GF256::add(expect, gf::GF256::mul(pa, pb));
+          }
+          ASSERT_EQ(t.dot(a.data(), b.data(), n), expect)
+              << t.name << " a=" << int{pa} << " b=" << int{pb} << " n=" << n;
+        }
+      }
+    }
+  }
+}
+
 TEST(GfKernels, KernelsAgreePairwiseOnRandomStreams) {
   // Cross-kernel agreement on longer random streams: the property the
   // simulation's determinism guarantee rests on.

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "coding/coded_block.h"
 #include "common/rng.h"
 #include "gf/gf256.h"
+#include "gf/kernels.h"
 #include "proto/adversary.h"
 #include "proto/integrity.h"
 
@@ -244,6 +246,140 @@ TEST(Integrity, DeterministicAcrossInstances) {
       block.payload[rng.uniform_index(block.payload.size())] ^= 0x5A;
     }
     EXPECT_EQ(a.verify(block), b.verify(block));
+  }
+}
+
+// ---- bit-exactness of the chunked, kernel-backed check --------------
+
+/// <r_j, v> as first written: the splitmix64 PRF expanded one word per
+/// 8 bytes, low byte first, and one table multiply per payload byte.
+gf::Element reference_check_dot(std::uint64_t key, const SegmentId& id,
+                                std::size_t j,
+                                std::span<const std::uint8_t> v) {
+  constexpr std::uint64_t kCheckDomain = 0xC0EFF1C1E47A65ULL;
+  const std::uint64_t seg = (static_cast<std::uint64_t>(id.origin) << 32U) |
+                            id.seq;
+  std::uint64_t state = common::splitmix64(key ^ kCheckDomain);
+  state = common::splitmix64(state ^ seg);
+  state = common::splitmix64(state ^ (static_cast<std::uint64_t>(j) + 1));
+  gf::Element acc = 0;
+  std::uint64_t word = 0;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (i % 8 == 0) word = common::splitmix64(state + i / 8);
+    const auto r = static_cast<gf::Element>(word & 0xFFU);
+    word >>= 8U;
+    acc = gf::GF256::add(acc, gf::GF256::mul(r, v[i]));
+  }
+  return acc;
+}
+
+/// Reference tags T[j][k] and verdict built on reference_check_dot.
+struct ReferenceChecker {
+  std::uint64_t key;
+  SegmentId id;
+  std::vector<std::vector<gf::Element>> tags;  // checks x s
+
+  ReferenceChecker(std::uint64_t k, std::size_t checks, const SegmentId& sid,
+                   std::span<const std::vector<std::uint8_t>> originals)
+      : key{k}, id{sid}, tags(checks) {
+    for (std::size_t j = 0; j < checks; ++j) {
+      for (const auto& b : originals) {
+        tags[j].push_back(reference_check_dot(key, id, j, b));
+      }
+    }
+  }
+
+  [[nodiscard]] gf::Element rhs(std::size_t j,
+                                std::span<const gf::Element> c) const {
+    gf::Element acc = 0;
+    for (std::size_t k = 0; k < c.size(); ++k) {
+      acc = gf::GF256::add(acc, gf::GF256::mul(c[k], tags[j][k]));
+    }
+    return acc;
+  }
+
+  [[nodiscard]] VerifyResult verify(const CodedBlock& block) const {
+    for (std::size_t j = 0; j < tags.size(); ++j) {
+      if (reference_check_dot(key, id, j, block.payload) !=
+          rhs(j, block.coefficients)) {
+        return VerifyResult::kCheckFailed;
+      }
+    }
+    return VerifyResult::kOk;
+  }
+
+  /// A forgery that passes both reference checks: keep the payload and
+  /// solve the 2x2 system sum_k c_k T[j][k] = <r_j, p> in c_0, c_1
+  /// (Cramer's rule; char 2, so minus is plus). Returns false when the
+  /// leading 2x2 tag minor is singular.
+  [[nodiscard]] bool forge_passing(CodedBlock& block) const {
+    const gf::Element l0 = reference_check_dot(key, id, 0, block.payload);
+    const gf::Element l1 = reference_check_dot(key, id, 1, block.payload);
+    const auto& t = tags;
+    using G = gf::GF256;
+    const gf::Element det =
+        G::add(G::mul(t[0][0], t[1][1]), G::mul(t[0][1], t[1][0]));
+    if (det == 0) return false;
+    std::fill(block.coefficients.begin(), block.coefficients.end(), 0);
+    block.coefficients[0] = G::div(
+        G::add(G::mul(l0, t[1][1]), G::mul(t[0][1], l1)), det);
+    block.coefficients[1] = G::div(
+        G::add(G::mul(t[0][0], l1), G::mul(l0, t[1][0])), det);
+    return true;
+  }
+};
+
+TEST(Integrity, EveryKernelMatchesPerByteReference) {
+  struct RestoreAuto {
+    ~RestoreAuto() { gf::Kernels::select(gf::Kernels::Kind::kAuto); }
+  } restore;
+  std::vector<gf::Kernels::Kind> kinds{gf::Kernels::Kind::kScalar};
+  for (const auto kind : {gf::Kernels::Kind::kSsse3,
+                          gf::Kernels::Kind::kAvx2}) {
+    if (gf::Kernels::supported(kind)) kinds.push_back(kind);
+  }
+  constexpr std::uint64_t kKey = 0x5EED1234ULL;
+  constexpr std::size_t kChecks = 2;
+  constexpr std::size_t kS = 3;
+  // Both sides of the 8-byte PRF word and the 256-byte expansion chunk.
+  constexpr std::size_t kLengths[] = {1, 7, 8, 255, 256, 257, 1024, 1025};
+  for (const auto kind : kinds) {
+    ASSERT_TRUE(gf::Kernels::select(kind));
+    const char* name = gf::Kernels::name(kind);
+    for (const std::size_t len : kLengths) {
+      common::Rng rng{len};
+      const SegmentId id{static_cast<std::uint32_t>(len), 9};
+      const auto originals = random_originals(rng, kS, len);
+      IntegrityAuthority auth{IntegrityParams{kKey, kChecks}};
+      auth.register_segment(id, originals);
+      const ReferenceChecker ref{kKey, kChecks, id, originals};
+      int forged_ok = 0;
+      for (int trial = 0; trial < 16; ++trial) {
+        CodedBlock block = random_valid_block(rng, id, originals);
+        ASSERT_EQ(auth.verify(block), VerifyResult::kOk)
+            << name << " len " << len;
+        // Random payload: fails the reference unless it escapes.
+        rng.fill_gf(block.payload);
+        ASSERT_EQ(auth.verify(block), ref.verify(block))
+            << name << " len " << len;
+        // The same payload under coefficients solved from the reference
+        // tags passes only if every tag and every check byte agrees.
+        if (ref.forge_passing(block)) {
+          ASSERT_EQ(ref.verify(block), VerifyResult::kOk);
+          ASSERT_EQ(auth.verify(block), VerifyResult::kOk)
+              << name << " len " << len;
+          ++forged_ok;
+          block.payload[rng.uniform_index(len)] ^= 0x01;
+          ASSERT_EQ(auth.verify(block), ref.verify(block))
+              << name << " len " << len;
+        }
+      }
+      // One payload byte makes every tag column proportional, so the
+      // 2x2 minor is always singular there.
+      if (len > 1) {
+        EXPECT_GT(forged_ok, 0) << name << " len " << len;
+      }
+    }
   }
 }
 

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <random>
 #include <vector>
 
 #include "sim/random.h"
@@ -166,6 +169,57 @@ TEST(Rng, ForkProducesIndependentStream) {
     if (a.uniform() == b.uniform()) ++equal;
   }
   EXPECT_LT(equal, 3);
+}
+
+// The in-tree engine replaced std::mt19937_64 without re-capturing any
+// golden, so it must be draw-for-draw the std engine: scalar draws, the
+// bulk fill and every std distribution layered on top.
+constexpr std::array<std::uint64_t, 3> kEngineSeeds{0, 5489,
+                                                    0x9E3779B97F4A7C15ULL};
+
+TEST(Rng, EngineMatchesStdMt19937_64) {
+  for (const std::uint64_t seed : kEngineSeeds) {
+    common::Mt19937_64 engine{seed};
+    std::mt19937_64 reference{seed};
+    for (int i = 0; i < 3 * 312 + 5; ++i) {
+      ASSERT_EQ(engine(), reference()) << "seed " << seed << " draw " << i;
+    }
+  }
+  static_assert(common::Mt19937_64::min() == std::mt19937_64::min());
+  static_assert(common::Mt19937_64::max() == std::mt19937_64::max());
+}
+
+TEST(Rng, FillGfInterleavedMatchesStdMt19937_64) {
+  const std::size_t lengths[] = {0, 1, 311, 312, 313, 1024};
+  for (const std::uint64_t seed : kEngineSeeds) {
+    Rng rng{seed};
+    std::mt19937_64 ref{seed};
+    for (int round = 0; round < 2; ++round) {
+      for (const std::size_t n : lengths) {
+        std::vector<gf::Element> got(n);
+        rng.fill_gf(got);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(got[i], static_cast<gf::Element>(ref() & 0xFFU))
+              << "seed " << seed << " fill " << n << " byte " << i;
+        }
+        ASSERT_EQ(rng.gf_element(), static_cast<gf::Element>(ref() & 0xFFU));
+        ASSERT_EQ(rng.uniform(),
+                  (std::uniform_real_distribution<double>{0.0, 1.0}(ref)));
+        ASSERT_EQ(rng.uniform_index(7),
+                  (std::uniform_int_distribution<std::size_t>{0, 6}(ref)));
+        ASSERT_EQ(rng.exponential(2.5),
+                  std::exponential_distribution<double>{2.5}(ref));
+        ASSERT_EQ(rng.poisson(3.0), std::poisson_distribution<int>{3.0}(ref));
+        // Large means take the distribution's rejection branch.
+        ASSERT_EQ(rng.poisson(40.0),
+                  std::poisson_distribution<int>{40.0}(ref));
+      }
+    }
+    // fork() seeds the child from one draw of the parent.
+    Rng child = rng.fork();
+    std::mt19937_64 ref_child{ref() ^ 0x9E3779B97F4A7C15ULL};
+    ASSERT_EQ(child.engine()(), ref_child());
+  }
 }
 
 }  // namespace
