@@ -55,6 +55,43 @@ void BM_PoissonProcessChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_PoissonProcessChurn);
 
+/// The simulator's dominant event shape: ~100k pending TTL expiries, each
+/// a 32-byte closure [this, slot, incarnation, handle] like
+/// p2p::Network's. Hold model: every fired expiry arms a fresh one, so
+/// the queue stays at its working size.
+void BM_TtlShapedHold(benchmark::State& state) {
+  const auto pending = static_cast<std::size_t>(state.range(0));
+  struct Sink {
+    std::uint64_t sum = 0;
+    void expire(std::size_t slot, std::uint64_t incarnation,
+                std::uint64_t handle) {
+      sum += slot ^ incarnation ^ handle;
+    }
+  } sink;
+  sim::Simulator sim;
+  sim.reserve_events(pending);
+  sim::Rng rng{11};
+  std::uint64_t next = 0;
+  const auto arm = [&] {
+    Sink* self = &sink;
+    const std::size_t slot = next % 2000;
+    const std::uint64_t incarnation = next / 2000;
+    const std::uint64_t handle = next++;
+    sim.schedule_after(rng.exponential(1.0),
+                       [self, slot, incarnation, handle] {
+                         self->expire(slot, incarnation, handle);
+                       });
+  };
+  for (std::size_t i = 0; i < pending; ++i) arm();
+  for (auto _ : state) {
+    sim.step();
+    arm();
+  }
+  benchmark::DoNotOptimize(sink.sum);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TtlShapedHold)->Arg(100000);
+
 /// End-to-end protocol events per second at a Fig. 3 operating point.
 void BM_NetworkSimulation(benchmark::State& state) {
   const auto s = static_cast<std::size_t>(state.range(0));

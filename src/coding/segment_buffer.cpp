@@ -47,21 +47,6 @@ bool SegmentBuffer::remove(BlockHandle handle) {
   return true;
 }
 
-bool SegmentBuffer::is_innovative(const CodedBlock& block) const {
-  ICOLLECT_EXPECTS(block.segment == id_);
-  Decoder probe{id_, s_, 0};
-  for (const auto& st : blocks_) {
-    CodedBlock coeff_only;
-    coeff_only.segment = id_;
-    coeff_only.coefficients = st.block.coefficients;
-    probe.add(coeff_only);
-  }
-  CodedBlock candidate;
-  candidate.segment = id_;
-  candidate.coefficients = block.coefficients;
-  return probe.is_innovative(candidate);
-}
-
 CodedBlock SegmentBuffer::recode(common::Rng& rng) const {
   CodedBlock out;
   recode_into(out, rng);

@@ -55,9 +55,6 @@ class SegmentBuffer {
   /// Remove the block with the given handle. Returns true if present.
   bool remove(BlockHandle handle);
 
-  /// Would adding `block` raise this buffer's rank?
-  [[nodiscard]] bool is_innovative(const CodedBlock& block) const;
-
   /// Produce a re-coded block: a uniformly random GF(2^8) combination of
   /// all stored blocks (degenerate all-zero draws are redrawn).
   /// Precondition: !empty().

@@ -80,7 +80,7 @@ Network::Network(ProtocolConfig cfg)
   // Expected concurrent events: one injector + one gossiper timer per
   // peer, up to buffer_cap TTL timers per peer, one timer per server,
   // plus churn departure timers. Reserving up front keeps the hot loop
-  // free of heap regrow/rehash churn.
+  // free of heap and slot-table regrowth.
   const std::size_t ttl_slack =
       cfg_.num_peers * std::min<std::size_t>(cfg_.buffer_cap, 2);
   sim_.reserve_events(cfg_.num_peers * (cfg_.churn.enabled ? 3 : 2) +

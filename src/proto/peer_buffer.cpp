@@ -4,119 +4,119 @@
 
 namespace icollect::proto {
 
-void PeerBuffer::insert(coding::BlockHandle handle,
-                        coding::CodedBlock block) {
+coding::BlockHandle PeerBuffer::insert(coding::CodedBlock block) {
   ICOLLECT_EXPECTS(has_room(1));
-  ICOLLECT_EXPECTS(!handle_index_.contains(handle));
   const coding::SegmentId id = block.segment;
-  auto it = segments_.find(id);
-  if (it == segments_.end()) {
-    it = segments_
-             .emplace(id, coding::SegmentBuffer{id,
-                                                block.coefficients.size()})
-             .first;
-    segment_pos_[id] = segment_list_.size();
+  const std::uint32_t slot =
+      free_handles_.empty() ? static_cast<std::uint32_t>(handles_.size())
+                            : free_handles_.back();
+  const std::uint64_t serial = next_serial_;
+  const coding::BlockHandle handle = (serial << kSlotBits) | slot;
+  // Add the block before committing any bookkeeping, so a block the
+  // SegmentBuffer rejects leaves the buffer untouched.
+  if (const std::size_t pos = index_of(id); pos != kNotFound) {
+    entries_[pos].blocks.add(handle, std::move(block));
+  } else {
+    coding::SegmentBuffer fresh{id, block.coefficients.size()};
+    fresh.add(handle, std::move(block));
+    entries_.push_back(Entry{std::move(fresh), next_arrival_seq_++});
     segment_list_.push_back(id);
-    arrival_seq_[id] = next_arrival_seq_++;
   }
-  it->second.add(handle, std::move(block));
-  handle_index_[handle] = id;
+  if (free_handles_.empty()) {
+    handles_.emplace_back();
+  } else {
+    free_handles_.pop_back();
+  }
+  handles_[slot] = HandleSlot{id, serial};
+  ++next_serial_;
   ++total_blocks_;
+  return handle;
 }
 
 std::optional<coding::SegmentId> PeerBuffer::erase(
     coding::BlockHandle handle) {
-  const auto hit = handle_index_.find(handle);
-  if (hit == handle_index_.end()) return std::nullopt;
-  const coding::SegmentId id = hit->second;
-  handle_index_.erase(hit);
-  auto sit = segments_.find(id);
-  ICOLLECT_ENSURES(sit != segments_.end());
-  const bool removed = sit->second.remove(handle);
+  const auto slot = static_cast<std::uint32_t>(
+      handle & ((coding::BlockHandle{1} << kSlotBits) - 1));
+  const std::uint64_t serial = handle >> kSlotBits;
+  if (slot >= handles_.size() || serial == 0 ||
+      handles_[slot].serial != serial) {
+    return std::nullopt;
+  }
+  const coding::SegmentId id = handles_[slot].segment;
+  handles_[slot].serial = 0;
+  free_handles_.push_back(slot);
+  const std::size_t pos = index_of(id);
+  ICOLLECT_ENSURES(pos != kNotFound);
+  coding::SegmentBuffer& sb = entries_[pos].blocks;
+  const bool removed = sb.remove(handle);
   ICOLLECT_ENSURES(removed);
   --total_blocks_;
-  if (sit->second.empty()) {
-    segments_.erase(sit);
-    drop_segment_entry(id);
-    arrival_seq_.erase(id);
-  }
+  if (sb.empty()) drop_segment_at(pos);
   return id;
 }
 
 const coding::SegmentId& PeerBuffer::newest_segment() const {
   ICOLLECT_EXPECTS(!segment_list_.empty());
-  const coding::SegmentId* best = &segment_list_.front();
-  std::uint64_t best_seq = 0;
-  bool first = true;
-  for (const auto& id : segment_list_) {
-    const std::uint64_t seq = arrival_seq_.at(id);
-    if (first || seq > best_seq) {
-      best = &id;
-      best_seq = seq;
-      first = false;
-    }
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < entries_.size(); ++i) {
+    if (entries_[i].arrival_seq > entries_[best].arrival_seq) best = i;
   }
-  return *best;
+  return segment_list_[best];
 }
 
 const coding::SegmentId& PeerBuffer::rarest_segment() const {
   ICOLLECT_EXPECTS(!segment_list_.empty());
-  const coding::SegmentId* best = nullptr;
-  std::size_t best_count = 0;
-  std::uint64_t best_seq = 0;
-  for (const auto& id : segment_list_) {
-    const std::size_t count = segments_.at(id).block_count();
-    const std::uint64_t seq = arrival_seq_.at(id);
-    if (best == nullptr || count < best_count ||
-        (count == best_count && seq > best_seq)) {
-      best = &id;
-      best_count = count;
-      best_seq = seq;
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < entries_.size(); ++i) {
+    const std::size_t count = entries_[i].blocks.block_count();
+    const std::size_t best_count = entries_[best].blocks.block_count();
+    if (count < best_count ||
+        (count == best_count &&
+         entries_[i].arrival_seq > entries_[best].arrival_seq)) {
+      best = i;
     }
   }
-  return *best;
+  return segment_list_[best];
 }
 
 const coding::SegmentBuffer* PeerBuffer::find(
     const coding::SegmentId& id) const {
-  const auto it = segments_.find(id);
-  return it == segments_.end() ? nullptr : &it->second;
+  const std::size_t pos = index_of(id);
+  return pos == kNotFound ? nullptr : &entries_[pos].blocks;
 }
 
 coding::SegmentBuffer* PeerBuffer::find(const coding::SegmentId& id) {
-  const auto it = segments_.find(id);
-  return it == segments_.end() ? nullptr : &it->second;
-}
-
-std::vector<coding::BlockHandle> PeerBuffer::all_handles() const {
-  std::vector<coding::BlockHandle> out;
-  out.reserve(handle_index_.size());
-  for (const auto& [h, _] : handle_index_) out.push_back(h);
-  return out;
+  const std::size_t pos = index_of(id);
+  return pos == kNotFound ? nullptr : &entries_[pos].blocks;
 }
 
 std::size_t PeerBuffer::clear() {
   const std::size_t lost = total_blocks_;
-  segments_.clear();
-  handle_index_.clear();
   segment_list_.clear();
-  segment_pos_.clear();
-  arrival_seq_.clear();
+  entries_.clear();
+  // Serials keep counting, so every handle issued so far stays stale
+  // even once its slot is handed out again.
+  handles_.clear();
+  free_handles_.clear();
   total_blocks_ = 0;
   return lost;
 }
 
-void PeerBuffer::drop_segment_entry(const coding::SegmentId& id) {
-  const auto pit = segment_pos_.find(id);
-  ICOLLECT_ENSURES(pit != segment_pos_.end());
-  const std::size_t pos = pit->second;
+std::size_t PeerBuffer::index_of(const coding::SegmentId& id) const {
+  for (std::size_t i = 0; i < segment_list_.size(); ++i) {
+    if (segment_list_[i] == id) return i;
+  }
+  return kNotFound;
+}
+
+void PeerBuffer::drop_segment_at(std::size_t pos) {
   const std::size_t last = segment_list_.size() - 1;
   if (pos != last) {
     segment_list_[pos] = segment_list_[last];
-    segment_pos_[segment_list_[pos]] = pos;
+    entries_[pos] = std::move(entries_[last]);
   }
   segment_list_.pop_back();
-  segment_pos_.erase(pit);
+  entries_.pop_back();
 }
 
 }  // namespace icollect::proto

@@ -11,10 +11,17 @@
 /// stable BlockHandles, and uniform random segment selection for both
 /// gossip ("chooses a segment r u.a.r. from among all the segments of
 /// which it has at least one (coded) block") and server pulls.
+///
+/// Layout: no hashing. The buffered segment ids form one flat list with
+/// a parallel vector of {SegmentBuffer, first-arrival seq}; a segment is
+/// appended on its first block and swap-popped on its last, and found by
+/// a linear scan — the list holds at most B ids. Handles are allocated
+/// here: each packs a slot of a per-buffer handle table (slot → segment)
+/// with a serial that is never reused, so a stale handle (after erase,
+/// clear, or an eviction) is recognised in O(1).
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "coding/coded_block.h"
@@ -27,8 +34,10 @@ namespace icollect::proto {
 
 class PeerBuffer {
  public:
+  /// Precondition: 0 < capacity <= 2^24 (a handle's slot field).
   explicit PeerBuffer(std::size_t capacity) : cap_{capacity} {
     ICOLLECT_EXPECTS(capacity > 0);
+    ICOLLECT_EXPECTS(capacity <= (std::size_t{1} << kSlotBits));
   }
 
   [[nodiscard]] std::size_t capacity() const noexcept { return cap_; }
@@ -45,15 +54,16 @@ class PeerBuffer {
     return segment_list_.size();
   }
 
-  /// Insert a block under a caller-allocated stable handle.
-  /// Precondition: has_room(1).
-  void insert(coding::BlockHandle handle, coding::CodedBlock block);
+  /// Insert a block; returns its handle, unique over the buffer's
+  /// lifetime. Precondition: has_room(1).
+  coding::BlockHandle insert(coding::CodedBlock block);
 
   /// Remove the block with this handle (TTL expiry). Returns the id of
-  /// the segment it belonged to, or nullopt if the handle is unknown.
+  /// the segment it belonged to, or nullopt if the handle is stale.
   std::optional<coding::SegmentId> erase(coding::BlockHandle handle);
 
-  /// The per-segment store, or nullptr if no block of that segment.
+  /// The per-segment store, or nullptr if no block of that segment. The
+  /// pointer is invalidated by any insert or erase.
   [[nodiscard]] const coding::SegmentBuffer* find(
       const coding::SegmentId& id) const;
   [[nodiscard]] coding::SegmentBuffer* find(const coding::SegmentId& id);
@@ -73,33 +83,45 @@ class PeerBuffer {
   /// recency (rarest-first gossip). Precondition: !empty().
   [[nodiscard]] const coding::SegmentId& rarest_segment() const;
 
-  /// All buffered segment ids (unspecified order).
+  /// All buffered segment ids: first arrivals append, a segment's last
+  /// block leaving swap-pops it.
   [[nodiscard]] const std::vector<coding::SegmentId>& segments()
       const noexcept {
     return segment_list_;
   }
 
-  /// Handles of every buffered block (for departure bookkeeping).
-  [[nodiscard]] std::vector<coding::BlockHandle> all_handles() const;
-
-  /// Drop everything (peer departure). Returns the number of blocks lost.
+  /// Drop everything (peer departure); every outstanding handle goes
+  /// stale. Returns the number of blocks lost.
   std::size_t clear();
 
  private:
-  void drop_segment_entry(const coding::SegmentId& id);
+  /// Handle-table slots take the low kSlotBits bits of a handle; the
+  /// serial takes the rest.
+  static constexpr unsigned kSlotBits = 24;
+  static constexpr std::size_t kNotFound = static_cast<std::size_t>(-1);
+
+  struct Entry {
+    coding::SegmentBuffer blocks;
+    std::uint64_t arrival_seq;  ///< first arrival, monotonic per buffer
+  };
+  struct HandleSlot {
+    coding::SegmentId segment;
+    std::uint64_t serial = 0;  ///< of the live handle; 0 while free
+  };
+
+  [[nodiscard]] std::size_t index_of(const coding::SegmentId& id) const;
+  void drop_segment_at(std::size_t pos);
 
   std::size_t cap_;
   std::size_t total_blocks_ = 0;
-  std::unordered_map<coding::SegmentId, coding::SegmentBuffer> segments_;
-  std::unordered_map<coding::BlockHandle, coding::SegmentId> handle_index_;
   // Indexable list of buffered segment ids for O(1) uniform selection,
-  // with positions tracked for O(1) removal (swap-pop).
+  // and the per-segment stores at the same positions.
   std::vector<coding::SegmentId> segment_list_;
-  std::unordered_map<coding::SegmentId, std::size_t> segment_pos_;
-  // First-arrival sequence number per buffered segment (monotonic per
-  // buffer), for the newest-first / rarest-first gossip policies.
-  std::unordered_map<coding::SegmentId, std::uint64_t> arrival_seq_;
+  std::vector<Entry> entries_;
   std::uint64_t next_arrival_seq_ = 0;
+  std::vector<HandleSlot> handles_;
+  std::vector<std::uint32_t> free_handles_;
+  std::uint64_t next_serial_ = 1;
 };
 
 }  // namespace icollect::proto

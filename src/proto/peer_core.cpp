@@ -124,10 +124,9 @@ PeerCore::AcceptResult PeerCore::accept(coding::CodedBlock&& block) {
 
 coding::BlockHandle PeerCore::store(coding::CodedBlock block) {
   ICOLLECT_EXPECTS(arm_ttl_ != nullptr);
-  const coding::BlockHandle handle = next_handle_++;
   const std::size_t before = buffer_.size();
   const coding::SegmentId seg = block.segment;
-  buffer_.insert(handle, std::move(block));
+  const coding::BlockHandle handle = buffer_.insert(std::move(block));
   if (stored_) stored_(seg, before);
   arm_ttl_(handle, rng_.exponential(params_.gamma));
   return handle;

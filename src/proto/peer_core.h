@@ -222,7 +222,6 @@ class PeerCore {
   common::Rng& rng_;
   PeerBuffer buffer_;
   std::uint32_t next_seq_ = 0;
-  coding::BlockHandle next_handle_ = 1;
 
   ArmTtlFn arm_ttl_;
   StoredFn stored_;

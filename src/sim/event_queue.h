@@ -3,21 +3,24 @@
 /// \file event_queue.h
 /// A cancellable future-event list for discrete-event simulation.
 ///
-/// Implementation: binary heap ordered by (time, sequence number) — the
-/// sequence number gives FIFO tie-breaking so runs are deterministic —
-/// plus an exact set of pending ids. Cancellation removes the id from the
-/// pending set in O(1); the heap entry is dropped lazily when popped.
-/// The heap is a plain vector managed with std::push_heap/pop_heap (not
-/// std::priority_queue) so capacity can be reserved up front and the
-/// popped action moved out without const_cast.
+/// Implementation: a 4-ary min-heap of compact keys {time, seq, slot},
+/// ordered by (time, seq) — the monotonic sequence number gives FIFO
+/// tie-breaking so runs are deterministic. The actions live in a slot
+/// table recycled through a free list, so a sift moves 24-byte keys and
+/// never a callable, and each action is an InlineAction, so scheduling
+/// never allocates once the heap and the slot table have grown (see
+/// reserve()). An EventId names a slot plus the generation of its
+/// occupant: cancel() and is_pending() are a generation check, and a
+/// stale id can never reach the slot's next occupant. Cancellation frees
+/// the slot at once; the orphaned heap key is dropped lazily when it
+/// reaches the top.
 
-#include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/assert.h"
+#include "sim/inline_action.h"
 
 namespace icollect::sim {
 
@@ -33,34 +36,53 @@ inline constexpr EventId kInvalidEventId = 0;
 
 class EventQueue {
  public:
-  using Action = std::function<void()>;
+  using Action = InlineAction;
 
-  /// Pre-size the heap and the pending-id set for roughly `n` concurrent
-  /// events, so steady-state scheduling avoids rehash/regrow churn.
+  /// Pre-size the heap and the slot table for roughly `n` concurrent
+  /// events, so steady-state scheduling never regrows them.
   void reserve(std::size_t n) {
     heap_.reserve(n);
-    pending_.reserve(n);
+    slots_.reserve(n);
+    free_.reserve(n);
   }
 
   /// Schedule `action` at absolute time `at`. Returns a cancellable id.
   EventId schedule(Time at, Action action) {
     ICOLLECT_EXPECTS(action != nullptr);
-    const EventId id = next_id_++;
-    heap_.push_back(Entry{at, id, std::move(action)});
-    std::push_heap(heap_.begin(), heap_.end());
-    pending_.insert(id);
-    return id;
+    std::uint32_t slot;
+    if (!free_.empty()) {
+      slot = free_.back();
+      free_.pop_back();
+    } else {
+      ICOLLECT_EXPECTS(slots_.size() < kNoSlot);
+      slot = static_cast<std::uint32_t>(slots_.size());
+      slots_.emplace_back();
+    }
+    Slot& s = slots_[slot];
+    const std::uint64_t seq = next_seq_++;
+    s.action = std::move(action);
+    s.seq = seq;
+    heap_.push_back(Key{at, seq, slot});
+    sift_up(heap_.size() - 1);
+    ++live_;
+    return make_id(slot, s.generation);
   }
 
   /// Cancel a previously scheduled event. Returns true if the event was
   /// still pending (false if it already fired, was already cancelled, or
   /// the id is invalid).
-  bool cancel(EventId id) { return pending_.erase(id) > 0; }
+  bool cancel(EventId id) {
+    const std::uint32_t slot = live_slot(id);
+    if (slot == kNoSlot) return false;
+    slots_[slot].action.reset();
+    release(slot);
+    return true;
+  }
 
   /// True if the given event has been scheduled and has neither fired nor
   /// been cancelled yet.
   [[nodiscard]] bool is_pending(EventId id) const {
-    return pending_.contains(id);
+    return live_slot(id) != kNoSlot;
   }
 
   /// True if no live (non-cancelled) events remain.
@@ -70,7 +92,7 @@ class EventQueue {
   }
 
   /// Number of live (pending) events.
-  [[nodiscard]] std::size_t size() const noexcept { return pending_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return live_; }
 
   /// Number of heap entries including lazily-cancelled ones — for tests
   /// and capacity diagnostics.
@@ -97,37 +119,111 @@ class EventQueue {
   [[nodiscard]] Popped pop() {
     drop_dead_prefix();
     ICOLLECT_EXPECTS(!heap_.empty());
-    std::pop_heap(heap_.begin(), heap_.end());
-    Entry& last = heap_.back();
-    Popped out{last.at, last.id, std::move(last.action)};
-    heap_.pop_back();
-    pending_.erase(out.id);
+    const Key top = heap_.front();
+    remove_top();
+    Slot& s = slots_[top.slot];
+    Popped out{top.at, make_id(top.slot, s.generation), std::move(s.action)};
+    release(top.slot);
     return out;
   }
 
  private:
-  struct Entry {
+  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFU;
+  static constexpr std::size_t kArity = 4;
+
+  struct Key {
     Time at;
-    EventId id;  // doubles as the FIFO tie-breaker: ids are monotonic
+    std::uint64_t seq;
+    std::uint32_t slot;
+  };
+  struct Slot {
     Action action;
-    // Min-heap by (time, id): std heap algorithms build a max-heap, so
-    // invert the ordering.
-    bool operator<(const Entry& rhs) const noexcept {
-      if (at != rhs.at) return at > rhs.at;
-      return id > rhs.id;
-    }
+    std::uint64_t seq = 0;  ///< occupant's key seq; 0 while free
+    /// Bumped on every release; never 0, so no live id equals
+    /// kInvalidEventId.
+    std::uint32_t generation = 1;
   };
 
-  void drop_dead_prefix() {
-    while (!heap_.empty() && !pending_.contains(heap_.front().id)) {
-      std::pop_heap(heap_.begin(), heap_.end());
-      heap_.pop_back();
-    }
+  static bool before(const Key& a, const Key& b) noexcept {
+    if (a.at != b.at) return a.at < b.at;
+    return a.seq < b.seq;
   }
 
-  std::vector<Entry> heap_;
-  std::unordered_set<EventId> pending_;
-  EventId next_id_ = 1;
+  static EventId make_id(std::uint32_t slot, std::uint32_t generation) {
+    return (static_cast<EventId>(generation) << 32U) | slot;
+  }
+
+  /// The slot `id` names if its event is still pending, else kNoSlot.
+  [[nodiscard]] std::uint32_t live_slot(EventId id) const noexcept {
+    const auto slot = static_cast<std::uint32_t>(id);
+    const auto generation = static_cast<std::uint32_t>(id >> 32U);
+    if (slot >= slots_.size()) return kNoSlot;
+    const Slot& s = slots_[slot];
+    return s.seq != 0 && s.generation == generation ? slot : kNoSlot;
+  }
+
+  /// Return a slot whose action has fired or been cancelled to the free
+  /// list, invalidating every id that named it.
+  void release(std::uint32_t slot) {
+    Slot& s = slots_[slot];
+    s.seq = 0;
+    if (++s.generation == 0) s.generation = 1;
+    free_.push_back(slot);
+    --live_;
+  }
+
+  /// A key is live while its slot still holds the event it was pushed
+  /// for; a cancelled event's slot is free (seq 0) or re-occupied by a
+  /// later, higher seq.
+  [[nodiscard]] bool is_live(const Key& k) const noexcept {
+    return slots_[k.slot].seq == k.seq;
+  }
+
+  void drop_dead_prefix() {
+    while (!heap_.empty() && !is_live(heap_.front())) remove_top();
+  }
+
+  void remove_top() {
+    const Key last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) sift_down(last);
+  }
+
+  void sift_up(std::size_t i) {
+    const Key k = heap_[i];
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / kArity;
+      if (!before(k, heap_[parent])) break;
+      heap_[i] = heap_[parent];
+      i = parent;
+    }
+    heap_[i] = k;
+  }
+
+  /// Place `k` into the hole at the root, moving smaller children up.
+  void sift_down(const Key& k) {
+    const std::size_t n = heap_.size();
+    std::size_t i = 0;
+    for (;;) {
+      const std::size_t first = i * kArity + 1;
+      if (first >= n) break;
+      const std::size_t end = first + kArity < n ? first + kArity : n;
+      std::size_t best = first;
+      for (std::size_t c = first + 1; c < end; ++c) {
+        if (before(heap_[c], heap_[best])) best = c;
+      }
+      if (!before(heap_[best], k)) break;
+      heap_[i] = heap_[best];
+      i = best;
+    }
+    heap_[i] = k;
+  }
+
+  std::vector<Key> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_;
+  std::size_t live_ = 0;
+  std::uint64_t next_seq_ = 1;
 };
 
 }  // namespace icollect::sim

@@ -25,55 +25,55 @@ coding::CodedBlock block_of(coding::SegmentId id, std::size_t s,
 TEST(GossipSelection, NewestTracksFirstArrivalOrder) {
   sim::Rng rng{61};
   PeerBuffer pb{20};
-  pb.insert(1, block_of({1, 0}, 2, rng));
-  pb.insert(2, block_of({2, 0}, 2, rng));
+  pb.insert(block_of({1, 0}, 2, rng));
+  pb.insert(block_of({2, 0}, 2, rng));
   EXPECT_EQ(pb.newest_segment(), (coding::SegmentId{2, 0}));
   // More blocks of an *old* segment do not make it newest.
-  pb.insert(3, block_of({1, 0}, 2, rng));
+  pb.insert(block_of({1, 0}, 2, rng));
   EXPECT_EQ(pb.newest_segment(), (coding::SegmentId{2, 0}));
-  pb.insert(4, block_of({3, 0}, 2, rng));
+  pb.insert(block_of({3, 0}, 2, rng));
   EXPECT_EQ(pb.newest_segment(), (coding::SegmentId{3, 0}));
 }
 
 TEST(GossipSelection, NewestRecomputedAfterEviction) {
   sim::Rng rng{62};
   PeerBuffer pb{20};
-  pb.insert(1, block_of({1, 0}, 2, rng));
-  pb.insert(2, block_of({2, 0}, 2, rng));
-  pb.erase(2);  // the newest segment vanishes
+  pb.insert(block_of({1, 0}, 2, rng));
+  const auto h2 = pb.insert(block_of({2, 0}, 2, rng));
+  pb.erase(h2);  // the newest segment vanishes
   EXPECT_EQ(pb.newest_segment(), (coding::SegmentId{1, 0}));
 }
 
 TEST(GossipSelection, ReinsertionRefreshesArrival) {
   sim::Rng rng{63};
   PeerBuffer pb{20};
-  pb.insert(1, block_of({1, 0}, 2, rng));
-  pb.insert(2, block_of({2, 0}, 2, rng));
-  pb.erase(1);  // segment 1 fully leaves...
-  pb.insert(3, block_of({1, 0}, 2, rng));  // ...and arrives anew
+  const auto h1 = pb.insert(block_of({1, 0}, 2, rng));
+  pb.insert(block_of({2, 0}, 2, rng));
+  pb.erase(h1);  // segment 1 fully leaves...
+  pb.insert(block_of({1, 0}, 2, rng));  // ...and arrives anew
   EXPECT_EQ(pb.newest_segment(), (coding::SegmentId{1, 0}));
 }
 
 TEST(GossipSelection, RarestPicksFewestBlocks) {
   sim::Rng rng{64};
   PeerBuffer pb{20};
-  pb.insert(1, block_of({1, 0}, 4, rng));
-  pb.insert(2, block_of({1, 0}, 4, rng));
-  pb.insert(3, block_of({1, 0}, 4, rng));
-  pb.insert(4, block_of({2, 0}, 4, rng));
-  pb.insert(5, block_of({2, 0}, 4, rng));
-  pb.insert(6, block_of({3, 0}, 4, rng));
+  pb.insert(block_of({1, 0}, 4, rng));
+  pb.insert(block_of({1, 0}, 4, rng));
+  pb.insert(block_of({1, 0}, 4, rng));
+  const auto h4 = pb.insert(block_of({2, 0}, 4, rng));
+  const auto h5 = pb.insert(block_of({2, 0}, 4, rng));
+  pb.insert(block_of({3, 0}, 4, rng));
   EXPECT_EQ(pb.rarest_segment(), (coding::SegmentId{3, 0}));
-  pb.erase(5);
-  pb.erase(4);  // segment 2 gone; 3 still rarest (1 block vs 3)
+  pb.erase(h5);
+  pb.erase(h4);  // segment 2 gone; 3 still rarest (1 block vs 3)
   EXPECT_EQ(pb.rarest_segment(), (coding::SegmentId{3, 0}));
 }
 
 TEST(GossipSelection, RarestTieBrokenByRecency) {
   sim::Rng rng{65};
   PeerBuffer pb{20};
-  pb.insert(1, block_of({1, 0}, 4, rng));
-  pb.insert(2, block_of({2, 0}, 4, rng));  // both have one block
+  pb.insert(block_of({1, 0}, 4, rng));
+  pb.insert(block_of({2, 0}, 4, rng));  // both have one block
   EXPECT_EQ(pb.rarest_segment(), (coding::SegmentId{2, 0}));
 }
 

@@ -147,7 +147,18 @@ TEST(SegmentBuffer, IsInnovativeAgreesWithRankChange) {
   SegmentBuffer sb{id, 6};
   for (std::size_t k = 0; k < 20; ++k) {
     const CodedBlock b = enc.encode(rng);
-    const bool predicted = sb.is_innovative(b);
+    // Oracle: a coefficient-only decoder fed the stored blocks.
+    Decoder probe{id, 6, 0};
+    sb.for_each_block([&](const CodedBlock& stored) {
+      CodedBlock coeff_only;
+      coeff_only.segment = id;
+      coeff_only.coefficients = stored.coefficients;
+      probe.add(coeff_only);
+    });
+    CodedBlock candidate;
+    candidate.segment = id;
+    candidate.coefficients = b.coefficients;
+    const bool predicted = probe.is_innovative(candidate);
     const std::size_t before = sb.rank();
     sb.add(k + 1, b);
     EXPECT_EQ(predicted, sb.rank() > before);

@@ -1,8 +1,13 @@
-/// Discrete-event kernel tests: event queue ordering/cancellation, the
-/// simulator clock, and Poisson process timers.
+/// Discrete-event kernel tests: event queue ordering/cancellation (with a
+/// randomized model check), the simulator clock, and Poisson process
+/// timers.
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <queue>
+#include <set>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -70,6 +75,142 @@ TEST(EventQueue, SizeExcludesCancelled) {
 TEST(EventQueue, NullActionViolatesContract) {
   EventQueue q;
   EXPECT_THROW((void)q.schedule(1.0, nullptr), icollect::ContractViolation);
+}
+
+TEST(EventQueue, StaleIdNeverCancelsSlotsNextOccupant) {
+  EventQueue q;
+  const EventId fired = q.schedule(1.0, [] {});
+  (void)q.pop();
+  const EventId cancelled = q.schedule(1.0, [] {});
+  EXPECT_TRUE(q.cancel(cancelled));
+  // Both freed slots are reused by the next events.
+  int ran = 0;
+  const EventId a = q.schedule(2.0, [&] { ++ran; });
+  const EventId b = q.schedule(3.0, [&] { ++ran; });
+  EXPECT_NE(a, fired);
+  EXPECT_NE(b, cancelled);
+  EXPECT_FALSE(q.cancel(fired));
+  EXPECT_FALSE(q.cancel(cancelled));
+  EXPECT_FALSE(q.is_pending(fired));
+  EXPECT_FALSE(q.is_pending(cancelled));
+  EXPECT_TRUE(q.is_pending(a));
+  EXPECT_TRUE(q.is_pending(b));
+  EXPECT_EQ(q.size(), 2u);
+  while (!q.empty()) q.pop().action();
+  EXPECT_EQ(ran, 2);
+}
+
+TEST(EventQueue, ActionsKeepNonTrivialCaptures) {
+  // A copied std::function and a capture with a destructor must survive
+  // heap sifts and slot moves intact.
+  EventQueue q;
+  auto counter = std::make_shared<int>(0);
+  const std::function<void()> bump = [counter] { ++*counter; };
+  for (int i = 0; i < 64; ++i) q.schedule(64.0 - i, bump);
+  const EventId dropped = q.schedule(0.5, [counter] { *counter += 1000; });
+  EXPECT_TRUE(q.cancel(dropped));
+  EXPECT_EQ(counter.use_count(), 1 + 1 + 64);  // bump + 64 queued copies
+  while (!q.empty()) q.pop().action();
+  EXPECT_EQ(*counter, 64);
+  EXPECT_EQ(counter.use_count(), 2);  // counter + bump
+}
+
+/// Reference model of the queue: a std::priority_queue over (time, seq)
+/// plus the set of pending seqs, with the same lazy removal of cancelled
+/// entries at the top.
+class ReferenceQueue {
+ public:
+  std::uint64_t schedule(Time at) {
+    const std::uint64_t seq = next_seq_++;
+    heap_.emplace(at, seq);
+    pending_.insert(seq);
+    return seq;
+  }
+  bool cancel(std::uint64_t seq) { return pending_.erase(seq) > 0; }
+  [[nodiscard]] bool is_pending(std::uint64_t seq) const {
+    return pending_.contains(seq);
+  }
+  bool empty() {
+    drop_dead_prefix();
+    return heap_.empty();
+  }
+  std::pair<Time, std::uint64_t> pop() {
+    drop_dead_prefix();
+    const auto top = heap_.top();
+    heap_.pop();
+    pending_.erase(top.second);
+    return top;
+  }
+  [[nodiscard]] std::size_t size() const { return pending_.size(); }
+  [[nodiscard]] std::size_t raw_size() const { return heap_.size(); }
+
+ private:
+  void drop_dead_prefix() {
+    while (!heap_.empty() && !pending_.contains(heap_.top().second)) {
+      heap_.pop();
+    }
+  }
+  using Entry = std::pair<Time, std::uint64_t>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
+  std::set<std::uint64_t> pending_;
+  std::uint64_t next_seq_ = 1;
+};
+
+TEST(EventQueue, MatchesReferenceUnderRandomInterleavings) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng{seed};
+    EventQueue q;
+    ReferenceQueue ref;
+    // Every id ever issued, with its reference seq, so cancels hit live,
+    // fired, already-cancelled and stale-after-slot-reuse ids alike.
+    std::vector<std::pair<EventId, std::uint64_t>> issued;
+    std::uint64_t fired_seq = 0;
+    for (int step = 0; step < 20000; ++step) {
+      const double u = rng.uniform();
+      if (u < 0.45) {
+        // Few distinct times, so equal-time ties are the common case.
+        const Time at = static_cast<double>(rng.uniform_index(8));
+        const std::uint64_t seq = ref.schedule(at);
+        const EventId id = q.schedule(at, [&fired_seq, seq] {
+          fired_seq = seq;
+        });
+        ASSERT_NE(id, kInvalidEventId);
+        issued.emplace_back(id, seq);
+      } else if (u < 0.75) {
+        if (issued.empty()) continue;
+        const auto& [id, seq] = issued[rng.uniform_index(issued.size())];
+        ASSERT_EQ(q.cancel(id), ref.cancel(seq)) << "step " << step;
+      } else if (u < 0.78) {
+        EXPECT_FALSE(q.cancel(kInvalidEventId));
+        // A well-formed id naming a slot the queue never allocated.
+        EXPECT_FALSE(q.cancel((EventId{1} << 32U) | 0x7FFFFFFFU));
+      } else {
+        ASSERT_EQ(q.empty(), ref.empty());
+        if (ref.empty()) continue;
+        const auto [at, seq] = ref.pop();
+        auto ev = q.pop();
+        ASSERT_EQ(ev.at, at) << "step " << step;
+        ev.action();
+        ASSERT_EQ(fired_seq, seq) << "step " << step;
+      }
+      ASSERT_EQ(q.size(), ref.size());
+      ASSERT_EQ(q.raw_size(), ref.raw_size());
+      if (step % 97 == 0) {
+        for (const auto& [id, seq] : issued) {
+          ASSERT_EQ(q.is_pending(id), ref.is_pending(seq));
+        }
+      }
+    }
+    while (!ref.empty()) {
+      const auto [at, seq] = ref.pop();
+      auto ev = q.pop();
+      ASSERT_EQ(ev.at, at);
+      ev.action();
+      ASSERT_EQ(fired_seq, seq);
+    }
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.size(), 0u);
+  }
 }
 
 TEST(Simulator, ClockAdvancesToEventTimes) {
