@@ -1,34 +1,48 @@
 #pragma once
 
 /// \file stream_transport.h
-/// The socket-transport seam one level above Transport: everything a
-/// live tool needs to stand up a real node — listen, dial, a timer
-/// wheel, an event-loop pump, and metrics export — without naming a
-/// concrete backend.
+/// Real-socket transport: nonblocking TCP driven by one single-threaded
+/// event loop. Same Transport interface the loopback provides, so node
+/// state machines move between the deterministic in-process world and
+/// the OS network without a line of change.
 ///
-/// Two backends implement it:
-///   - TcpTransport (net/tcp.h): single-threaded poll(2) loop. O(n) per
-///     wakeup, portable to any POSIX system; the fallback.
-///   - EpollReactor (net/epoll_reactor.h): level-triggered epoll sharded
-///     across reactor threads with pooled buffers and vectored IO; the
-///     scalable Linux path (see docs/PERFORMANCE.md).
+///  - Readiness comes from a private poller with two implementations,
+///    chosen at construction: poll(2) (portable; O(n) per wakeup) and
+///    level-triggered epoll (Linux; O(ready) per wakeup). Everything
+///    above the poller — the connection state machine, queues, timers
+///    and counters — exists once (docs/PERFORMANCE.md, "Reactor
+///    architecture").
+///  - Outbound connects are asynchronous with a connect timeout and a
+///    bounded retry budget (linear backoff); the handler sees
+///    on_peer_up on success or on_peer_down once the budget is spent.
+///  - send() only appends to the connection's contiguous output queue.
+///    poll_once() flushes every dirty connection once, after IO
+///    dispatch and timers, so a burst of frames leaves in one send(2).
+///    The queue is capped at `send_queue_cap_bytes`; send() refuses
+///    (and counts) beyond it — backpressure surfaces to the caller
+///    instead of ballooning memory.
+///  - Reads drain into one reused transport-wide buffer, at most 16
+///    chunks per fd per round so one busy peer cannot starve the rest.
+///    Steady-state traffic allocates nothing.
+///  - An optional idle read timeout reaps connections gone silent.
+///  - The node TimerWheel is advanced off the wall clock by poll_once,
+///    so node-level timers (gossip, TTL, pulls) fire with tick
+///    granularity while the loop sleeps in the poller.
+///  - Counters are plain integer adds; attach_metrics() exports them as
+///    pull-based gauges, so telemetry adds nothing to the IO hot path.
+///  - Interrupted syscalls (EINTR — e.g. the SIGUSR1 stats dump) are
+///    retried, never surfaced as transport errors.
 ///
-/// Backend availability is a *configure-time* fact (ICOLLECT_HAVE_EPOLL
-/// is defined when <sys/epoll.h> exists); which backend a process uses
-/// is a runtime choice through make_stream_transport(), so one binary
-/// can A/B them (`icollect_node --backend poll|epoll`,
-/// `scripts/run_bench.py --node` does exactly that).
-///
-/// Whatever the backend's internal threading, the TransportHandler
-/// contract is unchanged: every handler callback fires on the thread
-/// driving poll_once()/run_until(), and timers() is only touched from
-/// that thread.
+/// Every TransportHandler callback fires on the thread driving
+/// poll_once(); the transport starts no threads.
 
+#include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <unordered_map>
+#include <vector>
 
 #include "net/timer_wheel.h"
 #include "net/transport.h"
@@ -36,8 +50,11 @@
 
 namespace icollect::net {
 
-/// Knobs shared by every stream backend. Fields a backend has no use
-/// for are ignored (TcpTransport has no shards and no buffer pool).
+namespace detail {
+class Poller;  ///< poll(2) or epoll readiness source; stream_transport.cpp
+struct Ready;  ///< one ready fd as a Poller reports it
+}  // namespace detail
+
 struct StreamOptions {
   double tick_seconds = 0.001;  ///< TimerWheel granularity
   std::size_t send_queue_cap_bytes = 4U << 20U;
@@ -48,63 +65,170 @@ struct StreamOptions {
   double idle_timeout = 0.0;     ///< close silent conns; 0 = off
   int listen_backlog = 0;        ///< listen(2) backlog; 0 = SOMAXCONN
   int so_sndbuf = 0;             ///< SO_SNDBUF per conn; 0 = kernel default
-  std::size_t reactor_shards = 0;  ///< epoll reactor threads; 0 = auto
-  std::size_t pool_max_buffers = 4096;  ///< idle buffers the pool retains
 };
 
-class StreamTransport : public Transport {
+class StreamTransport final : public Transport {
  public:
+  /// `backend` names the poller: "poll", "epoll", or "auto" (epoll when
+  /// available, else poll). Throws std::invalid_argument for an unknown
+  /// name or for "epoll" on a build without it.
+  explicit StreamTransport(std::string_view backend, StreamOptions opts = {});
+  ~StreamTransport() override;
+
+  StreamTransport(const StreamTransport&) = delete;
+  StreamTransport& operator=(const StreamTransport&) = delete;
+
+  void set_handler(TransportHandler* handler) override { handler_ = handler; }
+
   /// Bind + listen. Pass port 0 for an ephemeral port; the bound port
   /// is returned either way. Throws std::runtime_error on failure.
-  virtual std::uint16_t listen(const std::string& host,
-                               std::uint16_t port) = 0;
+  std::uint16_t listen(const std::string& host, std::uint16_t port);
 
   /// Begin an asynchronous connect; returns the connection handle
   /// immediately. Outcome arrives as on_peer_up / on_peer_down.
-  virtual NodeId connect(const std::string& host, std::uint16_t port) = 0;
+  NodeId connect(const std::string& host, std::uint16_t port);
 
-  /// Node-level timers (gossip, TTL, pulls). Advanced off the wall
-  /// clock by poll_once(); use only from the driving thread.
-  [[nodiscard]] virtual TimerWheel& timers() noexcept = 0;
+  bool send(NodeId peer, std::span<const std::uint8_t> bytes) override;
 
+  /// Flush what is queued for `peer` as far as the socket takes it
+  /// without blocking, then close; on_peer_down fires before return.
+  void close_peer(NodeId peer) override;
+
+  /// Node-level timers (gossip, TTL, pulls); use only from the driving
+  /// thread.
+  [[nodiscard]] TimerWheel& timers() noexcept { return wheel_; }
   /// Wall-clock seconds since construction (the wheel's time base).
-  [[nodiscard]] virtual double now() const = 0;
+  [[nodiscard]] double now() const;
 
-  /// One event-loop round: wait for IO for up to `max_wait` seconds,
-  /// dispatch handler callbacks, then advance the timer wheel.
-  virtual void poll_once(double max_wait = 0.05) = 0;
-
-  /// Drive poll_once until `done()` returns true or `timeout_seconds`
-  /// elapses (<= 0 waits forever). Returns done()'s final value.
-  virtual bool run_until(const std::function<bool()>& done,
-                         double timeout_seconds) {
-    const double deadline =
-        timeout_seconds > 0.0 ? now() + timeout_seconds : -1.0;
-    while (!done()) {
-      if (deadline > 0.0 && now() >= deadline) return false;
-      poll_once();
-    }
-    return true;
-  }
-
-  /// Connections not yet closed (established + still connecting).
-  [[nodiscard]] virtual std::size_t open_connections() const = 0;
-
-  /// Export the backend's counters into `registry` as pull-based gauges
-  /// under `prefix`. The registry must outlive the transport's use.
-  virtual void attach_metrics(obs::MetricsRegistry& registry,
-                              const std::string& prefix) = 0;
+  /// One event-loop round: wait for IO for up to `max_wait` seconds
+  /// (never past the next wheel tick, and not at all while sends are
+  /// pending), dispatch handler callbacks, advance the timer wheel to
+  /// the wall clock, then flush every dirty connection once.
+  void poll_once(double max_wait = 0.05);
 
   /// "poll" or "epoll" — stamped into bench output and summaries.
-  [[nodiscard]] virtual const char* backend_name() const noexcept = 0;
+  [[nodiscard]] const char* backend_name() const noexcept;
+
+  /// Connections not yet closed (established + still connecting).
+  [[nodiscard]] std::size_t open_connections() const noexcept {
+    return conns_.size() - dead_.size();
+  }
+  [[nodiscard]] std::uint64_t backpressure_refusals() const noexcept {
+    return refusals_;
+  }
+  [[nodiscard]] std::uint64_t bytes_sent() const noexcept {
+    return bytes_sent_;
+  }
+  [[nodiscard]] std::uint64_t bytes_received() const noexcept {
+    return bytes_received_;
+  }
+  [[nodiscard]] std::uint64_t connects_failed() const noexcept {
+    return connects_failed_;
+  }
+  [[nodiscard]] std::uint64_t sends() const noexcept { return sends_; }
+  [[nodiscard]] std::uint64_t accepts() const noexcept { return accepts_; }
+  [[nodiscard]] std::uint64_t connects_ok() const noexcept {
+    return connects_ok_;
+  }
+  [[nodiscard]] std::uint64_t connect_retries() const noexcept {
+    return connect_retries_;
+  }
+  [[nodiscard]] std::uint64_t closes() const noexcept { return closes_; }
+  [[nodiscard]] std::uint64_t idle_reaps() const noexcept { return reaps_; }
+  [[nodiscard]] std::uint64_t partial_drains() const noexcept {
+    return partial_drains_;
+  }
+  /// Poller waits returned / ready fds they reported.
+  [[nodiscard]] std::uint64_t wakeups() const noexcept { return wakeups_; }
+  [[nodiscard]] std::uint64_t events_dispatched() const noexcept {
+    return events_;
+  }
+  /// Unsent bytes currently queued across all connections / the largest
+  /// such total ever observed.
+  [[nodiscard]] std::size_t send_queue_bytes() const noexcept {
+    return outq_bytes_;
+  }
+  [[nodiscard]] std::size_t send_queue_high_watermark() const noexcept {
+    return outq_hwm_;
+  }
+
+  /// Export the transport's counters and queue gauges into `registry`
+  /// as pull-based gauges under `prefix` (see docs/OBSERVABILITY.md for
+  /// the inventory). The registry must outlive the transport's use.
+  void attach_metrics(obs::MetricsRegistry& registry,
+                      const std::string& prefix);
+
+ private:
+  using Poller = detail::Poller;
+  using Ready = detail::Ready;
+
+  enum class ConnState : std::uint8_t { kConnecting, kUp, kClosed };
+
+  struct Conn {
+    NodeId id = kInvalidNodeId;
+    int fd = -1;
+    ConnState state = ConnState::kConnecting;
+    unsigned interest = 0;  ///< poller mask registered for fd; 0 = none
+    bool dirty = false;     ///< queued for this round's flush
+    std::string host;       ///< for retries (outbound only)
+    std::uint16_t port = 0;
+    int attempts = 0;
+    TimerWheel::TimerId connect_timer = TimerWheel::kInvalidTimer;
+    std::vector<std::uint8_t> outq;
+    std::size_t out_head = 0;
+    double last_activity = 0.0;
+  };
+
+  Conn* find_conn(NodeId id);
+  Conn& register_conn(int fd, ConnState state);
+  void accept_all();
+  void dispatch(const Ready& ready);
+  void start_connect_attempt(Conn& conn);
+  void fail_connect_attempt(Conn& conn);
+  void finish_connect(Conn& conn);
+  void close_fd(Conn& conn);
+  void close_conn(Conn& conn);
+  void update_interest(Conn& conn);
+  void mark_dirty(Conn& conn);
+  void handle_readable(Conn& conn);
+  void flush_outq(Conn& conn);
+  void flush_dirty();
+  void reap_idle();
+  void reap_closed();
+
+  StreamOptions opts_;
+  std::unique_ptr<Poller> poller_;
+  TimerWheel wheel_;
+  TransportHandler* handler_ = nullptr;
+  int listen_fd_ = -1;
+  NodeId next_id_ = 1;
+  std::unordered_map<NodeId, std::unique_ptr<Conn>> conns_;
+  std::vector<NodeId> dead_;    ///< closed, erased at the end of a round
+  std::vector<Conn*> dirty_;    ///< conns with sends since the last flush
+  std::vector<Ready> ready_;    ///< the poller's output, reused per round
+  std::vector<std::uint8_t> read_buf_;
+  std::chrono::steady_clock::time_point epoch_;
+  std::uint64_t refusals_ = 0;
+  std::uint64_t bytes_sent_ = 0;
+  std::uint64_t bytes_received_ = 0;
+  std::uint64_t connects_failed_ = 0;
+  std::uint64_t sends_ = 0;
+  std::uint64_t accepts_ = 0;
+  std::uint64_t connects_ok_ = 0;
+  std::uint64_t connect_retries_ = 0;
+  std::uint64_t closes_ = 0;
+  std::uint64_t reaps_ = 0;
+  std::uint64_t partial_drains_ = 0;
+  std::uint64_t wakeups_ = 0;
+  std::uint64_t events_ = 0;
+  std::size_t outq_bytes_ = 0;  ///< unsent bytes across all conns
+  std::size_t outq_hwm_ = 0;
 };
 
-/// True when this build carries the epoll backend.
+/// True when this build carries the epoll poller.
 [[nodiscard]] bool epoll_backend_available() noexcept;
 
-/// Construct a backend by name: "poll", "epoll", or "auto" (epoll when
-/// available, else poll). Throws std::invalid_argument for an unknown
-/// name or for "epoll" on a build without it.
+/// Construct a transport over the named poller (see the constructor).
 [[nodiscard]] std::unique_ptr<StreamTransport> make_stream_transport(
     std::string_view backend, const StreamOptions& opts = {});
 

@@ -8,7 +8,7 @@
 /// `tick_seconds`, and a timer due on a tick runs when that tick is
 /// advanced over. Who advances the wheel defines the clock —
 /// LoopbackNet advances it on *virtual* time (making whole multi-node
-/// clusters deterministic and instantaneous), TcpTransport advances it
+/// clusters deterministic and instantaneous), StreamTransport advances it
 /// off the wall clock. Within one tick, callbacks run in scheduling
 /// order, so a fixed seed reproduces an identical execution.
 ///

@@ -11,9 +11,9 @@
 /// a frame, three frames) and owns reassembly via wire::FrameDecoder —
 /// so the node layer behaves identically over the deterministic
 /// in-process loopback (net/loopback.h) and real TCP sockets
-/// (net/tcp.h). Identity lives one layer up: a NodeId is only a local
-/// connection handle; who is on the other end is learned from its
-/// HELLO.
+/// (net/stream_transport.h). Identity lives one layer up: a NodeId is
+/// only a local connection handle; who is on the other end is learned
+/// from its HELLO.
 
 #include <cstdint>
 #include <span>

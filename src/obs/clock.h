@@ -8,7 +8,7 @@
 /// is it" so the same sampler code serves both worlds:
 ///
 ///  - WallClock      steady_clock seconds since construction — the live
-///                   tools' time base (matches TcpTransport::now()).
+///                   tools' time base (matches StreamTransport::now()).
 ///  - ManualClock    a number the owner sets/advances — virtual time for
 ///                   tests and deterministic harnesses.
 ///  - CallbackClock  adapts any existing time base (a TimerWheel, a
@@ -85,7 +85,7 @@ class ManualClock final : public ClockSource {
   double t_;
 };
 
-/// Adapts an existing time base (TimerWheel::now, TcpTransport::now,
+/// Adapts an existing time base (TimerWheel::now, StreamTransport::now,
 /// LoopbackNet::now) into the obs layer without a dependency edge.
 class CallbackClock final : public ClockSource {
  public:

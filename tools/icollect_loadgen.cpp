@@ -66,7 +66,6 @@ void usage(const char* argv0) {
       "                      (default 4)\n"
       "  --payload-bytes n   payload per coded block (default 64)\n"
       "  --backend NAME      poll | epoll | auto (default auto)\n"
-      "  --shards N          epoll reactor threads (default auto)\n"
       "  --ramp R            connects initiated per second (default 2000)\n"
       "  --duration T        total wall-clock cap seconds (default 30)\n"
       "  --measure T         measurement window once all peers are up\n"
@@ -283,7 +282,6 @@ int main(int argc, char** argv) {
   std::size_t segment_size = 4;
   std::size_t payload_bytes = 64;
   std::string backend = "auto";
-  std::size_t shards = 0;
   double ramp = 2000.0;
   double duration = 30.0;
   double measure = 5.0;
@@ -314,8 +312,6 @@ int main(int argc, char** argv) {
       payload_bytes = std::strtoul(value("--payload-bytes"), nullptr, 10);
     } else if (arg == "--backend") {
       backend = value("--backend");
-    } else if (arg == "--shards") {
-      shards = std::strtoul(value("--shards"), nullptr, 10);
     } else if (arg == "--ramp") {
       ramp = std::strtod(value("--ramp"), nullptr);
     } else if (arg == "--duration") {
@@ -351,7 +347,6 @@ int main(int argc, char** argv) {
   topts.connect_timeout = 5.0;
   topts.connect_retries = 10;  // SYN backlog overflow during the ramp
   topts.retry_backoff = 0.2;
-  topts.reactor_shards = shards;
   std::unique_ptr<net::StreamTransport> transport;
   try {
     transport = net::make_stream_transport(backend, topts);

@@ -84,7 +84,6 @@ void usage(const char* argv0) {
       "  --trace-out FILE       protocol event trace JSONL\n"
       "  --backend NAME         poll | epoll | auto (default auto: epoll\n"
       "                         where the build has it)\n"
-      "  --shards N             epoll reactor threads (default auto)\n"
       "  --backlog N            listen(2) backlog (default SOMAXCONN)\n"
       "\n"
       "SIGUSR1 dumps a one-line stats snapshot to stderr.\n",
@@ -124,7 +123,6 @@ int main(int argc, char** argv) {
   std::string trace_out;
   double metrics_interval = 0.5;
   std::string backend = "auto";
-  std::size_t shards = 0;
 
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg{argv[i]};
@@ -189,8 +187,6 @@ int main(int argc, char** argv) {
       trace_out = value("--trace-out");
     } else if (arg == "--backend") {
       backend = value("--backend");
-    } else if (arg == "--shards") {
-      shards = std::strtoul(value("--shards"), nullptr, 10);
     } else if (arg == "--backlog") {
       cfg.listen_backlog =
           static_cast<int>(std::strtol(value("--backlog"), nullptr, 10));
@@ -235,7 +231,6 @@ int main(int argc, char** argv) {
   topts.connect_retries = 20;  // peers may start before their server
   topts.retry_backoff = 0.25;
   topts.listen_backlog = cfg.listen_backlog;
-  topts.reactor_shards = shards;
   std::unique_ptr<net::StreamTransport> transport;
   try {
     transport = net::make_stream_transport(backend, topts);
@@ -245,6 +240,10 @@ int main(int argc, char** argv) {
   }
   net::StreamTransport& tcp = *transport;
   std::fprintf(stderr, "transport backend: %s\n", tcp.backend_name());
+
+  // Before listen(): a client may signal as soon as the port accepts,
+  // and SIGUSR1's default action would kill the process.
+  std::signal(SIGUSR1, on_sigusr1);
 
   std::uint16_t bound_port = 0;
   if (!listen_at.empty()) {
@@ -324,7 +323,6 @@ int main(int argc, char** argv) {
     }
     snaps.start();
   }
-  std::signal(SIGUSR1, on_sigusr1);
 
   const auto done = [&]() -> bool {
     if (peer && cfg.max_segments > 0) return peer->all_injected_acked();
