@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "coding/decoder.h"
 #include "gf/gf_vector.h"
 
 namespace icollect::coding {
@@ -14,19 +13,44 @@ SegmentBuffer::SegmentBuffer(SegmentId id, std::size_t segment_size)
 }
 
 std::size_t SegmentBuffer::rank() const {
-  if (cached_rank_) return *cached_rank_;
-  // Rank of the coefficient rows via a throwaway progressive decoder —
-  // block counts per segment are small (O(s)), so this stays cheap.
-  Decoder probe{id_, s_, 0};
-  for (const auto& st : blocks_) {
-    CodedBlock coeff_only;
-    coeff_only.segment = id_;
-    coeff_only.coefficients = st.block.coefficients;
-    probe.add(coeff_only);
-    if (probe.complete()) break;
+  // A stored block is never degenerate, so one block has rank 1.
+  if (blocks_.size() < 2) return blocks_.size();
+  if (basis_ == nullptr) {
+    basis_ = std::make_unique_for_overwrite<gf::Element[]>(s_ * s_);
   }
-  cached_rank_ = probe.rank();
-  return *cached_rank_;
+  if (absorbed_ == 0) {
+    // Fresh, or reset by remove(): clearing the diagonal empties the
+    // basis, since a row is present iff its diagonal byte is nonzero.
+    for (std::size_t p = 0; p < s_; ++p) basis_[p * s_ + p] = 0;
+    rank_ = 0;
+  }
+  while (absorbed_ < blocks_.size() && rank_ < s_) {
+    absorb(blocks_[absorbed_++].block.coefficients);
+  }
+  return rank_;
+}
+
+void SegmentBuffer::absorb(std::span<const gf::Element> coeffs) const {
+  // Reduce in the first absent row: every row above it is present, so
+  // the remainder's leading column is this row's or a later one.
+  std::size_t free = 0;
+  while (basis_[free * s_ + free] != 0) ++free;
+  const std::span<gf::Element> row{basis_.get() + free * s_, s_};
+  std::copy(coeffs.begin(), coeffs.end(), row.begin());
+  for (std::size_t p = 0; p < s_; ++p) {
+    const gf::Element f = row[p];
+    if (f == 0) continue;
+    if (p != free && basis_[p * s_ + p] != 0) {
+      gf::add_scaled(row, {basis_.get() + p * s_, s_}, f);
+      continue;
+    }
+    // Leading column p has no basis row: the remainder becomes it. Row
+    // `free` keeps a zero diagonal if the remainder moves further down.
+    gf::scale_assign(row, gf::GF256::inv(f));
+    if (p != free) std::copy(row.begin(), row.end(), basis_.get() + p * s_);
+    ++rank_;
+    return;
+  }
 }
 
 void SegmentBuffer::add(BlockHandle handle, CodedBlock block) {
@@ -34,7 +58,6 @@ void SegmentBuffer::add(BlockHandle handle, CodedBlock block) {
   ICOLLECT_EXPECTS(block.coefficients.size() == s_);
   ICOLLECT_EXPECTS(!block.is_degenerate());
   blocks_.push_back(Stored{handle, std::move(block)});
-  cached_rank_.reset();
 }
 
 bool SegmentBuffer::remove(BlockHandle handle) {
@@ -43,7 +66,7 @@ bool SegmentBuffer::remove(BlockHandle handle) {
                    [handle](const Stored& s) { return s.handle == handle; });
   if (it == blocks_.end()) return false;
   blocks_.erase(it);
-  cached_rank_.reset();
+  absorbed_ = 0;
   return true;
 }
 

@@ -9,11 +9,21 @@
 /// transfers to another peer, it draws fresh random coefficients
 /// c_1..c_l and sends x = sum_j c_j b_j (Sec. 2). Each stored block is
 /// one edge of the bipartite graph G of Sec. 3; TTL expiry removes a
-/// block, which can lower the segment's rank at this peer, so rank is
-/// recomputed (cached, invalidated on mutation).
+/// block, which can lower the segment's rank at this peer.
+///
+/// Rank is tracked incrementally in an echelon basis of the coefficient
+/// rows: one s*s byte arena, allocated on the first rank query of a
+/// buffer holding at least two blocks and reused after. Row p holds the
+/// basis vector whose leading coefficient (normalised to 1) sits in
+/// column p, so row p is present iff its diagonal byte is nonzero. A
+/// query absorbs only the blocks added since the previous one; add()
+/// just appends, and remove() resets the basis, which the next query
+/// rebuilds from the remaining blocks. After warm-up the add -> rank ->
+/// remove -> rank cycle allocates nothing.
 
 #include <cstdint>
-#include <optional>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "coding/coded_block.h"
@@ -82,10 +92,20 @@ class SegmentBuffer {
     CodedBlock block;
   };
 
+  /// Reduce one block's coefficients against the basis; a nonzero
+  /// remainder joins it as the row of its leading column.
+  /// Precondition: rank_ < s_.
+  void absorb(std::span<const gf::Element> coeffs) const;
+
   SegmentId id_;
   std::size_t s_;
   std::vector<Stored> blocks_;
-  mutable std::optional<std::size_t> cached_rank_;
+  // Echelon basis (see the file comment): s*s bytes, null until first
+  // needed. A pointer and two 32-bit counts keep the buffer small:
+  // PeerBuffer shifts its SegmentBuffers when a segment leaves.
+  mutable std::unique_ptr<gf::Element[]> basis_;
+  mutable std::uint32_t absorbed_ = 0;  ///< blocks_ prefix in basis_
+  mutable std::uint32_t rank_ = 0;      ///< rank of that prefix
 };
 
 }  // namespace icollect::coding

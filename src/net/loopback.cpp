@@ -127,8 +127,15 @@ bool LoopbackNet::do_send(Endpoint& from, NodeId to,
   from.in_flight_bytes_ += bytes.size();
   in_flight_total_ += bytes.size();
   if (in_flight_total_ > in_flight_hwm_) in_flight_hwm_ = in_flight_total_;
-  auto data = std::make_shared<std::vector<std::uint8_t>>(bytes.begin(),
-                                                          bytes.end());
+  std::uint32_t frame = 0;
+  if (free_frames_.empty()) {
+    frame = static_cast<std::uint32_t>(frames_.size());
+    frames_.emplace_back();
+  } else {
+    frame = free_frames_.back();
+    free_frames_.pop_back();
+  }
+  frames_[frame].assign(bytes.begin(), bytes.end());
   double delay = opts_.latency;
   if (opts_.latency_jitter > 0.0) {
     delay += rng_.uniform(0.0, opts_.latency_jitter);
@@ -146,17 +153,23 @@ bool LoopbackNet::do_send(Endpoint& from, NodeId to,
     delay = ready - wheel_.now();
   }
   const NodeId from_id = from.id_;
-  wheel_.schedule_after(delay, [this, from_id, to, data = std::move(data)] {
-    deliver(from_id, to, data);
+  wheel_.schedule_after(delay, [this, from_id, to, frame] {
+    deliver(from_id, to, frame);
+    // Back to the pool only now: the handler may have re-entered send(),
+    // which must not be handed the buffer it is still reading.
+    frames_[frame].clear();
+    free_frames_.push_back(frame);
   });
   return true;
 }
 
-void LoopbackNet::deliver(NodeId from, NodeId to,
-                          std::shared_ptr<std::vector<std::uint8_t>> data) {
+void LoopbackNet::deliver(NodeId from, NodeId to, std::uint32_t frame) {
+  // A view, not a reference to the pool entry: sends from the handler
+  // may grow frames_, which moves the vectors but not their bytes.
+  const std::span<const std::uint8_t> data{frames_[frame]};
   Endpoint& src = endpoint(from);
-  src.in_flight_bytes_ -= std::min(src.in_flight_bytes_, data->size());
-  in_flight_total_ -= std::min(in_flight_total_, data->size());
+  src.in_flight_bytes_ -= std::min(src.in_flight_bytes_, data.size());
+  in_flight_total_ -= std::min(in_flight_total_, data.size());
   Endpoint& dst = endpoint(to);
   // The link may have been severed while the bytes were in flight.
   if (dst.links_[from] == 0 || dst.handler_ == nullptr) return;
@@ -165,20 +178,19 @@ void LoopbackNet::deliver(NodeId from, NodeId to,
     ++fault_drops_;
     return;
   }
-  bytes_delivered_ += data->size();
+  bytes_delivered_ += data.size();
   ++deliveries_;
-  if (opts_.chunk_bytes == 0 || data->size() <= opts_.chunk_bytes) {
+  if (opts_.chunk_bytes == 0 || data.size() <= opts_.chunk_bytes) {
     ++chunks_;
-    dst.handler_->on_bytes(from, *data);
+    dst.handler_->on_bytes(from, data);
     return;
   }
-  for (std::size_t off = 0; off < data->size();
-       off += opts_.chunk_bytes) {
-    const std::size_t n = std::min(opts_.chunk_bytes, data->size() - off);
+  for (std::size_t off = 0; off < data.size(); off += opts_.chunk_bytes) {
+    const std::size_t n = std::min(opts_.chunk_bytes, data.size() - off);
     // Re-check: a handler may close the link mid-delivery.
     if (dst.links_[from] == 0 || dst.handler_ == nullptr) return;
     ++chunks_;
-    dst.handler_->on_bytes(from, {data->data() + off, n});
+    dst.handler_->on_bytes(from, data.subspan(off, n));
   }
 }
 

@@ -10,7 +10,10 @@
 /// Semantics:
 ///  - send() queues the bytes for delivery `latency (+ jitter)` of
 ///    virtual time later, via the shared TimerWheel — so delivery order
-///    is a deterministic function of (send order, latency draws).
+///    is a deterministic function of (send order, latency draws). The
+///    in-flight bytes sit in a hub-owned, free-listed pool of frame
+///    buffers, so after warm-up a send -> deliver round trip allocates
+///    nothing.
 ///  - drop_probability drops a send at the link (the bytes vanish;
 ///    the sender's counters record it) — gossip-loss fault injection.
 ///  - chunk_bytes > 0 splits each delivery into chunks of that size,
@@ -181,7 +184,7 @@ class LoopbackNet {
  private:
   bool do_send(Endpoint& from, NodeId to,
                std::span<const std::uint8_t> bytes);
-  void deliver(NodeId from, NodeId to, std::shared_ptr<std::vector<std::uint8_t>> data);
+  void deliver(NodeId from, NodeId to, std::uint32_t frame);
   void sever(NodeId a, NodeId b);
 
   Options opts_;
@@ -190,6 +193,11 @@ class LoopbackNet {
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
   /// One-way blocked directions, keyed (from << 32) | to.
   std::unordered_set<std::uint64_t> blocked_links_;
+  /// In-flight frame bytes, indexed by the delivery timer's frame id.
+  /// free_frames_ lists the pool slots not in flight; a freed slot keeps
+  /// its capacity for the next frame.
+  std::vector<std::vector<std::uint8_t>> frames_;
+  std::vector<std::uint32_t> free_frames_;
   std::uint64_t sends_ = 0;
   std::uint64_t drops_ = 0;
   std::uint64_t fault_drops_ = 0;

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <vector>
 
 #include "coding/decoder.h"
 #include "coding/encoder.h"
 #include "coding/segment_buffer.h"
+#include "gf/gf_vector.h"
 #include "sim/random.h"
 
 namespace icollect::coding {
@@ -162,6 +165,79 @@ TEST(SegmentBuffer, IsInnovativeAgreesWithRankChange) {
     const std::size_t before = sb.rank();
     sb.add(k + 1, b);
     EXPECT_EQ(predicted, sb.rank() > before);
+  }
+}
+
+/// Rank oracle: a coefficient-only progressive decoder fed `blocks`.
+std::size_t reference_rank(const SegmentId& id, std::size_t s,
+                           const std::vector<CodedBlock>& blocks) {
+  Decoder probe{id, s, 0};
+  for (const CodedBlock& b : blocks) probe.add(b);
+  return probe.rank();
+}
+
+/// A non-degenerate block in the span of `sources`' first `k` rows, so
+/// interleavings hit duplicates and dependent blocks, not just fresh
+/// full-rank draws.
+CodedBlock block_in_span(const SegmentId& id,
+                         const std::vector<std::vector<gf::Element>>& sources,
+                         std::size_t k, sim::Rng& rng) {
+  CodedBlock b;
+  b.segment = id;
+  b.coefficients.assign(sources.front().size(), gf::Element{0});
+  while (b.is_degenerate()) {
+    for (std::size_t j = 0; j < k; ++j) {
+      gf::add_scaled(b.coefficients, sources[j], rng.gf_element());
+    }
+  }
+  return b;
+}
+
+TEST(SegmentBuffer, IncrementalRankMatchesDecoderModel) {
+  for (const std::size_t s : {1U, 2U, 8U, 16U, 64U}) {
+    SCOPED_TRACE(s);
+    sim::Rng rng{900 + s};
+    const SegmentId id{4, static_cast<std::uint32_t>(s)};
+    std::vector<std::vector<gf::Element>> sources(s);
+    for (auto& row : sources) {
+      row.resize(s);
+      for (auto& c : row) c = rng.gf_element();
+    }
+    SegmentBuffer sb{id, s};
+    // The model: stored blocks in insertion order, with their handles.
+    std::vector<CodedBlock> blocks;
+    std::vector<BlockHandle> handles;
+    BlockHandle next = 1;
+    bool added_at_full_rank = false;
+    bool removed_from_middle = false;
+    for (int op = 0; op < 600; ++op) {
+      const bool grow = blocks.size() < 2 ||
+                        (blocks.size() < 2 * s + 4 && rng.bernoulli(0.6));
+      if (grow) {
+        added_at_full_rank |= blocks.size() >= 2 && sb.rank() == s;
+        // Mostly low-dimensional spans; sometimes the full space.
+        const std::size_t k = rng.bernoulli(0.3)
+                                  ? s
+                                  : 1 + rng.uniform_index((s + 1) / 2);
+        CodedBlock b = block_in_span(id, sources, k, rng);
+        blocks.push_back(b);
+        handles.push_back(next);
+        sb.add(next++, std::move(b));
+      } else {
+        const std::size_t at = rng.uniform_index(blocks.size());
+        removed_from_middle |= at > 0 && at + 1 < blocks.size();
+        EXPECT_TRUE(sb.remove(handles[at]));
+        blocks.erase(blocks.begin() + static_cast<std::ptrdiff_t>(at));
+        handles.erase(handles.begin() + static_cast<std::ptrdiff_t>(at));
+      }
+      // Query on most steps only, so some queries absorb several adds.
+      if (rng.bernoulli(0.7)) {
+        ASSERT_EQ(sb.rank(), reference_rank(id, s, blocks)) << "op " << op;
+        EXPECT_EQ(sb.full_rank(), sb.rank() == s);
+      }
+    }
+    EXPECT_TRUE(added_at_full_rank);
+    EXPECT_TRUE(removed_from_middle);
   }
 }
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "net/timer_wheel.h"
+#include "sim/random.h"
 
 namespace icollect::net {
 namespace {
@@ -24,8 +25,26 @@ TEST(TimerWheelContract, FiresInDueOrderAcrossTicks) {
   w.schedule_after(0.02, [&] { order += 'b'; });
   w.schedule_after(0.03, [&] { order += 'd'; });  // same tick as 'c'
   w.advance(5);
-  // Due time dominates; within a tick, scheduling order breaks ties.
+  // Due time dominates; timers filed into one slot within the same
+  // revolution fire in filing order.
   EXPECT_EQ(order, "abcd");
+}
+
+TEST(TimerWheelContract, SameTickFollowsSlotOrder) {
+  // Within a tick the order is the slot's, not the scheduling order. On
+  // a 4-slot wheel X and Y (5 ticks out) share slot 1 with W (1 tick
+  // out). On tick 1 the wheel walks X, W, Y: X is re-filed, W fires and
+  // files Z (4 ticks out, so also due on tick 5), then Y is re-filed
+  // behind Z. A heap ordered by (due, scheduling order) would say XYZ.
+  TimerWheel w{1.0, 4};
+  std::string order;
+  w.schedule_after(5.0, [&] { order += 'X'; });
+  w.schedule_after(1.0, [&] {
+    w.schedule_after(4.0, [&] { order += 'Z'; });
+  });
+  w.schedule_after(5.0, [&] { order += 'Y'; });
+  w.advance(5);
+  EXPECT_EQ(order, "XZY");
 }
 
 TEST(TimerWheelContract, CancelReturnsTrueOnlyWhilePending) {
@@ -93,6 +112,34 @@ TEST(TimerWheelContract, ReArmAfterFireGetsFreshId) {
   w.advance(1);
   ASSERT_EQ(fired.size(), 2U);
   EXPECT_NEAR(fired[1] - fired[0], 0.01, 1e-9);
+}
+
+TEST(TimerWheelContract, StaleIdNeverCancelsNextOccupant) {
+  // Tickets are reused as soon as a timer fires or is cancelled; an id
+  // handed out for an earlier occupant must never cancel a later one.
+  TimerWheel w{0.01, 8};
+  sim::Rng rng{31};
+  std::vector<TimerWheel::TimerId> stale;
+  int fired = 0;
+  for (int round = 0; round < 100; ++round) {
+    std::vector<TimerWheel::TimerId> batch;
+    for (int k = 0; k < 12; ++k) {
+      batch.push_back(w.schedule_after(
+          0.01 * static_cast<double>(1 + rng.uniform_index(30)),
+          [&] { ++fired; }));
+    }
+    // Every ticket of this batch is a reused one after the first round.
+    for (const auto id : stale) EXPECT_FALSE(w.cancel(id));
+    ASSERT_EQ(w.pending(), 12U) << "a stale id cancelled a live timer";
+    // Retire a third by cancelling, the rest by firing.
+    for (std::size_t k = 0; k < batch.size(); k += 3) {
+      EXPECT_TRUE(w.cancel(batch[k]));
+    }
+    w.advance(31);
+    EXPECT_EQ(w.pending(), 0U);
+    stale.insert(stale.end(), batch.begin(), batch.end());
+  }
+  EXPECT_EQ(fired, 100 * 8);
 }
 
 TEST(TimerWheelContract, PeriodicReArmFromInsideCallback) {
