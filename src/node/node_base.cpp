@@ -54,6 +54,7 @@ void NodeBase::on_peer_up(net::NodeId conn) {
   hello.role = role();
   hello.version_min = wire::kProtocolVersion;
   hello.version_max = wire::kProtocolVersion;
+  hello.flags = hello_flags();
   hello.node_id = cfg_.node_id;
   hello.segment_size = static_cast<std::uint16_t>(cfg_.segment_size);
   hello.buffer_cap = role() == wire::NodeRole::kPeer

@@ -106,6 +106,11 @@ class NodeBase : public net::TransportHandler {
   /// The role this node advertises in its HELLO.
   [[nodiscard]] virtual wire::NodeRole role() const noexcept = 0;
 
+  /// The wire::kHello* bits this node advertises in its HELLO.
+  [[nodiscard]] virtual std::uint8_t hello_flags() const noexcept {
+    return 0;
+  }
+
   /// A non-HELLO message arrived on an established session.
   virtual void handle_message(Session& session, wire::Message&& message) = 0;
 

@@ -62,6 +62,9 @@ PeerNode::PeerNode(const NodeConfig& cfg, net::Transport& transport,
     metrics_->gauge(metric_prefix_ + "buffer_segments", [this] {
       return static_cast<double>(core_.buffer().segment_count());
     });
+    metrics_->gauge(metric_prefix_ + "acked_segments", [this] {
+      return static_cast<double>(core_.acked_count());
+    });
   }
 }
 

@@ -136,6 +136,11 @@ class PeerNode final : public NodeBase {
   [[nodiscard]] std::uint64_t acks_received() const noexcept {
     return acks_received_;
   }
+  /// Segments the core remembers as ACKed (own ones, plus foreign ones
+  /// only under drop_on_ack).
+  [[nodiscard]] std::size_t acked_segments() const noexcept {
+    return core_.acked_count();
+  }
   /// Incoming gossip rejected by integrity verification.
   [[nodiscard]] std::uint64_t blocks_quarantined() const noexcept {
     return blocks_quarantined_;
@@ -154,6 +159,11 @@ class PeerNode final : public NodeBase {
  protected:
   [[nodiscard]] wire::NodeRole role() const noexcept override {
     return wire::NodeRole::kPeer;
+  }
+  /// Only a drop_on_ack peer acts on other origins' ACKs, so only it
+  /// asks servers for them.
+  [[nodiscard]] std::uint8_t hello_flags() const noexcept override {
+    return config().drop_on_ack ? wire::kHelloAllAcks : 0;
   }
   void handle_message(Session& session, wire::Message&& message) override;
 

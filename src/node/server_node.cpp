@@ -39,6 +39,7 @@ ServerNode::ServerNode(const NodeConfig& cfg, net::Transport& transport,
     gauge("forwarded_out", &forwarded_out_);
     gauge("forwarded_in", &forwarded_in_);
     gauge("acks_sent", &acks_sent_);
+    gauge("acks_received", &acks_received_);
     gauge("polluted_pulls", &polluted_pulls_);
     gauge("segments_decoded", &segments_decoded_metric_);
     metrics_->gauge(metric_prefix_ + "polluted_blocks", [this] {
@@ -155,7 +156,9 @@ void ServerNode::do_pull() {
   }
   if (send_message(target, wire::Message{request})) {
     ++pulls_sent_;
-    if (pending_pulls_.size() >= kMaxPendingPulls) pending_pulls_.clear();
+    // Tokens are sequential, so expiring the one kMaxPendingPulls back
+    // bounds the map without dropping any younger pull's RTT sample.
+    pending_pulls_.erase(token - kMaxPendingPulls);
     pending_pulls_.emplace(token, t);
   }
 }
@@ -250,7 +253,6 @@ void ServerNode::on_bank_decode(const proto::ServerBank::DecodeEvent& event) {
   // The bank fires this callback before recording the segment as
   // decoded, so count the event rather than reading bank state.
   ++segments_decoded_metric_;
-  ++acks_sent_;
   if (tracker_ != nullptr) tracker_->on_decoded(event.id);
   if (const auto it = first_seen_.find(event.id); it != first_seen_.end()) {
     decode_latency_->record_seconds(event.when - it->second);
@@ -259,12 +261,29 @@ void ServerNode::on_bank_decode(const proto::ServerBank::DecodeEvent& event) {
   trace(proto::TraceEventKind::kSegmentDecoded, 0, event.id,
         config().segment_size);
   const wire::Message ack{wire::SegmentDecodedAck{event.id}};
-  // Iterate copies: send_message can tear down a session (transport
-  // send failure -> on_peer_down -> drop_from_roster) mid-loop.
-  const std::vector<net::NodeId> peers = peer_conns();
-  const std::vector<net::NodeId> servers = server_conns();
-  for (const net::NodeId conn : peers) send_message(conn, ack);
-  for (const net::NodeId conn : servers) send_message(conn, ack);
+  const auto origin_it = peer_by_id_.find(event.id.origin);
+  const net::NodeId origin = origin_it != peer_by_id_.end()
+                                 ? origin_it->second
+                                 : net::kInvalidNodeId;
+  if (all_ack_sessions_ == 0) {
+    if (origin != net::kInvalidNodeId && send_message(origin, ack)) {
+      ++acks_sent_;
+    }
+  } else {
+    // Roster order: when every peer asks for every ACK, the frames go
+    // out exactly as a broadcast to all peers would send them. Iterate
+    // a copy: send_message can tear down a session (transport send
+    // failure -> on_peer_down -> drop_from_roster) mid-loop.
+    const std::vector<net::NodeId> peers = peer_conns();
+    for (const net::NodeId conn : peers) {
+      const Session* session = find_session(conn);
+      if (session == nullptr) continue;
+      if ((conn == origin || wire::wants_all_acks(session->remote)) &&
+          send_message(conn, ack)) {
+        ++acks_sent_;
+      }
+    }
+  }
   if (decode_hook_) decode_hook_(event.id, event.when);
 }
 
@@ -280,8 +299,9 @@ void ServerNode::handle_message(Session& session, wire::Message&& message) {
       offer_to_bank(gossip->block, /*from_pull=*/false, session.conn);
     }
   } else if (std::holds_alternative<wire::SegmentDecodedAck>(message)) {
-    // Another server finished a segment we are still collecting; our
-    // own bank converges via forwarding, so this is informational.
+    // Only an older server ACKs servers; our own bank converges via
+    // forwarding, so the ACK carries nothing we need.
+    ++acks_received_;
   } else if (const auto* summary =
                  std::get_if<wire::BufferSummary>(&message)) {
     // Availability feedback a peer piggybacked on a pull reply. A
@@ -296,9 +316,21 @@ void ServerNode::handle_message(Session& session, wire::Message&& message) {
   }
 }
 
+void ServerNode::on_session_established(Session& session) {
+  if (session.remote.role != wire::NodeRole::kPeer) return;
+  peer_by_id_[session.remote.node_id] = session.conn;
+  if (wire::wants_all_acks(session.remote)) ++all_ack_sessions_;
+}
+
 void ServerNode::on_session_closed(Session& session) {
   occupancy_.erase(session.conn);
   if (tracker_ != nullptr) tracker_->forget_peer(session.conn);
+  if (session.remote.role != wire::NodeRole::kPeer) return;
+  if (const auto it = peer_by_id_.find(session.remote.node_id);
+      it != peer_by_id_.end() && it->second == session.conn) {
+    peer_by_id_.erase(it);
+  }
+  if (wire::wants_all_acks(session.remote)) --all_ack_sessions_;
 }
 
 }  // namespace icollect::node

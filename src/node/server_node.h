@@ -6,6 +6,13 @@
 /// GF(2^8) decoder bank, and announces completed segments with
 /// SEGMENT_DECODED_ACK.
 ///
+/// An ACK goes to the segment's origin — the peer session whose HELLO
+/// node_id equals SegmentId::origin — plus every peer session whose
+/// HELLO set wire::kHelloAllAcks (drop_on_ack peers, which purge other
+/// origins' segments). So a decode costs one egress frame per server in
+/// the default configuration, not one per session; servers are never
+/// ACKed, since their banks converge through forwarding.
+///
 /// The paper pools all N_s servers into one collection state; separate
 /// live processes realize that pooling by *forwarding*: every block a
 /// server pulls that is innovative for its own bank is re-sent as a
@@ -115,8 +122,14 @@ class ServerNode final : public NodeBase {
   [[nodiscard]] std::uint64_t forwarded_in() const noexcept {
     return forwarded_in_;
   }
+  /// SEGMENT_DECODED_ACK frames sent.
   [[nodiscard]] std::uint64_t acks_sent() const noexcept {
     return acks_sent_;
+  }
+  /// SEGMENT_DECODED_ACKs received from other servers. Current servers
+  /// never send them; an older server's are accepted and ignored.
+  [[nodiscard]] std::uint64_t acks_received() const noexcept {
+    return acks_received_;
   }
   /// Pulled blocks rejected by integrity verification (quarantined
   /// before they could reach the decoder bank).
@@ -158,6 +171,7 @@ class ServerNode final : public NodeBase {
     return wire::NodeRole::kServer;
   }
   void handle_message(Session& session, wire::Message&& message) override;
+  void on_session_established(Session& session) override;
   void on_session_closed(Session& session) override;
 
  private:
@@ -184,9 +198,9 @@ class ServerNode final : public NodeBase {
   /// bounds the draw loop (and the callback) at absurd pull rates.
   static constexpr std::uint32_t kMaxPullBurst = 4096;
 
-  /// In-flight pull budget: tokens whose replies never arrive (dead
-  /// peer, dropped frame) are forgotten wholesale past this many.
-  static constexpr std::size_t kMaxPendingPulls = 65536;
+  /// In-flight pull budget: a token whose reply has not arrived after
+  /// this many later pulls (dead peer, dropped frame) is forgotten.
+  static constexpr std::uint32_t kMaxPendingPulls = 65536;
 
   common::Rng rng_;
   /// The wheel is the server's one clock; the core stamps bank events
@@ -205,6 +219,13 @@ class ServerNode final : public NodeBase {
     double reported_at = 0.0;
   };
   std::unordered_map<net::NodeId, OccupancyInfo> occupancy_;
+
+  /// Peer sessions by HELLO node_id — where a segment's ACK goes. A
+  /// reconnect replaces its entry; closing the old conn then leaves the
+  /// new one in place.
+  std::unordered_map<std::uint32_t, net::NodeId> peer_by_id_;
+  /// Established peer sessions whose HELLO set wire::kHelloAllAcks.
+  std::size_t all_ack_sessions_ = 0;
 
   /// PULL_REQUEST send times by token, awaiting their PULL_BLOCK.
   std::unordered_map<std::uint32_t, double> pending_pulls_;
@@ -227,6 +248,7 @@ class ServerNode final : public NodeBase {
   std::uint64_t forwarded_out_ = 0;
   std::uint64_t forwarded_in_ = 0;
   std::uint64_t acks_sent_ = 0;
+  std::uint64_t acks_received_ = 0;
   std::uint64_t polluted_pulls_ = 0;
   std::uint64_t segments_decoded_metric_ = 0;
   std::uint64_t summaries_received_ = 0;

@@ -182,8 +182,9 @@ void PeerCore::reseed_own(const coding::SegmentId& id) {
 }
 
 PeerCore::AckResult PeerCore::on_ack(const coding::SegmentId& id) {
-  if (!acked_.insert(id).second) return AckResult::kDuplicate;
   const bool own = own_segments_.contains(id);
+  if (!own && !params_.drop_on_ack) return AckResult::kOtherSegment;
+  if (!acked_.insert(id).second) return AckResult::kDuplicate;
   own_encoders_.erase(id);  // delivery guaranteed; release the originals
   if (params_.drop_on_ack) {
     if (coding::SegmentBuffer* sb = buffer_.find(id); sb != nullptr) {

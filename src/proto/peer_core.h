@@ -183,10 +183,14 @@ class PeerCore {
   enum class AckResult : std::uint8_t {
     kDuplicate,     ///< already ACKed (multi-server)
     kOwnSegment,    ///< first ACK of a segment this peer injected
-    kOtherSegment,  ///< first ACK of a relayed segment
+    kOtherSegment,  ///< a relayed segment (first ACK under drop_on_ack)
   };
   /// A server announced the segment decoded: release retained encoders
-  /// and (under drop_on_ack) evict its buffered blocks.
+  /// and (under drop_on_ack) evict its buffered blocks. Only own
+  /// segments, and foreign ones under drop_on_ack, are remembered as
+  /// ACKed: without drop_on_ack a foreign ACK changes nothing, so it
+  /// must not grow state (a forged stream of them would otherwise grow
+  /// the set forever).
   AckResult on_ack(const coding::SegmentId& id);
 
   // --- churn (simulator's replacement model) ------------------------------
@@ -203,6 +207,9 @@ class PeerCore {
   [[nodiscard]] coding::OriginId origin() const noexcept { return origin_; }
   [[nodiscard]] bool is_acked(const coding::SegmentId& id) const {
     return acked_.contains(id);
+  }
+  [[nodiscard]] std::size_t acked_count() const noexcept {
+    return acked_.size();
   }
   [[nodiscard]] bool is_own(const coding::SegmentId& id) const {
     return own_segments_.contains(id);

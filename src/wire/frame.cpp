@@ -53,7 +53,7 @@ void encode_body(const Message& m, std::vector<std::uint8_t>& out) {
       w.u8(static_cast<std::uint8_t>(h.role));
       w.u8(h.version_min);
       w.u8(h.version_max);
-      w.u8(0);  // reserved
+      w.u8(h.flags);
       w.u32(h.node_id);
       w.u16(h.segment_size);
       w.u16(0);  // reserved
@@ -121,7 +121,7 @@ DecodeStatus decode_body(MessageType type, std::span<const std::uint8_t> body,
       const std::uint8_t role = r.u8();
       h.version_min = r.u8();
       h.version_max = r.u8();
-      (void)r.u8();  // reserved
+      h.flags = r.u8();
       h.node_id = r.u32();
       h.segment_size = r.u16();
       (void)r.u16();  // reserved

@@ -66,15 +66,27 @@ enum class NodeRole : std::uint8_t {
   return "?";
 }
 
+/// HELLO `flags` bit 0: "send me every SEGMENT_DECODED_ACK", not only
+/// the ACKs for segments I originated. Set by peers that purge
+/// acknowledged segments from their buffers (drop_on_ack).
+inline constexpr std::uint8_t kHelloAllAcks = 0x01;
+
 /// Session opener; first frame on every connection, sent by both sides.
 struct Hello {
   NodeRole role = NodeRole::kPeer;
   std::uint8_t version_min = kProtocolVersion;
   std::uint8_t version_max = kProtocolVersion;
+  /// kHello* bits. Carried verbatim; receivers ignore bits they do not
+  /// know, and a pre-flags node's reserved 0 means "origin ACKs only".
+  std::uint8_t flags = 0;
   std::uint32_t node_id = 0;      ///< the sender's stable identity
   std::uint16_t segment_size = 0; ///< s the sender codes with
   std::uint32_t buffer_cap = 0;   ///< B (peers; 0 for servers)
 };
+
+[[nodiscard]] constexpr bool wants_all_acks(const Hello& h) noexcept {
+  return (h.flags & kHelloAllAcks) != 0;
+}
 
 /// One re-coded block pushed peer→peer (gossip), or forwarded
 /// server→server to keep the collaborating servers' decoder banks
@@ -110,7 +122,10 @@ struct PullBlock {
   coding::CodedBlock block;  ///< meaningful iff has_block
 };
 
-/// Server→all: a segment's collection completed (rank reached s).
+/// Server→peer: a segment's collection completed (rank reached s).
+/// Sent to the session whose HELLO node_id is the segment's origin, and
+/// to every peer session whose HELLO set kHelloAllAcks; never to
+/// servers.
 struct SegmentDecodedAck {
   coding::SegmentId segment;
 };

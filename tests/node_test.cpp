@@ -168,6 +168,27 @@ TEST(NodeCluster, DropOnAckPurgesDecodedSegments) {
   EXPECT_EQ(cluster.total_buffered_blocks(), 0U);
 }
 
+TEST(NodeCluster, AcksGoToTheSegmentOriginOnly) {
+  // Without drop_on_ack no peer asks for other origins' ACKs: each
+  // server ACKs a decode to its origin alone, and never to a server.
+  LoopbackCluster cluster{small_cluster_config()};
+  ASSERT_TRUE(cluster.run_to_completion(300.0));
+  cluster.run_for(1.0);  // drain in-flight ACKs
+  const std::uint64_t servers = 2;
+  for (std::size_t i = 0; i < 6; ++i) {
+    const PeerNode& peer = cluster.peer(i);
+    EXPECT_EQ(peer.own_segments_acked(), peer.segments_injected());
+    EXPECT_EQ(peer.acks_received(), servers * peer.own_segments_acked())
+        << "peer " << i;
+    EXPECT_EQ(peer.acked_segments(), peer.own_segments_acked());
+  }
+  for (std::size_t i = 0; i < servers; ++i) {
+    EXPECT_EQ(cluster.server(i).acks_sent(),
+              cluster.server(i).segments_decoded());
+    EXPECT_EQ(cluster.server(i).acks_received(), 0U);
+  }
+}
+
 // --- direct two-node protocol behaviors ------------------------------------
 
 struct TwoNodes {
@@ -405,6 +426,254 @@ TEST(NodeProtocol, PullOnEmptyBufferAnswersWithoutBlock) {
   // Occupancy-aware pulls back off from a peer that reported empty, so
   // pulls are far fewer than rate × time would allow.
   EXPECT_LT(server.pulls_sent(), 25U);
+}
+
+/// A raw endpoint that speaks the wire protocol by hand: it opens each
+/// connection with a chosen HELLO and records the HELLOs, ACKs and pull
+/// tokens that arrive, answering nothing on its own.
+class ScriptedNode final : public net::TransportHandler {
+ public:
+  ScriptedNode(net::LoopbackNet::Endpoint& endpoint, wire::Hello hello)
+      : endpoint_{endpoint}, hello_{hello} {
+    endpoint_.set_handler(this);
+  }
+  void on_peer_up(net::NodeId conn) override {
+    send(conn, wire::Message{hello_});
+  }
+  void on_peer_down(net::NodeId) override {}
+  void on_bytes(net::NodeId, std::span<const std::uint8_t> bytes) override {
+    decoder_.feed(bytes);
+    for (auto r = decoder_.next(); r.status == wire::DecodeStatus::kFrame;
+         r = decoder_.next()) {
+      if (const auto* h = std::get_if<wire::Hello>(&r.message)) {
+        hellos.push_back(*h);
+      } else if (const auto* ack =
+                     std::get_if<wire::SegmentDecodedAck>(&r.message)) {
+        acks.push_back(ack->segment);
+      } else if (const auto* pull =
+                     std::get_if<wire::PullRequest>(&r.message)) {
+        pull_tokens.push_back(pull->token);
+      }
+    }
+  }
+  void send(net::NodeId to, const wire::Message& message) {
+    endpoint_.send(to, wire::encoded_frame(message));
+  }
+
+  std::vector<wire::Hello> hellos;
+  std::vector<coding::SegmentId> acks;
+  std::vector<std::uint32_t> pull_tokens;
+
+ private:
+  net::LoopbackNet::Endpoint& endpoint_;
+  wire::Hello hello_;
+  wire::FrameDecoder decoder_;
+};
+
+NodeConfig server_config() {
+  auto cfg = peer_config(0x80000001U);
+  cfg.buffer_cap = 4;
+  return cfg;
+}
+
+/// Complete `id` in the server's bank with s systematic blocks, which
+/// fires the server's decode path exactly as a pulled block would.
+void decode_at(ServerNode& server, coding::SegmentId id, double now) {
+  const std::size_t s = server.config().segment_size;
+  for (std::size_t i = 0; i < s; ++i) {
+    coding::CodedBlock block;
+    block.segment = id;
+    block.coefficients.assign(s, 0);
+    block.coefficients[i] = 1;
+    (void)server.bank().offer(block, now);
+  }
+}
+
+/// One server wired to `n` peer endpoints over a 1 ms loopback.
+struct Star {
+  explicit Star(std::size_t n) {
+    for (std::size_t i = 0; i <= n; ++i) net.create_endpoint();
+  }
+  net::LoopbackNet net{[] {
+    net::LoopbackNet::Options o;
+    o.latency = 0.001;
+    return o;
+  }()};
+  net::LoopbackNet::Endpoint& server_end() { return net.endpoint(0); }
+  net::LoopbackNet::Endpoint& peer_end(std::size_t i) {
+    return net.endpoint(static_cast<net::NodeId>(i + 1));
+  }
+  void link(std::size_t i) {
+    net.connect(0, static_cast<net::NodeId>(i + 1));
+    net.run_for(0.01);
+  }
+};
+
+TEST(NodeProtocol, FlaggedPeerGetsEveryAckOthersOnlyTheirOwn) {
+  Star t{3};
+  ServerNode server{server_config(), t.server_end(), t.net.timers()};
+  auto flagged_cfg = peer_config(1);
+  flagged_cfg.drop_on_ack = true;  // drop_on_ack peers set kHelloAllAcks
+  PeerNode flagged{flagged_cfg, t.peer_end(0), t.net.timers()};
+  PeerNode two{peer_config(2), t.peer_end(1), t.net.timers()};
+  PeerNode three{peer_config(3), t.peer_end(2), t.net.timers()};
+  for (std::size_t i = 0; i < 3; ++i) t.link(i);
+  ASSERT_EQ(server.peer_session_count(), 3U);
+
+  const std::uint64_t frames_before = server.frames_sent();
+  for (const coding::SegmentId id : {coding::SegmentId{2, 0},
+                                     coding::SegmentId{3, 0},
+                                     coding::SegmentId{1, 0},
+                                     coding::SegmentId{99, 0}}) {
+    decode_at(server, id, t.net.now());
+  }
+  t.net.run_for(0.01);
+  EXPECT_EQ(flagged.acks_received(), 4U);
+  EXPECT_EQ(flagged.acked_segments(), 4U);
+  EXPECT_EQ(two.acks_received(), 1U);
+  EXPECT_EQ(three.acks_received(), 1U);
+  // {2,0} and {3,0}: origin + flagged; {1,0}: flagged is the origin;
+  // {99,0}: flagged only.
+  EXPECT_EQ(server.acks_sent(), 6U);
+  EXPECT_EQ(server.frames_sent() - frames_before, 6U);
+}
+
+TEST(NodeProtocol, AckWithoutOriginSessionSendsNothing) {
+  Star t{1};
+  ServerNode server{server_config(), t.server_end(), t.net.timers()};
+  decode_at(server, {1, 0}, t.net.now());  // no sessions at all
+  EXPECT_EQ(server.acks_sent(), 0U);
+
+  PeerNode peer{peer_config(1), t.peer_end(0), t.net.timers()};
+  t.link(0);
+  const std::uint64_t frames_before = server.frames_sent();
+  decode_at(server, {42, 7}, t.net.now());
+  t.net.run_for(0.01);
+  EXPECT_EQ(server.segments_decoded(), 2U);
+  EXPECT_EQ(server.acks_sent(), 0U);
+  EXPECT_EQ(server.frames_sent(), frames_before);
+  EXPECT_EQ(peer.acks_received(), 0U);
+}
+
+TEST(NodeProtocol, ReconnectedPeerGetsAcksOnItsNewConnection) {
+  Star t{2};
+  ServerNode server{server_config(), t.server_end(), t.net.timers()};
+  PeerNode old_conn{peer_config(1), t.peer_end(0), t.net.timers()};
+  PeerNode new_conn{peer_config(1), t.peer_end(1), t.net.timers()};
+  t.link(0);
+  t.link(1);  // same node_id, second connection
+  // The old connection closes after the new one is up: that must not
+  // unmap node_id 1 from the new connection.
+  t.net.disconnect(0, 1);
+  t.net.run_for(0.01);
+  ASSERT_EQ(server.peer_session_count(), 1U);
+  decode_at(server, {1, 0}, t.net.now());
+  t.net.run_for(0.01);
+  EXPECT_EQ(new_conn.acks_received(), 1U);
+  EXPECT_EQ(old_conn.acks_received(), 0U);
+
+  t.net.disconnect(0, 2);
+  t.net.run_for(0.01);
+  decode_at(server, {1, 1}, t.net.now());
+  EXPECT_EQ(server.acks_sent(), 1U);
+}
+
+TEST(NodeProtocol, ServerAcceptsAnAckFromAnOlderServer) {
+  Star t{1};
+  ServerNode server{server_config(), t.server_end(), t.net.timers()};
+  wire::Hello hello;
+  hello.role = wire::NodeRole::kServer;
+  hello.node_id = 0x80000002U;
+  hello.segment_size = 4;
+  ScriptedNode legacy{t.peer_end(0), hello};
+  t.link(0);
+  ASSERT_EQ(server.server_session_count(), 1U);
+  legacy.send(0, wire::Message{wire::SegmentDecodedAck{{5, 0}}});
+  t.net.run_for(0.01);
+  EXPECT_EQ(server.acks_received(), 1U);
+  EXPECT_EQ(server.server_session_count(), 1U);
+  // The new server never ACKs a server.
+  decode_at(server, {5, 1}, t.net.now());
+  t.net.run_for(0.01);
+  EXPECT_TRUE(legacy.acks.empty());
+}
+
+TEST(NodeProtocol, ForeignAcksLeaveNoPeerStateWithoutDropOnAck) {
+  Star t{1};
+  wire::Hello hello;
+  hello.role = wire::NodeRole::kServer;
+  hello.node_id = 0x80000001U;
+  hello.segment_size = 4;
+  ScriptedNode forger{t.server_end(), hello};
+  obs::MetricsRegistry reg;
+  PeerNode peer{peer_config(1), t.peer_end(0), t.net.timers(), &reg};
+  t.link(0);
+  ASSERT_EQ(peer.server_session_count(), 1U);
+  for (std::uint32_t seq = 0; seq < 10000; ++seq) {
+    forger.send(1, wire::Message{wire::SegmentDecodedAck{{99, seq}}});
+  }
+  t.net.run_for(0.01);
+  EXPECT_EQ(peer.acks_received(), 10000U);
+  ASSERT_NE(reg.find_gauge("peer.acked_segments"), nullptr);
+  EXPECT_DOUBLE_EQ(reg.find_gauge("peer.acked_segments")->value(), 0.0);
+}
+
+TEST(NodeProtocol, PendingPullsExpireOneByOneAndKeepRttSamples) {
+  Star t{1};
+  obs::MetricsRegistry reg;
+  auto cfg = server_config();
+  cfg.pull_rate = 100000.0;
+  ServerNode server{cfg, t.server_end(), t.net.timers(), &reg};
+  wire::Hello hello;
+  hello.role = wire::NodeRole::kPeer;
+  hello.node_id = 1;
+  hello.segment_size = 4;
+  ScriptedNode mute{t.peer_end(0), hello};  // never answers a pull
+  t.link(0);
+  server.start();
+  while (server.pulls_sent() < 70000) t.net.run_for(0.01);
+  t.net.run_for(0.01);  // let the last requests land
+
+  // Only the newest ServerNode::kMaxPendingPulls tokens are pending.
+  constexpr double kCap = 65536.0;
+  const auto* pending = reg.find_gauge("server.pending_pulls");
+  ASSERT_NE(pending, nullptr);
+  EXPECT_EQ(pending->value(), kCap);
+
+  // Answer the newest pull, one 60,000 pulls old (clearing the whole
+  // map at the cap would have lost it) and the very first, which has
+  // expired. Only the first two are round trips the server remembers.
+  ASSERT_FALSE(mute.pull_tokens.empty());
+  const std::uint32_t newest = mute.pull_tokens.back();
+  ASSERT_GT(newest, 60000U);
+  for (const std::uint32_t token : {newest, newest - 60000U, 1U}) {
+    wire::PullBlock reply;
+    reply.token = token;
+    mute.send(0, wire::Message{reply});
+  }
+  t.net.run_for(0.01);
+  EXPECT_EQ(server.pull_empty_replies(), 3U);
+  EXPECT_EQ(server.pull_rtt().count(), 2U);
+}
+
+TEST(NodeProtocol, PeersAskForEveryAckOnlyUnderDropOnAck) {
+  Star t{2};
+  wire::Hello hello;
+  hello.role = wire::NodeRole::kServer;
+  hello.node_id = 0x80000001U;
+  hello.segment_size = 4;
+  ScriptedNode server{t.server_end(), hello};
+  auto flagged_cfg = peer_config(1);
+  flagged_cfg.drop_on_ack = true;
+  PeerNode flagged{flagged_cfg, t.peer_end(0), t.net.timers()};
+  PeerNode plain{peer_config(2), t.peer_end(1), t.net.timers()};
+  t.link(0);
+  t.link(1);
+  ASSERT_EQ(server.hellos.size(), 2U);
+  EXPECT_EQ(server.hellos[0].node_id, 1U);
+  EXPECT_EQ(server.hellos[0].flags, wire::kHelloAllAcks);
+  EXPECT_EQ(server.hellos[1].node_id, 2U);
+  EXPECT_EQ(server.hellos[1].flags, 0U);
 }
 
 }  // namespace

@@ -227,6 +227,22 @@ TEST(ProtoCore, AnswerPullEmptyBufferReturnsFalse) {
   EXPECT_EQ(out.segment_size(), 3u);
 }
 
+TEST(ProtoCore, ForeignAcksAreRememberedOnlyUnderDropOnAck) {
+  TestPeer plain{small_params()};
+  EXPECT_EQ(plain.core.on_ack({99, 0}), PeerCore::AckResult::kOtherSegment);
+  EXPECT_EQ(plain.core.on_ack({99, 0}), PeerCore::AckResult::kOtherSegment);
+  EXPECT_FALSE(plain.core.is_acked({99, 0}));
+  EXPECT_EQ(plain.core.acked_count(), 0U);
+
+  auto params = small_params();
+  params.drop_on_ack = true;
+  TestPeer dropping{params};
+  EXPECT_EQ(dropping.core.on_ack({99, 0}),
+            PeerCore::AckResult::kOtherSegment);
+  EXPECT_EQ(dropping.core.on_ack({99, 0}), PeerCore::AckResult::kDuplicate);
+  EXPECT_EQ(dropping.core.acked_count(), 1U);
+}
+
 TEST(ProtoCore, RebirthResetsIdentityAndHistory) {
   TestPeer t{small_params()};
   const auto injected = t.core.inject();

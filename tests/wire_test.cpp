@@ -87,6 +87,49 @@ TEST(WireFrame, HelloRoundTrip) {
   EXPECT_EQ(out.buffer_cap, h.buffer_cap);
 }
 
+TEST(WireFormat, HelloFlagsRoundTrip) {
+  Hello h;
+  h.node_id = 5;
+  h.segment_size = 4;
+  h.flags = kHelloAllAcks;
+  const auto out = std::get<Hello>(round_trip(Message{h}));
+  EXPECT_EQ(out.flags, kHelloAllAcks);
+  EXPECT_TRUE(wants_all_acks(out));
+  h.flags = 0;
+  EXPECT_FALSE(wants_all_acks(std::get<Hello>(round_trip(Message{h}))));
+}
+
+TEST(WireFormat, HelloUnknownFlagBitsDecode) {
+  // Bits this build does not know are carried, not rejected; only bit 0
+  // means anything to a receiver.
+  Hello h;
+  h.segment_size = 4;
+  h.flags = 0xFE;
+  std::vector<std::uint8_t> body;
+  encode_body(Message{h}, body);
+  Message out;
+  ASSERT_EQ(decode_body(MessageType::kHello, body, out), DecodeStatus::kFrame);
+  EXPECT_EQ(std::get<Hello>(out).flags, 0xFE);
+  EXPECT_FALSE(wants_all_acks(std::get<Hello>(out)));
+}
+
+TEST(WireFormat, HelloBodyStaysSixteenBytes) {
+  // The flags byte is the formerly reserved byte 3, so a pre-flags
+  // node's HELLO (byte 3 = 0) reads as "origin ACKs only".
+  Hello h;
+  h.version_min = 1;
+  h.version_max = 1;
+  h.flags = kHelloAllAcks;
+  std::vector<std::uint8_t> body;
+  encode_body(Message{h}, body);
+  ASSERT_EQ(body.size(), 16U);
+  EXPECT_EQ(body[3], kHelloAllAcks);
+  body[3] = 0;
+  Message out;
+  ASSERT_EQ(decode_body(MessageType::kHello, body, out), DecodeStatus::kFrame);
+  EXPECT_EQ(std::get<Hello>(out).flags, 0U);
+}
+
 TEST(WireFrame, GossipBlockRoundTrip) {
   const auto block = sample_block(5, 33, 9);
   const auto out = std::get<GossipBlock>(round_trip(Message{GossipBlock{block}}));

@@ -12,12 +12,16 @@
 /// the server under test.
 ///
 /// Blocks are coded over a finite global segment space (--segments S,
-/// one shared origin): the server's bank accumulates rank and decodes
-/// exactly S segments, so its O(peers) decode-ACK broadcast happens a
-/// bounded number of times. After a segment is ACKed the generator keeps
-/// answering pulls with blocks of already-decoded segments (the server
-/// counts them stale) — round-trip flow continues indefinitely, which is
-/// what the measurement window meters.
+/// one shared origin, kLoadgenOrigin, which is no connection's node_id):
+/// the server's bank accumulates rank and decodes exactly S segments.
+/// A server ACKs a segment only to its origin and to sessions whose
+/// HELLO asks for every ACK, so each synthetic peer sets
+/// wire::kHelloAllAcks — each decode then still costs the server one
+/// ACK per connection, a bounded number of times. After a segment is
+/// ACKed the generator keeps answering pulls with blocks of
+/// already-decoded segments (the server counts them stale) — round-trip
+/// flow continues indefinitely, which is what the measurement window
+/// meters.
 ///
 ///   icollect_loadgen --target 127.0.0.1:9100 --peers 10000 \
 ///       --backend epoll --segments 64 --duration 30 --measure 10
@@ -53,7 +57,8 @@ constexpr const char* kSchema = "icollect-node-bench/1";
 
 /// The shared origin id of the synthetic segment space. Arbitrary; only
 /// needs to be consistent across all synthetic peers so their blocks
-/// pool into the same segments at the server.
+/// pool into the same segments at the server, and distinct from every
+/// connection's HELLO node_id.
 constexpr std::uint32_t kLoadgenOrigin = 0x10AD0001U;
 
 void usage(const char* argv0) {
@@ -114,6 +119,7 @@ class LoadGen final : public net::TransportHandler {
     state.hello_received = false;
     wire::Hello hello;
     hello.role = wire::NodeRole::kPeer;
+    hello.flags = wire::kHelloAllAcks;  // no connection is the origin
     hello.node_id = 0x4C470000U + conn;  // unique per connection
     hello.segment_size = static_cast<std::uint16_t>(segment_size_);
     hello.buffer_cap = occupancy_;
