@@ -42,6 +42,7 @@ struct NetworkMetrics {
   std::uint64_t peers_departed = 0;
   std::uint64_t blocks_lost_to_churn = 0;
   std::uint64_t segments_lost = 0;        ///< vanished undecoded (degree→0)
+  std::uint64_t segments_resolved = 0;    ///< see SegmentInfo::resolved
   std::uint64_t payload_crc_failures = 0; ///< end-to-end integrity errors
 
   // --- adversarial / fault-injection counters (scenario pack) -------------

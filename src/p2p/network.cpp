@@ -120,7 +120,7 @@ void Network::wire_core(std::size_t slot) {
   core.set_stored_hook(
       [this, slot](const coding::SegmentId& seg, std::size_t before) {
         const auto rit = registry_.find(seg);
-        ICOLLECT_ENSURES(rit != registry_.end());
+        ICOLLECT_ENSURES(rit != registry_.end() && !rit->second.resolved);
         ++rit->second.degree;
         metrics_.total_blocks.add(sim_.now(), 1.0);
         update_occupancy(slot, before);
@@ -353,20 +353,29 @@ void Network::do_server_pull() {
   }
   const coding::SegmentId seg = want ? *want : d.core.choose_pull_segment();
   metrics_.server_pulls_window.record();
+  const bool counted = cfg_.fidelity == CollectionFidelity::kStateCounter;
+  // Attribute by the block actually offered: a replaying adversary may
+  // answer the pull with a cached block of a *different* segment.
+  const coding::SegmentId& offered = counted ? seg : pull_scratch_.segment;
   proto::ServerBank::PullResult result;
+  SegmentInfo* info = nullptr;
   {
     // The GF(2^8) decode path: re-coding the pulled block and reducing
     // it through the server-side progressive decoder.
     const obs::ProfScope decode_prof{prof_decode_};
-    if (cfg_.fidelity == CollectionFidelity::kStateCounter) {
-      result = server_core_.on_pull_counted(seg, cfg_.segment_size);
-    } else {
+    if (!counted) {
       // Recode into a long-lived scratch block so the steady-state pull
       // path performs no heap allocation.
       d.core.recode_into(seg, pull_scratch_);
       if (dishonest_[slot] != 0) corrupt_block(slot, pull_scratch_);
-      result = server_core_.on_pull_block(pull_scratch_);
     }
+    // A resolved segment's decoder is gone; offering one of its blocks
+    // would silently start a fresh one.
+    const auto rit = registry_.find(offered);
+    ICOLLECT_ENSURES(rit != registry_.end() && !rit->second.resolved);
+    info = &rit->second;
+    result = counted ? server_core_.on_pull_counted(seg, cfg_.segment_size)
+                     : server_core_.on_pull_block(pull_scratch_);
   }
   if (result == proto::ServerBank::PullResult::kPolluted) {
     // Quarantined before Gaussian elimination; the pull is spent.
@@ -375,17 +384,9 @@ void Network::do_server_pull() {
          slot);
     return;
   }
-  // Attribute by the block actually offered: a replaying adversary may
-  // answer the pull with a cached block of a *different* segment.
-  const coding::SegmentId& offered =
-      cfg_.fidelity == CollectionFidelity::kStateCounter
-          ? seg
-          : pull_scratch_.segment;
   if (result == proto::ServerBank::PullResult::kInnovative) {
     metrics_.innovative_pulls_window.record();
-    const auto rit = registry_.find(offered);
-    ICOLLECT_ENSURES(rit != registry_.end());
-    ++rit->second.collected;
+    ++info->collected;
   }
   if (tracker_ != nullptr) {
     // Deficit feed, straight from the bank outcome. Decodes already
@@ -467,8 +468,16 @@ void Network::do_depart(std::size_t slot) {
   ++p.incarnation;
   p.core.rebirth(next_origin_++);
   // The fresh occupant has sent nothing yet; a stale replay of the
-  // predecessor's block would reference the departed origin.
-  if (!replay_cache_.empty()) replay_cache_[slot].reset();
+  // predecessor's block would reference the departed origin. Dropping
+  // the cached block releases its pin, which may resolve the segment.
+  if (!replay_cache_.empty() && replay_cache_[slot].has_value()) {
+    const coding::SegmentId pinned = replay_cache_[slot]->segment;
+    replay_cache_[slot].reset();
+    const auto it = registry_.find(pinned);
+    ICOLLECT_ENSURES(it != registry_.end() && it->second.replay_pins > 0);
+    --it->second.replay_pins;
+    resolve_if_dead(pinned, it->second);
+  }
 
   sim_.schedule_after(sample_lifetime(cfg_.churn, rng_),
                       [this, slot] { do_depart(slot); });
@@ -501,6 +510,9 @@ void Network::corrupt_block(std::size_t slot, coding::CodedBlock& block) {
         block = *replay_cache_[slot];
       } else {
         replay_cache_[slot] = block;
+        const auto it = registry_.find(block.segment);
+        ICOLLECT_ENSURES(it != registry_.end());
+        ++it->second.replay_pins;
       }
       break;
   }
@@ -518,6 +530,17 @@ void Network::note_degree_drop(const coding::SegmentId& id,
     emit(TraceEventKind::kSegmentLost, it->second.origin_slot, id,
          it->second.collected);
   }
+  resolve_if_dead(id, it->second);
+}
+
+void Network::resolve_if_dead(const coding::SegmentId& id,
+                              SegmentInfo& info) {
+  if (info.degree != 0 || info.replay_pins != 0) return;
+  info.resolved = true;
+  info.original_crcs = {};  // read only at decode, which cannot happen now
+  ++metrics_.segments_resolved;
+  server_core_.bank().forget(id);
+  if (integrity_ != nullptr) integrity_->forget(id);
 }
 
 void Network::update_occupancy(std::size_t slot, std::size_t before_size) {
@@ -681,8 +704,7 @@ std::size_t Network::compact_registry() {
   std::size_t removed = 0;
   for (auto it = registry_.begin(); it != registry_.end();) {
     const SegmentInfo& info = it->second;
-    const bool resolved = info.degree == 0 && (info.decoded || info.lost);
-    if (!resolved) {
+    if (!info.resolved) {
       ++it;
       continue;
     }

@@ -91,6 +91,14 @@ struct SegmentInfo {
   std::size_t collected = 0;  ///< useful blocks pulled by the servers (≤ s)
   bool decoded = false;
   bool lost = false;  ///< vanished from the network before decoding
+  /// No block of the segment can reach a peer or a server again: degree
+  /// 0 and no replay pin. Its server decoder, integrity tags and CRCs are
+  /// freed at that moment; the entry itself stays.
+  bool resolved = false;
+  /// Dishonest slots whose replay cache holds a block of this segment.
+  /// Each can re-emit it at any time, so a pinned segment is never
+  /// resolved, whatever its degree.
+  std::size_t replay_pins = 0;
   sim::Time decoded_at = 0.0;
   std::vector<std::uint32_t> original_crcs;  ///< when payloads in use
 };
@@ -268,11 +276,11 @@ class Network {
   /// compact_registry()).
   [[nodiscard]] DepartedDataStats last_words_stats(double window) const;
 
-  /// Long-run memory control: drop registry entries for segments that
-  /// are fully resolved (decoded or lost, zero live copies). Their
-  /// contribution to departed_data_stats() is folded into a running
-  /// baseline first, so the aggregate recovery numbers survive; windowed
-  /// last_words_stats() afterwards only reflects the uncompacted tail.
+  /// Long-run memory control: drop registry entries for resolved
+  /// segments (SegmentInfo::resolved). Their contribution to
+  /// departed_data_stats() is folded into a running baseline first, so
+  /// the aggregate recovery numbers survive; windowed last_words_stats()
+  /// afterwards only reflects the uncompacted tail.
   /// Returns the number of entries removed.
   std::size_t compact_registry();
 
@@ -303,6 +311,10 @@ class Network {
 
   void on_segment_decoded(const proto::ServerBank::DecodeEvent& event);
   void note_degree_drop(const coding::SegmentId& id, std::size_t count);
+  /// Resolution: once a segment has no live copy and no replay pin, the
+  /// simulator never sees a block of it again (it never re-seeds), so
+  /// its server decoder and integrity tags are dead state and go.
+  void resolve_if_dead(const coding::SegmentId& id, SegmentInfo& info);
   void update_occupancy(std::size_t slot, std::size_t before_size);
   void mark_non_empty(std::size_t slot);
   void mark_empty(std::size_t slot);
@@ -359,7 +371,8 @@ class Network {
   std::vector<std::uint8_t> dishonest_;  ///< 1 = slot corrupts its egress
   std::size_t dishonest_count_ = 0;
   /// Per-dishonest-slot cache of the first genuinely sent block, for the
-  /// replay strategy; cleared when the occupant departs.
+  /// replay strategy; cleared when the occupant departs. A filled entry
+  /// pins its segment (SegmentInfo::replay_pins).
   std::vector<std::optional<coding::CodedBlock>> replay_cache_;
   std::vector<std::uint8_t> isolated_;   ///< 1 = currently partitioned away
 

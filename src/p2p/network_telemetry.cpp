@@ -54,6 +54,17 @@ void register_network_metrics(obs::MetricsRegistry& reg, const Network& net) {
   count_gauge(reg, "net.segments_in_progress",
               [&srv] { return srv.segments_in_progress(); });
 
+  // Sizes of the maps that grow with injected segments: the registry
+  // keeps every entry; resolution frees the bank's partial decoders and
+  // the integrity tags, so those two track live segments instead.
+  count_gauge(reg, "net.registry_segments",
+              [&net] { return net.segment_registry().size(); });
+  count_gauge(reg, "net.segments_resolved",
+              [&m] { return m.segments_resolved; });
+  count_gauge(reg, "net.integrity_tags", [&net] {
+    return net.integrity() != nullptr ? net.integrity()->segments() : 0;
+  });
+
   // Instantaneous network state + derived steady-state estimates.
   reg.gauge("net.blocks_in_network", [&m] { return m.total_blocks.value(); });
   reg.gauge("net.empty_peers", [&m] { return m.empty_peers.value(); });

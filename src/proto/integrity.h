@@ -104,8 +104,10 @@ class IntegrityAuthority {
   [[nodiscard]] bool known(const coding::SegmentId& id) const {
     return tags_.contains(id);
   }
-  /// Drop a segment's tags. Never called automatically — blocks of
-  /// already-decoded segments keep circulating and must keep verifying.
+  /// Drop a segment's tags. Only for a segment none of whose blocks can
+  /// circulate again: blocks of already-decoded segments keep moving and
+  /// must keep verifying. The simulator calls it once a segment's last
+  /// copy is gone; the live runtime has no such oracle and never does.
   void forget(const coding::SegmentId& id) { tags_.erase(id); }
 
   [[nodiscard]] std::size_t checks() const noexcept { return params_.checks; }

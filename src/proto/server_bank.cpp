@@ -60,6 +60,11 @@ ServerBank::PullResult ServerBank::offer_counted(
   return PullResult::kInnovative;
 }
 
+void ServerBank::forget(const coding::SegmentId& id) {
+  decoders_.erase(id);
+  counters_.erase(id);
+}
+
 std::size_t ServerBank::state(const coding::SegmentId& id) const {
   const auto dit = decoded_.find(id);
   if (dit != decoded_.end()) return dit->second;  // final state: s

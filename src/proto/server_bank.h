@@ -10,7 +10,10 @@
 /// progressive decoder whose rank is the segment's collection state
 /// j ∈ {0..s} of Sec. 3; a pull that does not raise any rank is counted
 /// as redundant. Decoded segments release their decoder and keep a
-/// lightweight completion record.
+/// lightweight completion record. A driver that knows a segment can
+/// never be offered again (its last copy is gone) releases the partial
+/// decoder too, via forget(); without that call partial state lives as
+/// long as the bank.
 ///
 /// Times are plain doubles in the driver's time base (virtual seconds in
 /// the simulator, wheel seconds in the live runtime) — the bank never
@@ -68,7 +71,14 @@ class ServerBank {
   PullResult offer_counted(const coding::SegmentId& id,
                            std::size_t segment_size, double now);
 
-  /// Collection state j of a segment (0 if never seen; s once decoded).
+  /// Drop the partial decoder or state counter of a segment none of
+  /// whose blocks can be offered again. The decoded record and the
+  /// recovered payloads stay, so is_decoded() and originals() keep
+  /// answering; forgetting a decoded or unknown id changes nothing.
+  void forget(const coding::SegmentId& id);
+
+  /// Collection state j of a segment (0 if never seen or forgotten; s
+  /// once decoded).
   [[nodiscard]] std::size_t state(const coding::SegmentId& id) const;
 
   [[nodiscard]] bool is_decoded(const coding::SegmentId& id) const {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <unordered_map>
+#include <unordered_set>
 
 #include "ode/closed_form.h"
 #include "p2p/network.h"
@@ -301,6 +302,87 @@ TEST(Network, GossipSkipsWhenNoEligibleTarget) {
   EXPECT_GT(net.metrics().gossip_no_target +
                 net.metrics().gossip_idle,
             0u);
+  check_structural_invariants(net);
+}
+
+/// Replay adversary under churn, with integrity tags: each dishonest
+/// occupant caches one block and keeps re-emitting it, so a cached
+/// segment can outlive its last honest copy until the occupant departs.
+ProtocolConfig replay_config() {
+  ProtocolConfig cfg = small_config();
+  cfg.num_peers = 40;
+  cfg.segment_size = 4;
+  cfg.buffer_cap = 24;
+  cfg.gamma = 2.0;
+  cfg.payload_bytes = 16;
+  cfg.adversary.dishonest_fraction = 0.3;
+  cfg.adversary.strategy = proto::CorruptionStrategy::kReplay;
+  cfg.adversary.integrity_checks = 2;
+  cfg.churn.enabled = true;
+  cfg.churn.mean_lifetime = 5.0;
+  return cfg;
+}
+
+TEST(Network, ReplayPinKeepsDecoderAndTagsUntilItsSlotDeparts) {
+  Network net{replay_config()};
+  ASSERT_GT(net.dishonest_count(), 0u);
+  const proto::IntegrityAuthority& tags = *net.integrity();
+  // Segments with no live copy but a replay pin at the last checkpoint,
+  // with their server state then.
+  std::unordered_map<coding::SegmentId, std::size_t> pinned_dead;
+  std::size_t released = 0;
+  std::size_t kept_decoders = 0;
+  std::uint64_t departed = 0;
+  for (double t = 0.05; t <= 20.0; t += 0.05) {
+    net.run_until(t);
+    const bool someone_departed = net.metrics().peers_departed > departed;
+    departed = net.metrics().peers_departed;
+    std::unordered_map<coding::SegmentId, std::size_t> now_pinned_dead;
+    for (const auto& [id, info] : net.segment_registry()) {
+      const auto pit = pinned_dead.find(id);
+      if (info.resolved) {
+        ASSERT_EQ(info.degree, 0u) << id.to_string();
+        ASSERT_EQ(info.replay_pins, 0u) << id.to_string();
+        ASSERT_FALSE(tags.known(id)) << id.to_string();
+        if (!info.decoded) ASSERT_EQ(net.servers().state(id), 0u);
+        if (pit != pinned_dead.end()) {
+          // Only a departure empties a replay cache.
+          ASSERT_TRUE(someone_departed) << id.to_string();
+          ++released;
+        }
+      } else if (info.degree == 0) {
+        ASSERT_GT(info.replay_pins, 0u) << id.to_string();
+        ASSERT_TRUE(tags.known(id)) << id.to_string();
+        const std::size_t state = net.servers().state(id);
+        if (pit != pinned_dead.end()) {
+          ASSERT_GE(state, pit->second) << id.to_string();
+          if (state > 0 && !info.decoded) ++kept_decoders;
+        }
+        now_pinned_dead.emplace(id, state);
+      }
+    }
+    pinned_dead = std::move(now_pinned_dead);
+  }
+  EXPECT_GT(released, 0u);
+  EXPECT_GT(kept_decoders, 0u);
+  EXPECT_GT(net.metrics().segments_resolved, 0u);
+  check_structural_invariants(net);
+}
+
+TEST(Network, ReplayPinSurvivesRegistryCompaction) {
+  Network net{replay_config()};
+  net.run_until(10.0);
+  std::unordered_set<coding::SegmentId> pinned;
+  for (const auto& [id, info] : net.segment_registry()) {
+    if (info.replay_pins > 0) pinned.insert(id);
+  }
+  ASSERT_FALSE(pinned.empty());
+  EXPECT_GT(net.compact_registry(), 0u);
+  for (const auto& id : pinned) {
+    EXPECT_TRUE(net.segment_registry().contains(id)) << id.to_string();
+  }
+  // Replays of the pinned segments keep landing and must find them.
+  EXPECT_NO_THROW(net.run_until(20.0));
   check_structural_invariants(net);
 }
 

@@ -17,6 +17,7 @@
 #include "core/config_args.h"
 #include "core/report.h"
 #include "p2p/direct_collector.h"
+#include "p2p/network.h"
 #include "p2p/network_telemetry.h"
 
 namespace {
@@ -152,6 +153,38 @@ TEST(Telemetry, DirectCollectorMetricsRegister) {
   dc.run_until(3.0);
   ASSERT_TRUE(reg.contains("direct.blocks_generated"));
   EXPECT_GT(reg.find_gauge("direct.blocks_generated")->value(), 0.0);
+}
+
+TEST(Telemetry, NetworkStateSizeGauges) {
+  icollect::p2p::ProtocolConfig cfg = small_config();
+  cfg.payload_bytes = 16;
+  cfg.adversary.integrity_checks = 2;
+  icollect::p2p::Network net{cfg};
+  icollect::obs::MetricsRegistry reg;
+  icollect::p2p::register_network_metrics(reg, net);
+  net.run_until(6.0);
+  // A missing gauge reads -1, which no size or count can equal.
+  const auto gauge = [&reg](const char* name) {
+    return reg.contains(name) ? reg.find_gauge(name)->value() : -1.0;
+  };
+  const double registry = gauge("net.registry_segments");
+  const double resolved = gauge("net.segments_resolved");
+  const double tags = gauge("net.integrity_tags");
+  EXPECT_EQ(registry, static_cast<double>(net.segment_registry().size()));
+  EXPECT_EQ(resolved, static_cast<double>(net.metrics().segments_resolved));
+  EXPECT_EQ(tags, static_cast<double>(net.integrity()->segments()));
+  EXPECT_GT(resolved, 0.0);
+  // With no adversary every unresolved segment keeps its tags and every
+  // resolved one has dropped them.
+  EXPECT_EQ(tags, registry - resolved);
+
+  // No authority, no tags.
+  icollect::p2p::Network plain{small_config()};
+  icollect::obs::MetricsRegistry plain_reg;
+  icollect::p2p::register_network_metrics(plain_reg, plain);
+  plain.run_until(1.0);
+  ASSERT_TRUE(plain_reg.contains("net.integrity_tags"));
+  EXPECT_EQ(plain_reg.find_gauge("net.integrity_tags")->value(), 0.0);
 }
 
 }  // namespace

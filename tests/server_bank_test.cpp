@@ -115,6 +115,57 @@ TEST(ServerBank, TracksManySegmentsIndependently) {
   EXPECT_EQ(bank.state({99, 0}), 0u);  // never seen
 }
 
+TEST(ServerBank, ForgetReleasesPartialDecoder) {
+  common::Rng rng{86};
+  const coding::SegmentId id{6, 0};
+  const coding::SegmentEncoder enc{id, originals(4, 8, rng)};
+  ServerBank bank;
+  ASSERT_EQ(bank.offer(enc.encode(rng), 0.0),
+            ServerBank::PullResult::kInnovative);
+  ASSERT_EQ(bank.segments_in_progress(), 1u);
+  ASSERT_EQ(bank.state(id), 1u);
+  bank.forget(id);
+  EXPECT_EQ(bank.segments_in_progress(), 0u);
+  EXPECT_EQ(bank.state(id), 0u);
+  EXPECT_FALSE(bank.is_decoded(id));
+  EXPECT_EQ(bank.pulls(), 1u);  // lifetime counters are history, not state
+  EXPECT_EQ(bank.innovative_pulls(), 1u);
+}
+
+TEST(ServerBank, ForgetReleasesStateCounter) {
+  ServerBank bank;
+  (void)bank.offer_counted({7, 0}, 5, 0.0);
+  (void)bank.offer_counted({7, 0}, 5, 0.1);
+  (void)bank.offer_counted({7, 1}, 5, 0.2);
+  ASSERT_EQ(bank.segments_in_progress(), 2u);
+  bank.forget({7, 0});
+  EXPECT_EQ(bank.segments_in_progress(), 1u);
+  EXPECT_EQ(bank.state({7, 0}), 0u);
+  EXPECT_EQ(bank.state({7, 1}), 1u);
+}
+
+TEST(ServerBank, ForgetDecodedOrUnknownChangesNothing) {
+  common::Rng rng{87};
+  const coding::SegmentId id{8, 0};
+  const auto orig = originals(3, 8, rng);
+  const coding::SegmentEncoder enc{id, orig};
+  ServerBank bank{/*keep_payloads=*/true};
+  while (!bank.is_decoded(id)) (void)bank.offer(enc.encode(rng), 0.0);
+  (void)bank.offer_counted({9, 0}, 4, 0.0);
+  const std::uint64_t pulls = bank.pulls();
+
+  bank.forget(id);       // decoded
+  bank.forget({99, 0});  // never seen
+  EXPECT_TRUE(bank.is_decoded(id));
+  EXPECT_EQ(bank.state(id), 3u);
+  ASSERT_NE(bank.originals(id), nullptr);
+  EXPECT_EQ(*bank.originals(id), orig);
+  EXPECT_EQ(bank.segments_decoded(), 1u);
+  EXPECT_EQ(bank.segments_in_progress(), 1u);
+  EXPECT_EQ(bank.state({9, 0}), 1u);
+  EXPECT_EQ(bank.pulls(), pulls);
+}
+
 TEST(ServerBank, DiscardPayloadsMode) {
   common::Rng rng{85};
   const coding::SegmentId id{5, 0};
