@@ -132,6 +132,7 @@ def check_cli_errors(loadgen_bin):
     cases = [
         ([loadgen_bin], "missing --target"),
         ([loadgen_bin, "--target", "nonsense"], "unparseable target"),
+        ([loadgen_bin, "--target", "127.0.0.1:1x"], "trailing port garbage"),
         ([loadgen_bin, "--target", "127.0.0.1:1", "--peers", "0"],
          "zero peers"),
         ([loadgen_bin, "--target", "127.0.0.1:1", "--bogus"],

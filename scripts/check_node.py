@@ -11,7 +11,8 @@ Three layers of checks:
      127.0.0.1 must finish a collection — every peer exits 0 once all
      its segments are ACKed, the server exits 0 once it decoded them.
   3. CLI contract: malformed invocations (unknown flag, missing role,
-     no endpoints) must exit nonzero with a usage message, not start.
+     no endpoints, malformed numbers, impossible cluster shapes) must
+     exit 2 with a diagnostic, not start or abort.
 
 Usage: check_node.py /path/to/icollect_cluster /path/to/icollect_node
 Exits nonzero with a message on the first failed check.
@@ -148,6 +149,10 @@ def check_cli_errors(cluster_bin, node_bin):
         ([cluster_bin, "--bogus-flag"], "unknown cluster flag"),
         ([cluster_bin, "--peers"], "missing cluster flag value"),
         ([cluster_bin, "--segments-per-peer", "0"], "zero budget"),
+        ([cluster_bin, "--peers", "abc"], "non-numeric peer count"),
+        ([cluster_bin, "--peers", "8x"], "trailing garbage in peer count"),
+        ([cluster_bin, "--peers", "1"], "single-peer cluster"),
+        ([cluster_bin, "--servers", "0"], "serverless cluster"),
         ([node_bin], "missing role"),
         ([node_bin, "--role", "superserver"], "bad role"),
         ([node_bin, "--role", "peer"], "no endpoints"),
@@ -157,7 +162,8 @@ def check_cli_errors(cluster_bin, node_bin):
     for cmd, what in cases:
         proc = subprocess.run(cmd, capture_output=True, text=True,
                               timeout=60)
-        check(proc.returncode != 0, f"{what}: expected nonzero exit")
+        check(proc.returncode == 2,
+              f"{what}: expected exit 2, got {proc.returncode}")
         check(proc.stderr.strip() != "",
               f"{what}: expected a diagnostic on stderr")
     print(f"check_node: CLI rejects {len(cases)} malformed invocations")

@@ -1,7 +1,6 @@
 #include "core/config_args.h"
 
-#include <charconv>
-#include <stdexcept>
+#include <algorithm>
 #include <vector>
 
 #include "gf/kernels.h"
@@ -9,137 +8,74 @@
 
 namespace icollect {
 
-namespace {
-
-[[noreturn]] void bad(const std::string& what) {
-  throw std::invalid_argument("config args: " + what);
+ConfigKeys::ConfigKeys(cli::Flags& flags, p2p::ProtocolConfig& cfg)
+    : cfg_{cfg} {
+  using p2p::CollectionFidelity;
+  using p2p::GossipPolicy;
+  using p2p::LifetimeDistribution;
+  using p2p::TopologyKind;
+  flags.add("peers", "N", "number of peers", cfg.num_peers)
+      .add("lambda", "X", "per-peer block injection rate", cfg.lambda)
+      .add("s", "N", "blocks per segment", cfg.segment_size)
+      .add("mu", "X", "per-peer gossip rate", cfg.mu)
+      .add("gamma", "X", "per-block TTL expiry rate", cfg.gamma)
+      .add("buffer", "N", "peer buffer capacity B", cfg.buffer_cap)
+      .add("servers", "N", "number of servers", cfg.num_servers)
+      .add("c", "X", "normalized server capacity (sets server_rate)",
+           capacity_)
+      .add("server_rate", "X", "pulls per unit time per server",
+           cfg.server_rate)
+      .add("payload", "N", "payload bytes per block (0 = coefficients only)",
+           cfg.payload_bytes)
+      .add("seed", "N", "root seed", cfg.seed)
+      .add("degree", "N", "mean degree of a non-complete topology",
+           cfg.mean_degree)
+      .add("churn", "E[L]", "mean peer lifetime (0 = no churn)", churn_)
+      .choice("lifetimes", "peer lifetime distribution",
+              cfg.churn.distribution,
+              {{"exponential", LifetimeDistribution::kExponential},
+               {"pareto", LifetimeDistribution::kPareto}})
+      .add("pareto_shape", "A", "Pareto lifetime shape (> 1)",
+           cfg.churn.pareto_shape)
+      .choice("topology", "overlay topology", cfg.topology,
+              {{"complete", TopologyKind::kComplete},
+               {"erdos-renyi", TopologyKind::kErdosRenyi},
+               {"random-regular", TopologyKind::kRandomRegular}})
+      .choice("fidelity", "server collection model", cfg.fidelity,
+              {{"real-coding", CollectionFidelity::kRealCoding},
+               {"state-counter", CollectionFidelity::kStateCounter}})
+      .parsed("pull", "non-empty|all|rarest|deficit",
+              "server pull scheduling (uniform = non-empty; rarest and\n"
+              "deficit accept the -first/-weighted long forms too)",
+              cfg.pull_policy, p2p::parse_pull_policy)
+      .choice("gossip", "gossip segment selection", cfg.gossip_policy,
+              {{"uniform", GossipPolicy::kUniformSegment},
+               {"newest", GossipPolicy::kNewestFirst},
+               {"rarest", GossipPolicy::kRarestFirst}})
+      .add("loss", "P", "gossip transit drop probability", cfg.gossip_loss);
 }
 
-double parse_double(std::string_view key, std::string_view value) {
-  double out{};
-  const auto [ptr, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), out);
-  if (ec != std::errc{} || ptr != value.data() + value.size()) {
-    bad("bad numeric value for '" + std::string(key) + "': '" +
-        std::string(value) + "'");
+void ConfigKeys::finish() {
+  if (churn_) {
+    cfg_.churn.enabled = *churn_ > 0.0;
+    cfg_.churn.mean_lifetime = *churn_;
   }
-  return out;
+  if (capacity_) cfg_.set_normalized_capacity(*capacity_);
+  cfg_.validate();
 }
-
-std::size_t parse_size(std::string_view key, std::string_view value) {
-  std::size_t out{};
-  const auto [ptr, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), out);
-  if (ec != std::errc{} || ptr != value.data() + value.size()) {
-    bad("bad integer value for '" + std::string(key) + "': '" +
-        std::string(value) + "'");
-  }
-  return out;
-}
-
-}  // namespace
 
 void apply_config_args(p2p::ProtocolConfig& cfg,
                        std::span<const std::string_view> args) {
-  for (const std::string_view arg : args) {
-    const auto eq = arg.find('=');
-    if (eq == std::string_view::npos || eq == 0) {
-      bad("expected key=value, got '" + std::string(arg) + "'");
-    }
-    const std::string_view key = arg.substr(0, eq);
-    const std::string_view value = arg.substr(eq + 1);
-    if (key == "peers") {
-      cfg.num_peers = parse_size(key, value);
-    } else if (key == "lambda") {
-      cfg.lambda = parse_double(key, value);
-    } else if (key == "s") {
-      cfg.segment_size = parse_size(key, value);
-    } else if (key == "mu") {
-      cfg.mu = parse_double(key, value);
-    } else if (key == "gamma") {
-      cfg.gamma = parse_double(key, value);
-    } else if (key == "buffer") {
-      cfg.buffer_cap = parse_size(key, value);
-    } else if (key == "servers") {
-      cfg.num_servers = parse_size(key, value);
-    } else if (key == "c") {
-      cfg.set_normalized_capacity(parse_double(key, value));
-    } else if (key == "server_rate") {
-      cfg.server_rate = parse_double(key, value);
-    } else if (key == "payload") {
-      cfg.payload_bytes = parse_size(key, value);
-    } else if (key == "seed") {
-      cfg.seed = parse_size(key, value);
-    } else if (key == "degree") {
-      cfg.mean_degree = parse_size(key, value);
-    } else if (key == "churn") {
-      const double lifetime = parse_double(key, value);
-      cfg.churn.enabled = lifetime > 0.0;
-      cfg.churn.mean_lifetime = lifetime;
-    } else if (key == "topology") {
-      if (value == "complete") {
-        cfg.topology = p2p::TopologyKind::kComplete;
-      } else if (value == "erdos-renyi") {
-        cfg.topology = p2p::TopologyKind::kErdosRenyi;
-      } else if (value == "random-regular") {
-        cfg.topology = p2p::TopologyKind::kRandomRegular;
-      } else {
-        bad("unknown topology '" + std::string(value) + "'");
-      }
-    } else if (key == "lifetimes") {
-      if (value == "exponential") {
-        cfg.churn.distribution = p2p::LifetimeDistribution::kExponential;
-      } else if (value == "pareto") {
-        cfg.churn.distribution = p2p::LifetimeDistribution::kPareto;
-      } else {
-        bad("unknown lifetime distribution '" + std::string(value) + "'");
-      }
-    } else if (key == "pareto_shape") {
-      cfg.churn.pareto_shape = parse_double(key, value);
-    } else if (key == "loss") {
-      cfg.gossip_loss = parse_double(key, value);
-    } else if (key == "gossip") {
-      if (value == "uniform") {
-        cfg.gossip_policy = p2p::GossipPolicy::kUniformSegment;
-      } else if (value == "newest") {
-        cfg.gossip_policy = p2p::GossipPolicy::kNewestFirst;
-      } else if (value == "rarest") {
-        cfg.gossip_policy = p2p::GossipPolicy::kRarestFirst;
-      } else {
-        bad("unknown gossip policy '" + std::string(value) + "'");
-      }
-    } else if (key == "pull") {
-      if (value == "non-empty" || value == "uniform") {
-        cfg.pull_policy = p2p::PullPolicy::kUniformNonEmpty;
-      } else if (value == "all") {
-        cfg.pull_policy = p2p::PullPolicy::kUniformAll;
-      } else if (value == "rarest" || value == "rarest-first") {
-        cfg.pull_policy = p2p::PullPolicy::kRarestFirst;
-      } else if (value == "deficit" || value == "deficit-weighted") {
-        cfg.pull_policy = p2p::PullPolicy::kDeficitWeighted;
-      } else {
-        bad("unknown pull policy '" + std::string(value) + "'");
-      }
-    } else if (key == "fidelity") {
-      if (value == "real-coding") {
-        cfg.fidelity = p2p::CollectionFidelity::kRealCoding;
-      } else if (value == "state-counter") {
-        cfg.fidelity = p2p::CollectionFidelity::kStateCounter;
-      } else {
-        bad("unknown fidelity '" + std::string(value) + "'");
-      }
-    } else {
-      bad("unknown key '" + std::string(key) + "'");
-    }
-  }
-  cfg.validate();
+  cli::Flags flags;
+  ConfigKeys keys{flags, cfg};
+  flags.parse(args);
+  keys.finish();
 }
 
 p2p::ProtocolConfig parse_config_args(int argc, const char* const* argv) {
   p2p::ProtocolConfig cfg;
-  std::vector<std::string_view> args;
-  args.reserve(static_cast<std::size_t>(argc > 1 ? argc - 1 : 0));
-  for (int i = 1; i < argc; ++i) args.emplace_back(argv[i]);
+  const std::vector<std::string_view> args(argv + std::min(argc, 1),
+                                           argv + argc);
   apply_config_args(cfg, args);
   return cfg;
 }
@@ -204,13 +140,13 @@ std::string config_json(const p2p::ProtocolConfig& cfg) {
 }
 
 const char* config_args_help() noexcept {
-  return "  peers=N lambda=X s=N mu=X gamma=X buffer=N servers=N c=X\n"
-         "  server_rate=X payload=N seed=N degree=N churn=E[L] (0=off)\n"
-         "  lifetimes=exponential|pareto pareto_shape=A (>1)\n"
-         "  topology=complete|erdos-renyi|random-regular\n"
-         "  fidelity=real-coding|state-counter\n"
-         "  pull=non-empty|all|rarest|deficit (server pull scheduling)\n"
-         "  gossip=uniform|newest|rarest loss=P (transit drop prob)\n";
+  static const std::string text = [] {
+    cli::Flags flags;
+    p2p::ProtocolConfig cfg;
+    const ConfigKeys keys{flags, cfg};
+    return flags.table();
+  }();
+  return text.c_str();
 }
 
 }  // namespace icollect

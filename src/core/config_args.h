@@ -1,30 +1,40 @@
 #pragma once
 
 /// \file config_args.h
-/// key=value command-line parsing into ProtocolConfig, shared by the CLI
-/// driver (tools/icollect_sim) and any downstream embedding that wants
-/// string-driven configuration.
-///
-/// Recognized keys (all optional; unknown keys throw):
-///   peers=N            lambda=X      s=N          mu=X         gamma=X
-///   buffer=N           servers=N     c=X (normalized capacity)
-///   server_rate=X      payload=N     seed=N
-///   topology=complete|erdos-renyi|random-regular   degree=N
-///   churn=X            (mean lifetime; 0 disables)
-///   lifetimes=exponential|pareto   pareto_shape=A (> 1)
-///   fidelity=real-coding|state-counter
-///   pull=non-empty|all|rarest|deficit (server pull scheduling; rarest
-///        and deficit accept the -first/-weighted long forms too)
+/// The protocol's key=value vocabulary: one cli::Flags row per
+/// ProtocolConfig key, shared by the CLI drivers (tools/icollect_sim,
+/// tools/icollect_sweep) and any downstream embedding that wants
+/// string-driven configuration. The keys and their values are listed by
+/// config_args_help(), which renders the same rows.
 ///
 /// Values are validated by ProtocolConfig::validate() after parsing.
 
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
 
+#include "common/cli.h"
 #include "p2p/config.h"
 
 namespace icollect {
+
+/// Declares the protocol keys as rows of a cli::Flags table bound to
+/// `cfg`. The table must not outlive this object. After parsing, call
+/// finish(): it applies c= (which depends on the final peers= and
+/// servers=, whatever the key order) and churn=, then validates.
+class ConfigKeys {
+ public:
+  ConfigKeys(cli::Flags& flags, p2p::ProtocolConfig& cfg);
+
+  /// Throws std::invalid_argument on an inconsistent configuration.
+  void finish();
+
+ private:
+  p2p::ProtocolConfig& cfg_;
+  std::optional<double> capacity_;
+  std::optional<double> churn_;
+};
 
 /// Parse `key=value` tokens into `cfg` (later tokens win). Throws
 /// std::invalid_argument on malformed tokens, unknown keys, bad values,

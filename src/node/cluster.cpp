@@ -18,12 +18,7 @@ constexpr std::uint32_t kServerIdBase = 0x80000000U;
 LoopbackCluster::LoopbackCluster(const ClusterConfig& cfg,
                                  obs::MetricsRegistry* metrics)
     : cfg_{cfg}, net_{cfg.net} {
-  ICOLLECT_EXPECTS(cfg.num_peers >= 2);
-  ICOLLECT_EXPECTS(cfg.num_servers >= 1);
-  ICOLLECT_EXPECTS(cfg.dishonest_fraction >= 0.0 &&
-                   cfg.dishonest_fraction <= 1.0);
-  // Integrity checks are over payload bytes; with none they are vacuous.
-  ICOLLECT_EXPECTS(cfg.integrity_checks == 0 || cfg.payload_bytes > 0);
+  cfg.validate();
 
   dishonest_count_ = static_cast<std::size_t>(
       static_cast<double>(cfg.num_peers) * cfg.dishonest_fraction);

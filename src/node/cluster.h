@@ -18,6 +18,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -85,6 +87,22 @@ struct ClusterConfig {
   [[nodiscard]] double normalized_capacity() const noexcept {
     return server_rate * static_cast<double>(num_servers) /
            static_cast<double>(num_peers);
+  }
+
+  /// Throw std::invalid_argument on a shape the cluster cannot run.
+  void validate() const {
+    auto fail = [](const std::string& what) {
+      throw std::invalid_argument("ClusterConfig: " + what);
+    };
+    if (num_peers < 2) fail("need at least 2 peers");
+    if (num_servers == 0) fail("need at least one server");
+    if (dishonest_fraction < 0.0 || dishonest_fraction > 1.0) {
+      fail("dishonest fraction must be in [0, 1]");
+    }
+    // Integrity checks are over payload bytes; with none they are vacuous.
+    if (integrity_checks > 0 && payload_bytes == 0) {
+      fail("integrity checks need payload bytes > 0");
+    }
   }
 };
 

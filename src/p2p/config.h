@@ -6,8 +6,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "proto/adversary.h"
 #include "proto/policy.h"
@@ -93,6 +95,25 @@ enum class PullPolicy {
       return proto::PullPolicyKind::kDeficitWeighted;
   }
   return proto::PullPolicyKind::kUniform;
+}
+
+/// Parse a simulator pull-policy name: the proto names ("uniform" is
+/// the paper's non-empty rule) plus "non-empty" and "all" for the two
+/// uniform variants. The one name table behind both the `pull=` key and
+/// icollect_sim's --pull-policy; nullopt on unknown names.
+[[nodiscard]] inline std::optional<PullPolicy> parse_pull_policy(
+    std::string_view name) noexcept {
+  if (name == "non-empty") return PullPolicy::kUniformNonEmpty;
+  if (name == "all") return PullPolicy::kUniformAll;
+  const auto kind = proto::parse_pull_policy_kind(name);
+  if (!kind) return std::nullopt;
+  switch (*kind) {
+    case proto::PullPolicyKind::kUniform: return PullPolicy::kUniformNonEmpty;
+    case proto::PullPolicyKind::kRarestFirst: return PullPolicy::kRarestFirst;
+    case proto::PullPolicyKind::kDeficitWeighted:
+      return PullPolicy::kDeficitWeighted;
+  }
+  return std::nullopt;
 }
 
 /// GossipPolicy — how a gossiping peer picks which buffered segment to

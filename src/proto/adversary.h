@@ -25,9 +25,6 @@
 /// NodeConfig and the scenario parser all name the same enum.
 
 #include <cstdint>
-#include <stdexcept>
-#include <string>
-#include <string_view>
 
 namespace icollect::proto {
 
@@ -45,18 +42,6 @@ enum class CorruptionStrategy : std::uint8_t {
     case CorruptionStrategy::kReplay: return "replay";
   }
   return "?";
-}
-
-[[nodiscard]] inline CorruptionStrategy parse_corruption_strategy(
-    std::string_view name) {
-  if (name == "random-payload") return CorruptionStrategy::kRandomPayload;
-  if (name == "garbage-coefficients") {
-    return CorruptionStrategy::kGarbageCoefficients;
-  }
-  if (name == "replay") return CorruptionStrategy::kReplay;
-  throw std::invalid_argument(
-      "unknown corruption strategy '" + std::string{name} +
-      "' (choices: random-payload|garbage-coefficients|replay)");
 }
 
 }  // namespace icollect::proto

@@ -68,17 +68,44 @@ const stats::Summary& AggregateReport::metric(std::string_view name) const {
                           std::string{name} + "'");
 }
 
+std::string summary_json(const stats::Summary& s) {
+  obs::JsonObject o;
+  o.field("mean", s.mean())
+      .field("stddev", s.stddev())
+      .field("ci95", ci95_half_width(s))
+      .field("min", s.min())
+      .field("max", s.max());
+  return o.str();
+}
+
+void MetricTable::add(std::string_view name, double value) {
+  for (auto& [n, s] : rows_) {
+    if (n == name) {
+      s.add(value);
+      return;
+    }
+  }
+  rows_.emplace_back(std::string{name}, stats::Summary{});
+  rows_.back().second.add(value);
+}
+
+const stats::Summary* MetricTable::find(std::string_view name) const {
+  for (const auto& [n, s] : rows_) {
+    if (n == name) return &s;
+  }
+  return nullptr;
+}
+
+std::string MetricTable::to_json() const {
+  obs::JsonObject o;
+  for (const auto& [n, s] : rows_) o.field_raw(n, summary_json(s));
+  return o.str();
+}
+
 std::string AggregateReport::to_json() const {
   obs::JsonObject metrics;
   for (std::size_t i = 0; i < kMetricCount; ++i) {
-    const auto& s = metrics_[i];
-    obs::JsonObject one;
-    one.field("mean", s.mean())
-        .field("stddev", s.stddev())
-        .field("ci95", ci95_half_width(s))
-        .field("min", s.min())
-        .field("max", s.max());
-    metrics.field_raw(kReportMetricNames[i], one.str());
+    metrics.field_raw(kReportMetricNames[i], summary_json(metrics_[i]));
   }
   obs::JsonObject out;
   out.field("replicas", replicas()).field_raw("metrics", metrics.str());

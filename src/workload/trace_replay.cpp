@@ -3,8 +3,11 @@
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "common/assert.h"
+#include "common/cli.h"
 
 namespace icollect::workload {
 
@@ -42,116 +45,57 @@ double TraceReplayProfile::rate(double t) const {
   return r;
 }
 
-namespace {
-
-double parse_double(std::string_view key, std::string_view value) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(std::string{value}, &pos);
-    if (pos != value.size()) throw std::invalid_argument("trailing junk");
-    return v;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("scenario: bad number for '" +
-                                std::string{key} + "': '" +
-                                std::string{value} + "'");
-  }
-}
-
-std::size_t parse_count(std::string_view key, std::string_view value) {
-  const double v = parse_double(key, value);
-  if (v < 0.0 || v != std::floor(v)) {
-    throw std::invalid_argument("scenario: '" + std::string{key} +
-                                "' must be a non-negative integer");
-  }
-  return static_cast<std::size_t>(v);
-}
-
-[[noreturn]] void unknown_key(const char* cls, std::string_view key) {
-  throw std::invalid_argument("scenario: unknown key '" + std::string{key} +
-                              "' for class '" + cls + "'");
-}
-
-}  // namespace
-
 ScenarioSpec ScenarioSpec::parse(std::string_view text) {
+  using proto::CorruptionStrategy;
   ScenarioSpec spec;
   const std::size_t colon = text.find(':');
-  const std::string_view cls =
-      colon == std::string_view::npos ? text : text.substr(0, colon);
+  const std::string_view cls = text.substr(0, colon);
+  cli::Flags keys;
   if (cls == "byzantine") {
     spec.kind = Kind::kByzantine;
+    keys.add("fraction", "F", "", spec.dishonest_fraction)
+        .choice("strategy", "", spec.strategy,
+                {{"random-payload", CorruptionStrategy::kRandomPayload},
+                 {"garbage-coefficients",
+                  CorruptionStrategy::kGarbageCoefficients},
+                 {"replay", CorruptionStrategy::kReplay}})
+        .add("checks", "K", "", spec.integrity_checks);
   } else if (cls == "faults") {
     spec.kind = Kind::kFaults;
+    keys.add("fraction", "F", "", spec.partition_fraction)
+        .add("at", "T", "", spec.partition_at)
+        .add("heal", "T", "", spec.heal_at)
+        .add("drain", "R", "", spec.drain_bytes_per_sec);
   } else if (cls == "trace") {
     spec.kind = Kind::kTrace;
+    keys.add("amplitude", "A", "", spec.diurnal_amplitude)
+        .add("period", "T", "", spec.diurnal_period)
+        .add("burst", "X", "", spec.burst_multiplier)
+        .add("burst-at", "T", "", spec.burst_at)
+        .add("burst-len", "T", "", spec.burst_len)
+        .add("sigma", "S", "", spec.lognormal_sigma)
+        .add("lifetime", "T", "", spec.mean_lifetime);
   } else {
     throw std::invalid_argument("scenario: unknown class '" +
                                 std::string{cls} +
                                 "' (choices: byzantine|faults|trace)");
   }
 
-  std::string_view rest =
-      colon == std::string_view::npos ? std::string_view{} :
-                                        text.substr(colon + 1);
+  std::vector<std::string_view> pairs;
+  std::string_view rest = colon == std::string_view::npos
+                              ? std::string_view{}
+                              : text.substr(colon + 1);
   while (!rest.empty()) {
     const std::size_t comma = rest.find(',');
-    const std::string_view pair =
-        comma == std::string_view::npos ? rest : rest.substr(0, comma);
+    if (comma != 0) pairs.push_back(rest.substr(0, comma));
     rest = comma == std::string_view::npos ? std::string_view{}
                                            : rest.substr(comma + 1);
-    if (pair.empty()) continue;
-    const std::size_t eq = pair.find('=');
-    if (eq == std::string_view::npos) {
-      throw std::invalid_argument("scenario: expected key=value, got '" +
-                                  std::string{pair} + "'");
-    }
-    const std::string_view key = pair.substr(0, eq);
-    const std::string_view value = pair.substr(eq + 1);
-    switch (spec.kind) {
-      case Kind::kByzantine:
-        if (key == "fraction") {
-          spec.dishonest_fraction = parse_double(key, value);
-        } else if (key == "strategy") {
-          spec.strategy = proto::parse_corruption_strategy(value);
-        } else if (key == "checks") {
-          spec.integrity_checks = parse_count(key, value);
-        } else {
-          unknown_key("byzantine", key);
-        }
-        break;
-      case Kind::kFaults:
-        if (key == "fraction") {
-          spec.partition_fraction = parse_double(key, value);
-        } else if (key == "at") {
-          spec.partition_at = parse_double(key, value);
-        } else if (key == "heal") {
-          spec.heal_at = parse_double(key, value);
-        } else if (key == "drain") {
-          spec.drain_bytes_per_sec = parse_double(key, value);
-        } else {
-          unknown_key("faults", key);
-        }
-        break;
-      case Kind::kTrace:
-        if (key == "amplitude") {
-          spec.diurnal_amplitude = parse_double(key, value);
-        } else if (key == "period") {
-          spec.diurnal_period = parse_double(key, value);
-        } else if (key == "burst") {
-          spec.burst_multiplier = parse_double(key, value);
-        } else if (key == "burst-at") {
-          spec.burst_at = parse_double(key, value);
-        } else if (key == "burst-len") {
-          spec.burst_len = parse_double(key, value);
-        } else if (key == "sigma") {
-          spec.lognormal_sigma = parse_double(key, value);
-        } else if (key == "lifetime") {
-          spec.mean_lifetime = parse_double(key, value);
-        } else {
-          unknown_key("trace", key);
-        }
-        break;
-    }
+  }
+  try {
+    keys.parse(pairs);
+  } catch (const cli::UsageError& e) {
+    throw std::invalid_argument("scenario " + std::string{cls} + ": " +
+                                e.what());
   }
 
   // Range checks after all keys land, so order never matters.

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "core/config_args.h"
 
@@ -64,12 +66,24 @@ TEST(ConfigArgs, ChurnZeroDisables) {
 }
 
 TEST(ConfigArgs, CapacityAfterPeersOrderMatters) {
-  // c= computes server_rate from the *current* peer count, so peers
-  // must come first for the intended normalized capacity.
   p2p::ProtocolConfig cfg;
   auto a = args({"peers=400", "c=5"});
   apply_config_args(cfg, a);
   EXPECT_NEAR(cfg.normalized_capacity(), 5.0, 1e-12);
+}
+
+// c= sets server_rate from the final peers= and servers=, so the key
+// order cannot change the configuration.
+TEST(ConfigArgs, CapacityIsIndependentOfKeyOrder) {
+  p2p::ProtocolConfig before;
+  p2p::ProtocolConfig after;
+  const auto c_first = args({"c=3", "peers=1000", "servers=5"});
+  const auto c_last = args({"peers=1000", "servers=5", "c=3"});
+  apply_config_args(before, c_first);
+  apply_config_args(after, c_last);
+  EXPECT_NEAR(before.normalized_capacity(), 3.0, 1e-12);
+  EXPECT_DOUBLE_EQ(before.server_rate, after.server_rate);
+  EXPECT_EQ(config_json(before), config_json(after));
 }
 
 TEST(ConfigArgs, MalformedTokensRejected) {
@@ -174,6 +188,38 @@ TEST(ConfigArgs, DescribeMentionsKeyFields) {
 TEST(ConfigArgs, HelpTextIsNonEmpty) {
   EXPECT_NE(config_args_help(), nullptr);
   EXPECT_GT(std::string_view{config_args_help()}.size(), 50u);
+}
+
+TEST(ConfigArgs, HelpNamesEveryKey) {
+  const std::string_view help{config_args_help()};
+  for (const char* key :
+       {"peers=", "lambda=", "s=", "mu=", "gamma=", "buffer=", "servers=",
+        "c=", "server_rate=", "payload=", "seed=", "degree=", "churn=",
+        "lifetimes=", "pareto_shape=", "topology=", "fidelity=", "pull=",
+        "gossip=", "loss="}) {
+    EXPECT_NE(help.find(std::string{"  "} + key), std::string_view::npos)
+        << key;
+  }
+}
+
+TEST(ConfigArgs, PullKeyAcceptsEveryPolicyName) {
+  const std::pair<const char*, p2p::PullPolicy> cases[] = {
+      {"pull=non-empty", p2p::PullPolicy::kUniformNonEmpty},
+      {"pull=uniform", p2p::PullPolicy::kUniformNonEmpty},
+      {"pull=all", p2p::PullPolicy::kUniformAll},
+      {"pull=rarest", p2p::PullPolicy::kRarestFirst},
+      {"pull=rarest-first", p2p::PullPolicy::kRarestFirst},
+      {"pull=deficit", p2p::PullPolicy::kDeficitWeighted},
+      {"pull=deficit-weighted", p2p::PullPolicy::kDeficitWeighted}};
+  for (const auto& [token, policy] : cases) {
+    p2p::ProtocolConfig cfg;
+    const auto a = args({token});
+    apply_config_args(cfg, a);
+    EXPECT_EQ(cfg.pull_policy, policy) << token;
+  }
+  p2p::ProtocolConfig cfg;
+  const auto bad = args({"pull=round-robin"});
+  EXPECT_THROW(apply_config_args(cfg, bad), std::invalid_argument);
 }
 
 }  // namespace

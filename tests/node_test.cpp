@@ -10,6 +10,7 @@
 #include <array>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "common/crc32.h"
@@ -57,6 +58,29 @@ TEST(NodeCluster, CollectsEverySegmentAtEveryServer) {
   // Collaborating servers need at least s innovative blocks per segment
   // pooled across pulls and forwarding.
   EXPECT_GE(cluster.innovative_pulls(), injected * 4U);
+}
+
+TEST(NodeCluster, RejectsShapesItCannotRun) {
+  const auto shape = [](auto edit) {
+    ClusterConfig cfg = small_cluster_config();
+    edit(cfg);
+    return cfg;
+  };
+  const ClusterConfig bad[] = {
+      shape([](ClusterConfig& c) { c.num_peers = 1; }),
+      shape([](ClusterConfig& c) { c.num_servers = 0; }),
+      shape([](ClusterConfig& c) { c.dishonest_fraction = 1.5; }),
+      shape([](ClusterConfig& c) { c.dishonest_fraction = -0.1; }),
+      shape([](ClusterConfig& c) {
+        c.integrity_checks = 2;
+        c.payload_bytes = 0;
+      }),
+  };
+  for (const ClusterConfig& cfg : bad) {
+    EXPECT_THROW(cfg.validate(), std::invalid_argument);
+    EXPECT_THROW(LoopbackCluster{cfg}, std::invalid_argument);
+  }
+  EXPECT_NO_THROW(small_cluster_config().validate());
 }
 
 TEST(NodeCluster, PayloadsRecoveredByteExactly) {

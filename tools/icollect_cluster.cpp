@@ -12,13 +12,12 @@
 /// server within --max-time, 1 otherwise, 2 on usage errors.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/cli.h"
 #include "node/cluster.h"
 #include "proto/pull_policy.h"
 #include "workload/trace_replay.h"
@@ -29,48 +28,6 @@
 #include "stats/latency_histogram.h"
 
 namespace {
-
-void usage(const char* argv0) {
-  std::printf(
-      "usage: %s [options]\n"
-      "  --peers N             live peers (default 16)\n"
-      "  --servers M           live servers (default 2)\n"
-      "  --segment-size s      blocks per segment (default 4)\n"
-      "  --buffer-cap B        peer buffer capacity (default 32)\n"
-      "  --payload-bytes n     payload bytes per block (default 64)\n"
-      "  --lambda x            per-peer block injection rate (default 8)\n"
-      "  --mu x                per-peer gossip rate (default 4)\n"
-      "  --gamma x             per-block TTL rate (default 1)\n"
-      "  --server-rate x       pulls/sec per server (default 16)\n"
-      "  --capacity c          set server-rate from normalized c\n"
-      "  --segments-per-peer K injection budget per peer (default 4)\n"
-      "  --max-time T          virtual-time cap (default 300)\n"
-      "  --latency L           loopback one-way latency (default 0.001)\n"
-      "  --jitter J            extra uniform latency in [0,J) (default 0)\n"
-      "  --drop p              per-send loss probability (default 0)\n"
-      "  --chunk-bytes n       split deliveries into n-byte reads "
-      "(default 0)\n"
-      "  --drop-on-ack         peers drop blocks of decoded segments\n"
-      "  --no-retain           disable source retention of own segments\n"
-      "                        (on by default: a peer re-seeds its own\n"
-      "                        unACKed segments after TTL losses)\n"
-      "  --pull-policy P       server pull scheduling: uniform|rarest|\n"
-      "                        deficit (default uniform)\n"
-      "  --seed S              root seed (default 1)\n"
-      "  --metrics-out FILE    snapshot JSONL of cluster, per-node, and\n"
-      "                        transport metrics\n"
-      "  --metrics-interval T  snapshot spacing, virtual time "
-      "(default 0.5)\n"
-      "  --trace-out FILE      protocol event trace JSONL "
-      "(inject/gossip/\n"
-      "                        ttl/pull/decode, virtual-time stamped)\n"
-      "  --progress            progress lines on stderr\n"
-      "  --scenario SPEC       hostile scenario, class:key=value,...\n"
-      "                        (byzantine|faults|trace; see\n"
-      "                        docs/SCENARIOS.md). Byzantine runs key\n"
-      "                        completion on the honest population.\n",
-      argv0);
-}
 
 /// Quantile summary of a latency histogram as a nested JSON object.
 std::string latency_json(const icollect::stats::LatencyHistogram& h) {
@@ -91,102 +48,81 @@ int main(int argc, char** argv) {
   node::ClusterConfig cfg;
   cfg.payload_bytes = 64;
   cfg.segments_per_peer = 4;
-  cfg.retain_own_until_acked = true;  // harness wants 100% recovery
   double max_time = 300.0;
   double capacity = -1.0;
+  bool no_retain = false;
   std::string metrics_out;
   std::string trace_out;
   std::string scenario_arg;
   double metrics_interval = 0.5;
   bool progress = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg{argv[i]};
-    auto value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: missing value for %s\n", argv[0], flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "-h" || arg == "--help") {
-      usage(argv[0]);
-      return 0;
-    } else if (arg == "--peers") {
-      cfg.num_peers = std::strtoul(value("--peers"), nullptr, 10);
-    } else if (arg == "--servers") {
-      cfg.num_servers = std::strtoul(value("--servers"), nullptr, 10);
-    } else if (arg == "--segment-size") {
-      cfg.segment_size = std::strtoul(value("--segment-size"), nullptr, 10);
-    } else if (arg == "--buffer-cap") {
-      cfg.buffer_cap = std::strtoul(value("--buffer-cap"), nullptr, 10);
-    } else if (arg == "--payload-bytes") {
-      cfg.payload_bytes = std::strtoul(value("--payload-bytes"), nullptr, 10);
-    } else if (arg == "--lambda") {
-      cfg.lambda = std::strtod(value("--lambda"), nullptr);
-    } else if (arg == "--mu") {
-      cfg.mu = std::strtod(value("--mu"), nullptr);
-    } else if (arg == "--gamma") {
-      cfg.gamma = std::strtod(value("--gamma"), nullptr);
-    } else if (arg == "--server-rate") {
-      cfg.server_rate = std::strtod(value("--server-rate"), nullptr);
-    } else if (arg == "--capacity") {
-      capacity = std::strtod(value("--capacity"), nullptr);
-    } else if (arg == "--segments-per-peer") {
-      cfg.segments_per_peer =
-          std::strtoul(value("--segments-per-peer"), nullptr, 10);
-    } else if (arg == "--max-time") {
-      max_time = std::strtod(value("--max-time"), nullptr);
-    } else if (arg == "--latency") {
-      cfg.net.latency = std::strtod(value("--latency"), nullptr);
-    } else if (arg == "--jitter") {
-      cfg.net.latency_jitter = std::strtod(value("--jitter"), nullptr);
-    } else if (arg == "--drop") {
-      cfg.net.drop_probability = std::strtod(value("--drop"), nullptr);
-    } else if (arg == "--chunk-bytes") {
-      cfg.net.chunk_bytes = std::strtoul(value("--chunk-bytes"), nullptr, 10);
-    } else if (arg == "--drop-on-ack") {
-      cfg.drop_on_ack = true;
-    } else if (arg == "--no-retain") {
-      cfg.retain_own_until_acked = false;
-    } else if (arg == "--pull-policy") {
-      const char* name = value("--pull-policy");
-      const auto kind = proto::parse_pull_policy_kind(name);
-      if (!kind) {
-        std::fprintf(stderr,
-                     "%s: --pull-policy %s: unknown policy "
-                     "(choices: uniform|rarest|deficit)\n",
-                     argv[0], name);
-        return 2;
-      }
-      cfg.pull_policy = *kind;
-    } else if (arg == "--seed") {
-      cfg.seed = std::strtoull(value("--seed"), nullptr, 10);
-      cfg.net.seed = cfg.seed;
-    } else if (arg == "--metrics-out") {
-      metrics_out = value("--metrics-out");
-    } else if (arg == "--metrics-interval") {
-      metrics_interval = std::strtod(value("--metrics-interval"), nullptr);
-    } else if (arg == "--trace-out") {
-      trace_out = value("--trace-out");
-    } else if (arg == "--scenario") {
-      scenario_arg = value("--scenario");
-    } else if (arg == "--progress") {
-      progress = true;
-    } else {
-      std::fprintf(stderr, "%s: unknown option '%s'\n", argv[0],
-                   std::string{arg}.c_str());
-      usage(argv[0]);
-      return 2;
-    }
-  }
+  cli::Flags flags;
+  flags.add("--peers", "N", "live peers (default 16)", cfg.num_peers)
+      .add("--servers", "M", "live servers (default 2)", cfg.num_servers)
+      .add("--segment-size", "s", "blocks per segment (default 4)",
+           cfg.segment_size)
+      .add("--buffer-cap", "B", "peer buffer capacity (default 32)",
+           cfg.buffer_cap)
+      .add("--payload-bytes", "n", "payload bytes per block (default 64)",
+           cfg.payload_bytes)
+      .add("--lambda", "x", "per-peer block injection rate (default 8)",
+           cfg.lambda)
+      .add("--mu", "x", "per-peer gossip rate (default 4)", cfg.mu)
+      .add("--gamma", "x", "per-block TTL rate (default 1)", cfg.gamma)
+      .add("--server-rate", "x", "pulls/sec per server (default 16)",
+           cfg.server_rate)
+      .add("--capacity", "c", "set server-rate from normalized c", capacity)
+      .add("--segments-per-peer", "K", "injection budget per peer (default 4)",
+           cfg.segments_per_peer)
+      .add("--max-time", "T", "virtual-time cap (default 300)", max_time)
+      .add("--latency", "L", "loopback one-way latency (default 0.001)",
+           cfg.net.latency)
+      .add("--jitter", "J", "extra uniform latency in [0,J) (default 0)",
+           cfg.net.latency_jitter)
+      .add("--drop", "p", "per-send loss probability (default 0)",
+           cfg.net.drop_probability)
+      .add("--chunk-bytes", "n",
+           "split deliveries into n-byte reads (default 0)",
+           cfg.net.chunk_bytes)
+      .add("--drop-on-ack", "", "peers drop blocks of decoded segments",
+           cfg.drop_on_ack)
+      .add("--no-retain", "",
+           "disable source retention of own segments\n"
+           "(on by default: a peer re-seeds its own\n"
+           "unACKed segments after TTL losses)",
+           no_retain)
+      .parsed("--pull-policy", "P",
+              "server pull scheduling: uniform|rarest|\n"
+              "deficit (default uniform)",
+              cfg.pull_policy, proto::parse_pull_policy_kind,
+              "uniform|rarest|deficit")
+      .add("--seed", "S", "root seed (default 1)", cfg.seed)
+      .add("--metrics-out", "FILE",
+           "snapshot JSONL of cluster, per-node, and\n"
+           "transport metrics",
+           metrics_out)
+      .add("--metrics-interval", "T",
+           "snapshot spacing, virtual time (default 0.5)", metrics_interval)
+      .add("--trace-out", "FILE",
+           "protocol event trace JSONL (inject/gossip/\n"
+           "ttl/pull/decode, virtual-time stamped)",
+           trace_out)
+      .add("--progress", "", "progress lines on stderr", progress)
+      .add("--scenario", "SPEC",
+           "hostile scenario, class:key=value,...\n"
+           "(byzantine|faults|trace; see\n"
+           "docs/SCENARIOS.md). Byzantine runs key\n"
+           "completion on the honest population.",
+           scenario_arg);
+  flags.parse_or_exit(argc, argv);
+  cfg.retain_own_until_acked = !no_retain;  // harness wants 100% recovery
+  cfg.net.seed = cfg.seed;
   if (cfg.segments_per_peer == 0) {
-    std::fprintf(stderr, "%s: --segments-per-peer must be >= 1\n", argv[0]);
-    return 2;
+    flags.usage_error("--segments-per-peer must be >= 1");
   }
   if (metrics_interval <= 0.0) {
-    std::fprintf(stderr, "%s: --metrics-interval must be > 0\n", argv[0]);
-    return 2;
+    flags.usage_error("--metrics-interval must be > 0");
   }
   if (capacity >= 0.0) {
     cfg.server_rate = capacity * static_cast<double>(cfg.num_peers) /
@@ -202,8 +138,7 @@ int main(int argc, char** argv) {
       scenario = std::make_unique<workload::ScenarioSpec>(
           workload::ScenarioSpec::parse(scenario_arg));
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-      return 2;
+      flags.usage_error(e.what());
     }
     using Kind = workload::ScenarioSpec::Kind;
     switch (scenario->kind) {
@@ -221,6 +156,12 @@ int main(int argc, char** argv) {
         cfg.arrival = arrival.get();
         break;
     }
+  }
+
+  try {
+    cfg.validate();
+  } catch (const std::exception& e) {
+    flags.usage_error(e.what());
   }
 
   obs::MetricsRegistry registry;
@@ -247,8 +188,7 @@ int main(int argc, char** argv) {
     try {
       snaps.open_jsonl(metrics_out);
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-      return 2;
+      flags.usage_error(e.what());
     }
     snaps.start(cluster.now());
   }
@@ -257,8 +197,7 @@ int main(int argc, char** argv) {
     try {
       trace_buf.open_jsonl(trace_out);
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-      return 2;
+      flags.usage_error(e.what());
     }
     cluster.set_trace_sink(trace_buf.sink());
   }

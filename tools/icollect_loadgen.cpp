@@ -32,8 +32,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <memory>
 #include <string>
@@ -42,6 +40,7 @@
 #include <vector>
 
 #include "coding/coded_block.h"
+#include "common/cli.h"
 #include "net/stream_transport.h"
 #include "obs/json.h"
 #include "obs/metrics_registry.h"
@@ -60,39 +59,6 @@ constexpr const char* kSchema = "icollect-node-bench/1";
 /// pool into the same segments at the server, and distinct from every
 /// connection's HELLO node_id.
 constexpr std::uint32_t kLoadgenOrigin = 0x10AD0001U;
-
-void usage(const char* argv0) {
-  std::printf(
-      "usage: %s --target HOST:PORT [options]\n"
-      "  --peers N           concurrent synthetic peers (default 100)\n"
-      "  --segments S        global segment space; 0 = never decode\n"
-      "                      (default 64)\n"
-      "  --segment-size s    blocks per segment, must match the server\n"
-      "                      (default 4)\n"
-      "  --payload-bytes n   payload per coded block (default 64)\n"
-      "  --backend NAME      poll | epoll | auto (default auto)\n"
-      "  --ramp R            connects initiated per second (default 2000)\n"
-      "  --duration T        total wall-clock cap seconds (default 30)\n"
-      "  --measure T         measurement window once all peers are up\n"
-      "                      (default 5)\n"
-      "  --occupancy B       buffered-block count reported in replies\n"
-      "                      (default 16)\n"
-      "  --seed S            RNG seed (default 1)\n"
-      "\n"
-      "Prints a one-line JSON summary (schema %s) on stdout.\n",
-      argv0, kSchema);
-}
-
-bool split_host_port(const std::string& s, std::string& host,
-                     std::uint16_t& port) {
-  const auto colon = s.rfind(':');
-  if (colon == std::string::npos || colon + 1 >= s.size()) return false;
-  host = s.substr(0, colon);
-  const long p = std::strtol(s.c_str() + colon + 1, nullptr, 10);
-  if (p <= 0 || p > 0xFFFF) return false;
-  port = static_cast<std::uint16_t>(p);
-  return true;
-}
 
 struct PeerState {
   wire::FrameDecoder decoder;
@@ -282,7 +248,7 @@ class LoadGen final : public net::TransportHandler {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string target;
+  cli::HostPort target;
   std::size_t peers = 100;
   std::size_t segments = 64;
   std::size_t segment_size = 4;
@@ -294,59 +260,37 @@ int main(int argc, char** argv) {
   std::uint32_t occupancy = 16;
   std::uint64_t seed = 1;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg{argv[i]};
-    auto value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: missing value for %s\n", argv[0], flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "-h" || arg == "--help") {
-      usage(argv[0]);
-      return 0;
-    } else if (arg == "--target") {
-      target = value("--target");
-    } else if (arg == "--peers") {
-      peers = std::strtoul(value("--peers"), nullptr, 10);
-    } else if (arg == "--segments") {
-      segments = std::strtoul(value("--segments"), nullptr, 10);
-    } else if (arg == "--segment-size") {
-      segment_size = std::strtoul(value("--segment-size"), nullptr, 10);
-    } else if (arg == "--payload-bytes") {
-      payload_bytes = std::strtoul(value("--payload-bytes"), nullptr, 10);
-    } else if (arg == "--backend") {
-      backend = value("--backend");
-    } else if (arg == "--ramp") {
-      ramp = std::strtod(value("--ramp"), nullptr);
-    } else if (arg == "--duration") {
-      duration = std::strtod(value("--duration"), nullptr);
-    } else if (arg == "--measure") {
-      measure = std::strtod(value("--measure"), nullptr);
-    } else if (arg == "--occupancy") {
-      occupancy = static_cast<std::uint32_t>(
-          std::strtoul(value("--occupancy"), nullptr, 10));
-    } else if (arg == "--seed") {
-      seed = std::strtoull(value("--seed"), nullptr, 10);
-    } else {
-      std::fprintf(stderr, "%s: unknown option '%s'\n", argv[0],
-                   std::string{arg}.c_str());
-      usage(argv[0]);
-      return 2;
-    }
-  }
-  std::string host;
-  std::uint16_t port = 0;
-  if (target.empty() || !split_host_port(target, host, port)) {
-    std::fprintf(stderr, "%s: need --target HOST:PORT\n", argv[0]);
-    usage(argv[0]);
-    return 2;
-  }
+  cli::Flags flags{"--target HOST:PORT [options]"};
+  flags.add("--target", "HOST:PORT", "the server under test", target)
+      .add("--peers", "N", "concurrent synthetic peers (default 100)", peers)
+      .add("--segments", "S",
+           "global segment space; 0 = never decode\n(default 64)",
+           segments)
+      .add("--segment-size", "s",
+           "blocks per segment, must match the server\n(default 4)",
+           segment_size)
+      .add("--payload-bytes", "n", "payload per coded block (default 64)",
+           payload_bytes)
+      .add("--backend", "NAME", "poll | epoll | auto (default auto)",
+           backend)
+      .add("--ramp", "R", "connects initiated per second (default 2000)",
+           ramp)
+      .add("--duration", "T", "total wall-clock cap seconds (default 30)",
+           duration)
+      .add("--measure", "T",
+           "measurement window once all peers are up\n(default 5)",
+           measure)
+      .add("--occupancy", "B",
+           "buffered-block count reported in replies\n(default 16)",
+           occupancy)
+      .add("--seed", "S", "RNG seed (default 1)", seed)
+      .note(std::string{"\nPrints a one-line JSON summary (schema "} +
+            kSchema + ") on stdout.\n");
+  flags.parse_or_exit(argc, argv);
+  if (target.port == 0) flags.usage_error("need --target HOST:PORT");
   if (peers == 0 || segment_size == 0 || segment_size > 0xFFFF ||
       ramp <= 0.0 || duration <= 0.0 || measure <= 0.0) {
-    std::fprintf(stderr, "%s: invalid parameter values\n", argv[0]);
-    return 2;
+    flags.usage_error("invalid parameter values");
   }
 
   net::StreamOptions topts;
@@ -357,14 +301,13 @@ int main(int argc, char** argv) {
   try {
     transport = net::make_stream_transport(backend, topts);
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-    return 2;
+    flags.usage_error(e.what());
   }
   LoadGen gen{*transport, segments,     segment_size,
               payload_bytes, occupancy, seed};
   transport->set_handler(&gen);
-  std::fprintf(stderr, "loadgen: %zu peers -> %s over %s\n", peers,
-               target.c_str(), transport->backend_name());
+  std::fprintf(stderr, "loadgen: %zu peers -> %s:%u over %s\n", peers,
+               target.host.c_str(), target.port, transport->backend_name());
 
   // Ramped connect: initiate at most `ramp` connects per second so the
   // server's accept path sees a storm it can absorb, not a cliff.
@@ -384,7 +327,7 @@ int main(int argc, char** argv) {
     const auto want = std::min<std::size_t>(
         peers, static_cast<std::size_t>(ramp * t) + 1);
     while (started < want) {
-      transport->connect(host, port);
+      transport->connect(target.host, target.port);
       ++started;
     }
     transport->poll_once(0.005);

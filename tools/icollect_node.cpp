@@ -19,12 +19,11 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <string>
 #include <vector>
 
+#include "common/cli.h"
 #include "net/stream_transport.h"
 #include "node/node_config.h"
 #include "node/peer_node.h"
@@ -56,59 +55,16 @@ std::string stats_json(const icollect::obs::MetricsRegistry& registry,
   return out.str();
 }
 
-void usage(const char* argv0) {
-  std::printf(
-      "usage: %s --role peer|server [options]\n"
-      "  --listen HOST:PORT     accept connections (required for servers\n"
-      "                         and any peer other peers dial)\n"
-      "  --connect HOST:PORT    dial another node (repeatable)\n"
-      "  --node-id N            stable identity (default: derived from "
-      "port)\n"
-      "  --segment-size s       blocks per segment (default 4)\n"
-      "  --buffer-cap B         peer buffer capacity (default 32)\n"
-      "  --payload-bytes n      payload bytes per block (default 64)\n"
-      "  --lambda x             peer block injection rate (default 8)\n"
-      "  --mu x                 peer gossip rate (default 4)\n"
-      "  --gamma x              per-block TTL rate (default 0.05)\n"
-      "  --pull-rate x          server pulls/sec (default 20)\n"
-      "  --pull-policy P        server pull scheduling: uniform|rarest|\n"
-      "                         deficit (default uniform)\n"
-      "  --segments K           peer: inject K segments, exit when all "
-      "ACKed\n"
-      "  --expect-segments K    server: exit once K segments decoded\n"
-      "  --duration T           wall-clock cap in seconds (default 60)\n"
-      "  --seed S               RNG seed (default 1)\n"
-      "  --metrics-out FILE     periodic JSONL of node + transport "
-      "counters\n"
-      "  --metrics-interval T   sample spacing in seconds (default 0.5)\n"
-      "  --trace-out FILE       protocol event trace JSONL\n"
-      "  --backend NAME         poll | epoll | auto (default auto: epoll\n"
-      "                         where the build has it)\n"
-      "  --backlog N            listen(2) backlog (default SOMAXCONN)\n"
-      "\n"
-      "SIGUSR1 dumps a one-line stats snapshot to stderr.\n",
-      argv0);
-}
-
-bool split_host_port(const std::string& s, std::string& host,
-                     std::uint16_t& port) {
-  const auto colon = s.rfind(':');
-  if (colon == std::string::npos || colon + 1 >= s.size()) return false;
-  host = s.substr(0, colon);
-  const long p = std::strtol(s.c_str() + colon + 1, nullptr, 10);
-  if (p <= 0 || p > 0xFFFF) return false;
-  port = static_cast<std::uint16_t>(p);
-  return true;
-}
+enum class Role { kUnset, kPeer, kServer };
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace icollect;
 
-  std::string role;
-  std::string listen_at;
-  std::vector<std::string> connect_to;
+  Role role = Role::kUnset;
+  cli::HostPort listen_at;
+  std::vector<cli::HostPort> connect_to;
   node::NodeConfig cfg;
   cfg.node_id = 0;  // resolved below
   cfg.payload_bytes = 64;
@@ -124,93 +80,61 @@ int main(int argc, char** argv) {
   double metrics_interval = 0.5;
   std::string backend = "auto";
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg{argv[i]};
-    auto value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: missing value for %s\n", argv[0], flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "-h" || arg == "--help") {
-      usage(argv[0]);
-      return 0;
-    } else if (arg == "--role") {
-      role = value("--role");
-    } else if (arg == "--listen") {
-      listen_at = value("--listen");
-    } else if (arg == "--connect") {
-      connect_to.emplace_back(value("--connect"));
-    } else if (arg == "--node-id") {
-      cfg.node_id = static_cast<std::uint32_t>(
-          std::strtoul(value("--node-id"), nullptr, 10));
-    } else if (arg == "--segment-size") {
-      cfg.segment_size = std::strtoul(value("--segment-size"), nullptr, 10);
-    } else if (arg == "--buffer-cap") {
-      cfg.buffer_cap = std::strtoul(value("--buffer-cap"), nullptr, 10);
-    } else if (arg == "--payload-bytes") {
-      cfg.payload_bytes = std::strtoul(value("--payload-bytes"), nullptr, 10);
-    } else if (arg == "--lambda") {
-      cfg.lambda = std::strtod(value("--lambda"), nullptr);
-    } else if (arg == "--mu") {
-      cfg.mu = std::strtod(value("--mu"), nullptr);
-    } else if (arg == "--gamma") {
-      cfg.gamma = std::strtod(value("--gamma"), nullptr);
-    } else if (arg == "--pull-rate") {
-      cfg.pull_rate = std::strtod(value("--pull-rate"), nullptr);
-    } else if (arg == "--pull-policy") {
-      const char* name = value("--pull-policy");
-      const auto kind = proto::parse_pull_policy_kind(name);
-      if (!kind) {
-        std::fprintf(stderr,
-                     "%s: --pull-policy %s: unknown policy "
-                     "(choices: uniform|rarest|deficit)\n",
-                     argv[0], name);
-        return 2;
-      }
-      cfg.pull_policy = *kind;
-    } else if (arg == "--segments") {
-      cfg.max_segments = std::strtoul(value("--segments"), nullptr, 10);
-    } else if (arg == "--expect-segments") {
-      expect_segments =
-          std::strtoul(value("--expect-segments"), nullptr, 10);
-    } else if (arg == "--duration") {
-      duration = std::strtod(value("--duration"), nullptr);
-    } else if (arg == "--seed") {
-      cfg.seed = std::strtoull(value("--seed"), nullptr, 10);
-    } else if (arg == "--metrics-out") {
-      metrics_out = value("--metrics-out");
-    } else if (arg == "--metrics-interval") {
-      metrics_interval = std::strtod(value("--metrics-interval"), nullptr);
-    } else if (arg == "--trace-out") {
-      trace_out = value("--trace-out");
-    } else if (arg == "--backend") {
-      backend = value("--backend");
-    } else if (arg == "--backlog") {
-      cfg.listen_backlog =
-          static_cast<int>(std::strtol(value("--backlog"), nullptr, 10));
-    } else {
-      std::fprintf(stderr, "%s: unknown option '%s'\n", argv[0],
-                   std::string{arg}.c_str());
-      usage(argv[0]);
-      return 2;
-    }
-  }
-  const bool is_peer = role == "peer";
-  const bool is_server = role == "server";
-  if (!is_peer && !is_server) {
-    std::fprintf(stderr, "%s: --role must be 'peer' or 'server'\n", argv[0]);
-    usage(argv[0]);
-    return 2;
-  }
-  if (listen_at.empty() && connect_to.empty()) {
-    std::fprintf(stderr, "%s: need --listen and/or --connect\n", argv[0]);
-    return 2;
+  cli::Flags flags{"--role peer|server [options]"};
+  flags.choice("--role", "node role", role,
+               {{"peer", Role::kPeer}, {"server", Role::kServer}})
+      .add("--listen", "HOST:PORT",
+           "accept connections (required for servers\n"
+           "and any peer other peers dial)",
+           listen_at)
+      .add("--connect", "HOST:PORT", "dial another node (repeatable)",
+           connect_to)
+      .add("--node-id", "N", "stable identity (default: derived from port)",
+           cfg.node_id)
+      .add("--segment-size", "s", "blocks per segment (default 4)",
+           cfg.segment_size)
+      .add("--buffer-cap", "B", "peer buffer capacity (default 32)",
+           cfg.buffer_cap)
+      .add("--payload-bytes", "n", "payload bytes per block (default 64)",
+           cfg.payload_bytes)
+      .add("--lambda", "x", "peer block injection rate (default 8)",
+           cfg.lambda)
+      .add("--mu", "x", "peer gossip rate (default 4)", cfg.mu)
+      .add("--gamma", "x", "per-block TTL rate (default 0.05)", cfg.gamma)
+      .add("--pull-rate", "x", "server pulls/sec (default 20)",
+           cfg.pull_rate)
+      .parsed("--pull-policy", "P",
+              "server pull scheduling: uniform|rarest|\n"
+              "deficit (default uniform)",
+              cfg.pull_policy, proto::parse_pull_policy_kind,
+              "uniform|rarest|deficit")
+      .add("--segments", "K",
+           "peer: inject K segments, exit when all ACKed", cfg.max_segments)
+      .add("--expect-segments", "K", "server: exit once K segments decoded",
+           expect_segments)
+      .add("--duration", "T", "wall-clock cap in seconds (default 60)",
+           duration)
+      .add("--seed", "S", "RNG seed (default 1)", cfg.seed)
+      .add("--metrics-out", "FILE",
+           "periodic JSONL of node + transport counters", metrics_out)
+      .add("--metrics-interval", "T",
+           "sample spacing in seconds (default 0.5)", metrics_interval)
+      .add("--trace-out", "FILE", "protocol event trace JSONL", trace_out)
+      .add("--backend", "NAME",
+           "poll | epoll | auto (default auto: epoll\n"
+           "where the build has it)",
+           backend)
+      .add("--backlog", "N", "listen(2) backlog (default SOMAXCONN)",
+           cfg.listen_backlog)
+      .note("\nSIGUSR1 dumps a one-line stats snapshot to stderr.\n");
+  flags.parse_or_exit(argc, argv);
+  const bool is_peer = role == Role::kPeer;
+  if (role == Role::kUnset) flags.usage_error("--role is required");
+  if (listen_at.port == 0 && connect_to.empty()) {
+    flags.usage_error("need --listen and/or --connect");
   }
   if (metrics_interval <= 0.0) {
-    std::fprintf(stderr, "%s: --metrics-interval must be > 0\n", argv[0]);
-    return 2;
+    flags.usage_error("--metrics-interval must be > 0");
   }
   // node_id may still be 0 here (resolved from the bound port below);
   // validate the user-settable knobs now so bad values are a usage
@@ -221,8 +145,7 @@ int main(int argc, char** argv) {
     try {
       check.validate();
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-      return 2;
+      flags.usage_error(e.what());
     }
   }
 
@@ -235,8 +158,7 @@ int main(int argc, char** argv) {
   try {
     transport = net::make_stream_transport(backend, topts);
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-    return 2;
+    flags.usage_error(e.what());
   }
   net::StreamTransport& tcp = *transport;
   std::fprintf(stderr, "transport backend: %s\n", tcp.backend_name());
@@ -246,22 +168,15 @@ int main(int argc, char** argv) {
   std::signal(SIGUSR1, on_sigusr1);
 
   std::uint16_t bound_port = 0;
-  if (!listen_at.empty()) {
-    std::string host;
-    std::uint16_t port = 0;
-    if (!split_host_port(listen_at, host, port)) {
-      std::fprintf(stderr, "%s: bad --listen '%s' (want HOST:PORT)\n",
-                   argv[0], listen_at.c_str());
-      return 2;
-    }
+  if (listen_at.port != 0) {
     try {
-      bound_port = tcp.listen(host, port);
+      bound_port = tcp.listen(listen_at.host, listen_at.port);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
       return 1;
     }
-    std::fprintf(stderr, "listening on %s (port %u)\n", listen_at.c_str(),
-                 bound_port);
+    std::fprintf(stderr, "listening on %s:%u (port %u)\n",
+                 listen_at.host.c_str(), listen_at.port, bound_port);
   }
   if (cfg.node_id == 0) {
     cfg.node_id = bound_port != 0 ? bound_port
@@ -289,23 +204,13 @@ int main(int argc, char** argv) {
     try {
       trace_buf.open_jsonl(trace_out);
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-      return 2;
+      flags.usage_error(e.what());
     }
     if (peer) peer->set_trace_sink(trace_buf.sink());
     if (server) server->set_trace_sink(trace_buf.sink());
   }
 
-  for (const auto& target : connect_to) {
-    std::string host;
-    std::uint16_t port = 0;
-    if (!split_host_port(target, host, port)) {
-      std::fprintf(stderr, "%s: bad --connect '%s' (want HOST:PORT)\n",
-                   argv[0], target.c_str());
-      return 2;
-    }
-    tcp.connect(host, port);
-  }
+  for (const auto& target : connect_to) tcp.connect(target.host, target.port);
   if (peer) peer->start();
   if (server) server->start();
 
@@ -318,8 +223,7 @@ int main(int argc, char** argv) {
     try {
       snaps.open_jsonl(metrics_out);
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-      return 2;
+      flags.usage_error(e.what());
     }
     snaps.start();
   }

@@ -14,13 +14,13 @@
 /// (config.json + sweep.jsonl, one JSON object per evaluated point).
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/cli.h"
 #include "obs/json.h"
 #include "ode/closed_form.h"
 #include "ode/indirect_ode.h"
@@ -30,6 +30,7 @@ namespace {
 using icollect::ode::IndirectOde;
 using icollect::ode::OdeParams;
 
+/// Set the swept key (a sweep= choice) to `v`.
 void apply(OdeParams& p, const std::string& key, double v) {
   if (key == "lambda") {
     p.lambda = v;
@@ -45,9 +46,6 @@ void apply(OdeParams& p, const std::string& key, double v) {
     p.B = static_cast<std::size_t>(v);
   } else if (key == "churn") {
     p.churn_rate = v > 0.0 ? 1.0 / v : 0.0;  // given as mean lifetime
-  } else {
-    std::fprintf(stderr, "unknown key '%s'\n", key.c_str());
-    std::exit(1);
   }
 }
 
@@ -93,47 +91,34 @@ int main(int argc, char** argv) {
   double from = 0.0;
   double to = 0.0;
   double step = 1.0;
+  std::optional<double> churn;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg{argv[i]};
-    if (arg == "-h" || arg == "--help") {
-      std::printf(
-          "usage: %s [key=value ...]\n"
-          "keys: lambda mu gamma c s B churn(=E[L], 0 off)\n"
-          "sweep: sweep=s|mu|c|lambda|gamma from=A to=B step=D\n"
-          "output: --metrics-out=DIR (config.json + sweep.jsonl)\n",
-          argv[0]);
-      return 0;
-    }
-    if (arg.rfind("--metrics-out=", 0) == 0) {
-      metrics_dir = arg.substr(14);
-      continue;
-    }
-    const auto eq = arg.find('=');
-    if (eq == std::string::npos) {
-      std::fprintf(stderr, "expected key=value, got '%s'\n", arg.c_str());
-      return 1;
-    }
-    const std::string key = arg.substr(0, eq);
-    const std::string value = arg.substr(eq + 1);
-    if (key == "sweep") {
-      sweep = value;
-    } else if (key == "from") {
-      from = std::strtod(value.c_str(), nullptr);
-    } else if (key == "to") {
-      to = std::strtod(value.c_str(), nullptr);
-    } else if (key == "step") {
-      step = std::strtod(value.c_str(), nullptr);
-    } else {
-      apply(p, key, std::strtod(value.c_str(), nullptr));
-    }
-  }
+  icollect::cli::Flags flags{"[key=value ...]"};
+  flags.section("keys:")
+      .add("lambda", "X", "per-peer block rate", p.lambda)
+      .add("mu", "X", "per-peer gossip rate", p.mu)
+      .add("gamma", "X", "per-block TTL expiry rate", p.gamma)
+      .add("c", "X", "normalized server capacity", p.c)
+      .add("s", "N", "segment size", p.s)
+      .add("B", "N", "peer buffer cap (0 = auto)", p.B)
+      .add("churn", "E[L]", "mean peer lifetime (0 = no churn)", churn)
+      .section("sweep:")
+      .choice("sweep", "swept key", sweep,
+              {{"s", "s"}, {"mu", "mu"}, {"c", "c"}, {"lambda", "lambda"},
+               {"gamma", "gamma"}, {"B", "B"}, {"churn", "churn"}})
+      .add("from", "A", "first value", from)
+      .add("to", "B", "last value", to)
+      .add("step", "D", "increment", step)
+      .section("output:")
+      .add("--metrics-out", "DIR", "write config.json + sweep.jsonl",
+           metrics_dir);
+  flags.parse_or_exit(argc, argv);
+  if (churn) apply(p, "churn", *churn);
 
   try {
     p.validate();
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 1;
+    flags.usage_error(e.what());
   }
 
   std::printf(
@@ -180,10 +165,7 @@ int main(int argc, char** argv) {
     print_point("-", p, &sweep_jsonl);
     return 0;
   }
-  if (step <= 0.0 || to < from) {
-    std::fprintf(stderr, "bad sweep range\n");
-    return 1;
-  }
+  if (step <= 0.0 || to < from) flags.usage_error("bad sweep range");
   for (double v = from; v <= to + 1e-9; v += step) {
     OdeParams q = p;
     apply(q, sweep, v);

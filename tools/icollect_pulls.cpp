@@ -26,12 +26,12 @@
 ///   icollect_pulls [--replicas R] [--seed S] [--out FILE] [--quick]
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <string>
 #include <vector>
 
+#include "common/cli.h"
 #include "node/cluster.h"
 #include "obs/json.h"
 #include "p2p/network.h"
@@ -41,42 +41,6 @@
 namespace {
 
 using namespace icollect;
-
-/// One metric's replica aggregate, in the AggregateReport JSON idiom.
-std::string summary_json(const stats::Summary& s) {
-  obs::JsonObject o;
-  o.field("mean", s.mean())
-      .field("stddev", s.stddev())
-      .field("ci95", runner::ci95_half_width(s))
-      .field("min", s.min())
-      .field("max", s.max());
-  return o.str();
-}
-
-/// Named metric summaries, accumulated in insertion order so the output
-/// is byte-stable across runs with the same seed.
-class MetricTable {
- public:
-  void add(std::string_view name, double value) {
-    for (auto& [n, s] : rows_) {
-      if (n == name) {
-        s.add(value);
-        return;
-      }
-    }
-    rows_.emplace_back(std::string{name}, stats::Summary{});
-    rows_.back().second.add(value);
-  }
-
-  [[nodiscard]] std::string to_json() const {
-    obs::JsonObject o;
-    for (const auto& [n, s] : rows_) o.field_raw(n, summary_json(s));
-    return o.str();
-  }
-
- private:
-  std::vector<std::pair<std::string, stats::Summary>> rows_;
-};
 
 // --- Table A: pulls-to-completion vs. policy (simulator) ------------------
 
@@ -111,7 +75,7 @@ p2p::ProtocolConfig sim_config(const SimPointSpec& point,
 std::string run_sim_arm(const SimPointSpec& point, p2p::PullPolicy policy,
                         std::uint64_t base_seed, std::uint64_t replicas,
                         double inject_time, double max_time) {
-  MetricTable table;
+  runner::MetricTable table;
   for (std::uint64_t r = 0; r < replicas; ++r) {
     p2p::ProtocolConfig cfg = sim_config(point, policy);
     cfg.seed = base_seed + r;
@@ -191,7 +155,7 @@ std::string run_cluster_arm(const ClusterPointSpec& point,
                             proto::PullPolicyKind policy,
                             std::uint64_t base_seed, std::uint64_t replicas,
                             double max_time) {
-  MetricTable table;
+  runner::MetricTable table;
   for (std::uint64_t r = 0; r < replicas; ++r) {
     node::ClusterConfig cfg = cluster_config(point, policy);
     cfg.seed = base_seed + r;
@@ -223,16 +187,6 @@ std::string run_cluster_arm(const ClusterPointSpec& point,
   return o.str();
 }
 
-void usage(const char* argv0) {
-  std::printf(
-      "usage: %s [options]\n"
-      "  --replicas R   seeded replicas per point (default 10)\n"
-      "  --seed S       base seed (default 1)\n"
-      "  --out FILE     write JSON to FILE (default stdout)\n"
-      "  --quick        2 replicas, smaller grid (CI smoke)\n",
-      argv0);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -241,38 +195,15 @@ int main(int argc, char** argv) {
   std::string out_path;
   bool quick = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg{argv[i]};
-    auto value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: missing value for %s\n", argv[0], flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "-h" || arg == "--help") {
-      usage(argv[0]);
-      return 0;
-    } else if (arg == "--replicas") {
-      replicas = std::strtoull(value("--replicas"), nullptr, 10);
-    } else if (arg == "--seed") {
-      seed = std::strtoull(value("--seed"), nullptr, 10);
-    } else if (arg == "--out") {
-      out_path = value("--out");
-    } else if (arg == "--quick") {
-      quick = true;
-    } else {
-      std::fprintf(stderr, "%s: unknown option '%s'\n", argv[0],
-                   std::string{arg}.c_str());
-      usage(argv[0]);
-      return 2;
-    }
-  }
+  cli::Flags flags;
+  flags.add("--replicas", "R", "seeded replicas per point (default 10)",
+            replicas)
+      .add("--seed", "S", "base seed (default 1)", seed)
+      .add("--out", "FILE", "write JSON to FILE (default stdout)", out_path)
+      .add("--quick", "", "2 replicas, smaller grid (CI smoke)", quick);
+  flags.parse_or_exit(argc, argv);
   if (quick) replicas = 2;
-  if (replicas == 0) {
-    std::fprintf(stderr, "%s: --replicas must be >= 1\n", argv[0]);
-    return 2;
-  }
+  if (replicas == 0) flags.usage_error("--replicas must be >= 1");
 
   constexpr p2p::PullPolicy kSimArms[] = {
       p2p::PullPolicy::kUniformNonEmpty,

@@ -26,12 +26,12 @@
 ///   icollect_scenarios [--replicas R] [--seed S] [--out FILE] [--quick]
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <string>
 #include <vector>
 
+#include "common/cli.h"
 #include "core/icollect.h"
 #include "node/cluster.h"
 #include "obs/json.h"
@@ -41,49 +41,6 @@
 namespace {
 
 using namespace icollect;
-
-/// One metric's replica aggregate, in the AggregateReport JSON idiom.
-std::string summary_json(const stats::Summary& s) {
-  obs::JsonObject o;
-  o.field("mean", s.mean())
-      .field("stddev", s.stddev())
-      .field("ci95", runner::ci95_half_width(s))
-      .field("min", s.min())
-      .field("max", s.max());
-  return o.str();
-}
-
-/// Named metric summaries, accumulated in insertion order so the output
-/// is byte-stable across runs with the same seed.
-class MetricTable {
- public:
-  void add(std::string_view name, double value) {
-    for (auto& [n, s] : rows_) {
-      if (n == name) {
-        s.add(value);
-        return;
-      }
-    }
-    rows_.emplace_back(std::string{name}, stats::Summary{});
-    rows_.back().second.add(value);
-  }
-
-  [[nodiscard]] const stats::Summary* find(std::string_view name) const {
-    for (const auto& [n, s] : rows_) {
-      if (n == name) return &s;
-    }
-    return nullptr;
-  }
-
-  [[nodiscard]] std::string to_json() const {
-    obs::JsonObject o;
-    for (const auto& [n, s] : rows_) o.field_raw(n, summary_json(s));
-    return o.str();
-  }
-
- private:
-  std::vector<std::pair<std::string, stats::Summary>> rows_;
-};
 
 // --- Table A: pollution spread vs. honest fraction (simulator) ------------
 
@@ -110,7 +67,7 @@ std::string run_pollution_point(const PollutionPointSpec& point,
                                 std::uint64_t base_seed,
                                 std::uint64_t replicas, double warm,
                                 double measure) {
-  MetricTable table;
+  runner::MetricTable table;
   for (std::uint64_t r = 0; r < replicas; ++r) {
     p2p::ProtocolConfig cfg = sim_base_config();
     cfg.adversary.dishonest_fraction = point.dishonest_fraction;
@@ -172,7 +129,7 @@ node::ClusterConfig cluster_base_config() {
 struct FaultPointResult {
   std::string json;        // point object minus the inflation field
   double mean_time = 0.0;  // mean completion time over replicas
-  MetricTable table;
+  runner::MetricTable table;
 };
 
 FaultPointResult run_fault_point(double partition_fraction,
@@ -224,16 +181,6 @@ FaultPointResult run_fault_point(double partition_fraction,
   return out;
 }
 
-void usage(const char* argv0) {
-  std::printf(
-      "usage: %s [options]\n"
-      "  --replicas R   seeded replicas per point (default 5)\n"
-      "  --seed S       base seed (default 1)\n"
-      "  --out FILE     write JSON to FILE (default stdout)\n"
-      "  --quick        2 replicas, shorter runs (CI smoke)\n",
-      argv0);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -242,38 +189,15 @@ int main(int argc, char** argv) {
   std::string out_path;
   bool quick = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg{argv[i]};
-    auto value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: missing value for %s\n", argv[0], flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "-h" || arg == "--help") {
-      usage(argv[0]);
-      return 0;
-    } else if (arg == "--replicas") {
-      replicas = std::strtoull(value("--replicas"), nullptr, 10);
-    } else if (arg == "--seed") {
-      seed = std::strtoull(value("--seed"), nullptr, 10);
-    } else if (arg == "--out") {
-      out_path = value("--out");
-    } else if (arg == "--quick") {
-      quick = true;
-    } else {
-      std::fprintf(stderr, "%s: unknown option '%s'\n", argv[0],
-                   std::string{arg}.c_str());
-      usage(argv[0]);
-      return 2;
-    }
-  }
+  cli::Flags flags;
+  flags.add("--replicas", "R", "seeded replicas per point (default 5)",
+            replicas)
+      .add("--seed", "S", "base seed (default 1)", seed)
+      .add("--out", "FILE", "write JSON to FILE (default stdout)", out_path)
+      .add("--quick", "", "2 replicas, shorter runs (CI smoke)", quick);
+  flags.parse_or_exit(argc, argv);
   if (quick) replicas = 2;
-  if (replicas == 0) {
-    std::fprintf(stderr, "%s: --replicas must be >= 1\n", argv[0]);
-    return 2;
-  }
+  if (replicas == 0) flags.usage_error("--replicas must be >= 1");
   const double warm = quick ? 1.0 : 2.0;
   const double measure = quick ? 6.0 : 15.0;
   const double max_time = 600.0;

@@ -3,10 +3,7 @@
 /// optionally, the fluid model and the direct baseline) for an arbitrary
 /// key=value configuration and print the full report.
 ///
-///   icollect_sim [key=value ...] [warm=T] [measure=T] [ode=0|1] [direct=0|1]
-///                [--metrics-out=DIR] [--metrics-interval=T]
-///                [--trace-out[=FILE]] [--trace-filter=k1,k2,...]
-///                [--profile] [--progress]
+///   icollect_sim [key=value ...] [flags]    (--help lists them all)
 ///
 /// Examples:
 ///   icollect_sim peers=300 lambda=20 s=20 mu=10 c=5
@@ -15,12 +12,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/cli.h"
 #include "core/config_args.h"
 #include "core/icollect.h"
 #include "gf/kernels.h"
@@ -39,127 +36,80 @@ int main(int argc, char** argv) {
   std::string trace_path;
   std::string scenario_arg;
   obs::TelemetryOptions topts;
-  bool trace_out_requested = false;
+  std::optional<std::string> trace_out;
   std::optional<p2p::PullPolicy> pull_policy_override;
-
-  // Split driver options from protocol key=values.
-  std::vector<std::string_view> cfg_args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg{argv[i]};
-    if (arg == "-h" || arg == "--help") {
-      std::printf(
-          "usage: %s [key=value ...]\nprotocol keys:\n%s"
-          "driver keys:\n  warm=T measure=T ode=0|1 direct=0|1 "
-          "trace=FILE.csv\n"
-          "  --pull-policy=uniform|all|rarest|deficit  (server pull "
-          "scheduling)\n"
-          "telemetry flags:\n"
-          "  --metrics-out=DIR      write a telemetry bundle (config.json,\n"
-          "                         snapshots.jsonl/.csv, summary.json)\n"
-          "  --metrics-interval=T   snapshot spacing in virtual time "
-          "(default 0.5)\n"
-          "  --trace-out[=FILE]     protocol event trace JSONL (default\n"
-          "                         <metrics-dir>/trace.jsonl)\n"
-          "  --trace-filter=a,b,..  keep only these trace kinds "
-          "(default all)\n"
-          "  --profile              per-event-type wall-clock profile\n"
-          "  --progress             progress line per snapshot (stderr)\n"
-          "  --gf-kernel=K          GF(2^8) kernel: scalar|ssse3|avx2|auto\n"
-          "                         (default auto; env ICOLLECT_GF_KERNEL)\n"
-          "scenario pack (docs/SCENARIOS.md):\n"
-          "  --scenario=SPEC        hostile scenario, class:key=value,...\n"
-          "                         byzantine:fraction=,strategy=,checks=\n"
-          "                         faults:fraction=,at=,heal=\n"
-          "                         trace:amplitude=,period=,burst=,\n"
-          "                               burst-at=,burst-len=,sigma=,"
-          "lifetime=\n",
-          argv[0], config_args_help());
-      return 0;
-    }
-    if (arg.rfind("warm=", 0) == 0) {
-      warm = std::strtod(argv[i] + 5, nullptr);
-    } else if (arg.rfind("measure=", 0) == 0) {
-      measure = std::strtod(argv[i] + 8, nullptr);
-    } else if (arg.rfind("ode=", 0) == 0) {
-      run_ode = std::strtol(argv[i] + 4, nullptr, 10) != 0;
-    } else if (arg.rfind("direct=", 0) == 0) {
-      run_direct = std::strtol(argv[i] + 7, nullptr, 10) != 0;
-    } else if (arg.rfind("trace=", 0) == 0) {
-      trace_path = std::string{arg.substr(6)};
-    } else if (arg.rfind("--metrics-out=", 0) == 0) {
-      topts.metrics_dir = std::string{arg.substr(14)};
-    } else if (arg.rfind("--metrics-interval=", 0) == 0) {
-      topts.metrics_interval = std::strtod(argv[i] + 19, nullptr);
-    } else if (arg == "--trace-out") {
-      trace_out_requested = true;
-    } else if (arg.rfind("--trace-out=", 0) == 0) {
-      trace_out_requested = true;
-      topts.trace_path = std::string{arg.substr(12)};
-    } else if (arg.rfind("--trace-filter=", 0) == 0) {
-      topts.trace_filter = std::string{arg.substr(15)};
-    } else if (arg == "--profile") {
-      topts.profile = true;
-    } else if (arg.rfind("--profile=", 0) == 0) {
-      topts.profile = std::strtol(argv[i] + 10, nullptr, 10) != 0;
-    } else if (arg == "--progress") {
-      topts.progress = true;
-    } else if (arg.rfind("--scenario=", 0) == 0) {
-      scenario_arg = std::string{arg.substr(11)};
-    } else if (arg.rfind("--pull-policy=", 0) == 0) {
-      // Shared cross-driver flag name; equivalent to the pull= config key
-      // but with the CLI-wide usage-error contract (exit 2).
-      const std::string_view name = arg.substr(14);
-      if (name == "uniform" || name == "non-empty") {
-        pull_policy_override = p2p::PullPolicy::kUniformNonEmpty;
-      } else if (name == "all") {
-        pull_policy_override = p2p::PullPolicy::kUniformAll;
-      } else if (name == "rarest" || name == "rarest-first") {
-        pull_policy_override = p2p::PullPolicy::kRarestFirst;
-      } else if (name == "deficit" || name == "deficit-weighted") {
-        pull_policy_override = p2p::PullPolicy::kDeficitWeighted;
-      } else {
-        std::fprintf(stderr,
-                     "--pull-policy=%.*s: unknown policy "
-                     "(choices: uniform|all|rarest|deficit)\n",
-                     static_cast<int>(name.size()), name.data());
-        return 2;
-      }
-    } else if (arg.rfind("--gf-kernel=", 0) == 0) {
-      const std::string_view kernel = arg.substr(12);
-      if (!gf::Kernels::select_by_name(kernel)) {
-        std::fprintf(stderr,
-                     "--gf-kernel=%.*s: unknown or unsupported on this CPU "
-                     "(choices: scalar|ssse3|avx2|auto)\n",
-                     static_cast<int>(kernel.size()), kernel.data());
-        return 1;
-      }
-    } else {
-      cfg_args.push_back(arg);
-    }
-  }
-  if (trace_out_requested && topts.trace_path.empty()) {
-    if (topts.metrics_dir.empty()) {
-      std::fprintf(stderr,
-                   "--trace-out without a file needs --metrics-out=DIR "
-                   "to place trace.jsonl in\n");
-      return 1;
-    }
-    topts.trace_path = topts.metrics_dir + "/trace.jsonl";
-  }
-  if (topts.metrics_interval <= 0.0) {
-    std::fprintf(stderr, "--metrics-interval must be > 0\n");
-    return 1;
-  }
+  std::string gf_kernel;
 
   p2p::ProtocolConfig cfg;
+  cli::Flags flags{"[key=value ...] [flags]"};
+  flags.section("protocol keys:");
+  ConfigKeys keys{flags, cfg};
+  flags.section("driver keys:")
+      .add("warm", "T", "warm-up virtual time (default 10)", warm)
+      .add("measure", "T", "measured virtual time (default 30)", measure)
+      .add("ode", "0|1", "also solve the Sec. 3 fluid model (default 1)",
+           run_ode)
+      .add("direct", "0|1", "also run the direct baseline (default 0)",
+           run_direct)
+      .add("trace", "FILE.csv", "CSV protocol event trace", trace_path)
+      .parsed("--pull-policy", "uniform|all|rarest|deficit",
+              "server pull scheduling; overrides pull=",
+              pull_policy_override, p2p::parse_pull_policy)
+      .section("telemetry flags:")
+      .add("--metrics-out", "DIR",
+           "write a telemetry bundle (config.json,\n"
+           "snapshots.jsonl/.csv, summary.json)",
+           topts.metrics_dir)
+      .add("--metrics-interval", "T",
+           "snapshot spacing in virtual time (default 0.5)",
+           topts.metrics_interval)
+      .optional_value("--trace-out", "FILE",
+           "protocol event trace JSONL (default\n"
+           "<metrics-dir>/trace.jsonl)",
+           trace_out)
+      .add("--trace-filter", "a,b,..",
+           "keep only these trace kinds (default all)", topts.trace_filter)
+      .add("--profile", "0|1", "per-event-type wall-clock profile",
+           topts.profile)
+      .add("--progress", "", "progress line per snapshot (stderr)",
+           topts.progress)
+      .add("--gf-kernel", "K",
+           "GF(2^8) kernel: scalar|ssse3|avx2|auto\n"
+           "(default auto; env ICOLLECT_GF_KERNEL)",
+           gf_kernel)
+      .section("scenario pack (docs/SCENARIOS.md):")
+      .add("--scenario", "SPEC",
+           "hostile scenario, class:key=value,...\n"
+           "byzantine:fraction=,strategy=,checks=\n"
+           "faults:fraction=,at=,heal=\n"
+           "trace:amplitude=,period=,burst=,\n"
+           "      burst-at=,burst-len=,sigma=,lifetime=",
+           scenario_arg);
+  flags.parse_or_exit(argc, argv);
   try {
-    apply_config_args(cfg, cfg_args);
+    keys.finish();
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\nprotocol keys:\n%s", e.what(),
-                 config_args_help());
-    return 1;
+    flags.usage_error(e.what());
   }
   if (pull_policy_override) cfg.pull_policy = *pull_policy_override;
+  if (!gf_kernel.empty() && !gf::Kernels::select_by_name(gf_kernel)) {
+    flags.usage_error("--gf-kernel=" + gf_kernel +
+                      ": unknown or unsupported on this CPU");
+  }
+  if (trace_out) {
+    topts.trace_path = *trace_out;
+    if (topts.trace_path.empty()) {
+      if (topts.metrics_dir.empty()) {
+        flags.usage_error(
+            "--trace-out without a file needs --metrics-out=DIR to place "
+            "trace.jsonl in");
+      }
+      topts.trace_path = topts.metrics_dir + "/trace.jsonl";
+    }
+  }
+  if (topts.metrics_interval <= 0.0) {
+    flags.usage_error("--metrics-interval must be > 0");
+  }
 
   // A scenario adjusts the config before the system is built; fault
   // windows and arrival profiles attach right after construction.
@@ -169,8 +119,7 @@ int main(int argc, char** argv) {
       scenario = std::make_unique<workload::ScenarioSpec>(
           workload::ScenarioSpec::parse(scenario_arg));
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 1;
+      flags.usage_error(e.what());
     }
     using Kind = workload::ScenarioSpec::Kind;
     switch (scenario->kind) {
@@ -217,8 +166,7 @@ int main(int argc, char** argv) {
     try {
       telemetry = std::make_unique<obs::Telemetry>(topts);
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "telemetry: %s\n", e.what());
-      return 1;
+      flags.usage_error(std::string{"telemetry: "} + e.what());
     }
     system.attach_telemetry(*telemetry);
   }

@@ -3,11 +3,7 @@
 /// a work-stealing thread pool and emit one JSONL row per cell with
 /// mean / stddev / 95% CI aggregates for every report metric.
 ///
-///   icollect_sweep [key=value ...] [--grid-s=1,2,4] [--grid-c=2,5,10]
-///                  [--grid-mu=...] [--grid-lambda=...] [--grid-churn=...]
-///                  [--replicas=R] [--jobs=J] [--seed=S]
-///                  [--warm=T] [--measure=T] [--out=FILE]
-///                  [--metrics-out=DIR] [--metrics-interval=T]
+///   icollect_sweep [key=value ...] [flags]    (--help lists them all)
 ///
 /// Determinism contract: identical (seed, grid, replicas) produce
 /// byte-identical JSONL for ANY --jobs value — replica seeds are derived
@@ -24,12 +20,12 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/cli.h"
 #include "core/config_args.h"
 #include "core/icollect.h"
 #include "obs/json.h"
@@ -44,27 +40,17 @@ struct Axis {
   std::vector<double> values;  // parsed list; s cast to size_t on apply
 };
 
-std::vector<double> parse_list(std::string_view text, const char* flag) {
+/// A comma list of numbers; nullopt on an empty list or a bad item.
+std::optional<std::vector<double>> parse_list(std::string_view text) {
   std::vector<double> out;
-  std::string item;
-  std::string buf{text};
-  char* cursor = buf.data();
-  while (cursor != nullptr && *cursor != '\0') {
-    char* end = nullptr;
-    const double v = std::strtod(cursor, &end);
-    if (end == cursor) {
-      std::fprintf(stderr, "%s: malformed list '%.*s'\n", flag,
-                   static_cast<int>(text.size()), text.data());
-      std::exit(1);
-    }
-    out.push_back(v);
-    cursor = (*end == ',') ? end + 1 : end;
+  while (true) {
+    const auto comma = text.find(',');
+    const auto v = cli::parse_number<double>(text.substr(0, comma));
+    if (!v) return std::nullopt;
+    out.push_back(*v);
+    if (comma == std::string_view::npos) return out;
+    text.remove_prefix(comma + 1);
   }
-  if (out.empty()) {
-    std::fprintf(stderr, "%s: empty list\n", flag);
-    std::exit(1);
-  }
-  return out;
 }
 
 void apply_axis(p2p::ProtocolConfig& cfg, const std::string& key, double v) {
@@ -97,83 +83,53 @@ std::string axis_label(const std::string& key, double v) {
 int main(int argc, char** argv) {
   double warm = 10.0;
   double measure = 30.0;
-  long replicas = 8;
+  std::size_t replicas = 8;
   long jobs = 0;  // 0 = hardware concurrency
   std::uint64_t seed = 1;
   std::string out_path;
   std::string metrics_dir;
   double metrics_interval = 0.5;
   std::vector<Axis> axes;
-  std::vector<std::string_view> cfg_args;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg{argv[i]};
-    auto grid_flag = [&](const char* name) {
-      const std::string prefix = std::string{"--grid-"} + name + "=";
-      if (arg.rfind(prefix, 0) != 0) return false;
-      axes.push_back(
-          {name, parse_list(arg.substr(prefix.size()), prefix.c_str())});
-      return true;
-    };
-    if (arg == "-h" || arg == "--help") {
-      std::printf(
-          "usage: %s [key=value ...] [flags]\nprotocol keys:\n%s"
-          "grid axes (comma lists; cartesian product):\n"
-          "  --grid-s=... --grid-c=... --grid-mu=... --grid-lambda=...\n"
-          "  --grid-churn=... (mean lifetime; 0 = static)\n"
-          "runner flags:\n"
-          "  --replicas=R (default 8)   --jobs=J (default: hardware)\n"
-          "  --seed=S (root of the per-cell/per-replica seed tree)\n"
-          "  --warm=T --measure=T\n"
-          "output:\n"
-          "  --out=FILE            JSONL, one row per cell (default "
-          "stdout)\n"
-          "  --metrics-out=DIR     merged telemetry per cell "
-          "(<DIR>/cell-<i>/)\n"
-          "  --metrics-interval=T  snapshot spacing (default 0.5)\n",
-          argv[0], config_args_help());
-      return 0;
-    }
-    if (grid_flag("s") || grid_flag("c") || grid_flag("mu") ||
-        grid_flag("lambda") || grid_flag("churn")) {
-      continue;
-    }
-    if (arg.rfind("--replicas=", 0) == 0) {
-      replicas = std::strtol(argv[i] + 11, nullptr, 10);
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      jobs = std::strtol(argv[i] + 7, nullptr, 10);
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      seed = std::strtoull(argv[i] + 7, nullptr, 10);
-    } else if (arg.rfind("--warm=", 0) == 0) {
-      warm = std::strtod(argv[i] + 7, nullptr);
-    } else if (arg.rfind("--measure=", 0) == 0) {
-      measure = std::strtod(argv[i] + 10, nullptr);
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = std::string{arg.substr(6)};
-    } else if (arg.rfind("--metrics-out=", 0) == 0) {
-      metrics_dir = std::string{arg.substr(14)};
-    } else if (arg.rfind("--metrics-interval=", 0) == 0) {
-      metrics_interval = std::strtod(argv[i] + 19, nullptr);
-    } else {
-      cfg_args.push_back(arg);
-    }
-  }
-  if (replicas < 1 || replicas > 100000) {
-    std::fprintf(stderr, "--replicas must be in [1, 100000]\n");
-    return 1;
-  }
-  if (metrics_interval <= 0.0) {
-    std::fprintf(stderr, "--metrics-interval must be > 0\n");
-    return 1;
-  }
 
   p2p::ProtocolConfig base;
+  cli::Flags flags{"[key=value ...] [flags]"};
+  flags.section("protocol keys:");
+  ConfigKeys keys{flags, base};
+  flags.section("grid axes (comma lists, cartesian product; churn 0 = off):");
+  for (const char* axis : {"s", "c", "mu", "lambda", "churn"}) {
+    flags.parsed("--grid-" + std::string{axis}, "V,V,...",
+                 std::string{axis} + "= values", axes,
+                 [axis](std::string_view text) -> std::optional<Axis> {
+                   auto values = parse_list(text);
+                   if (!values) return std::nullopt;
+                   return Axis{axis, std::move(*values)};
+                 });
+  }
+  flags.section("runner flags:")
+      .add("--replicas", "R", "replicas per cell (default 8)", replicas)
+      .add("--jobs", "J", "worker threads (default: hardware)", jobs)
+      .add("--seed", "S", "root of the per-cell/per-replica seed tree",
+           seed)
+      .add("--warm", "T", "warm-up virtual time (default 10)", warm)
+      .add("--measure", "T", "measured virtual time (default 30)", measure)
+      .section("output:")
+      .add("--out", "FILE", "JSONL, one row per cell (default stdout)",
+           out_path)
+      .add("--metrics-out", "DIR",
+           "merged telemetry per cell (<DIR>/cell-<i>/)", metrics_dir)
+      .add("--metrics-interval", "T", "snapshot spacing (default 0.5)",
+           metrics_interval);
+  flags.parse_or_exit(argc, argv);
+  if (replicas < 1 || replicas > 100000) {
+    flags.usage_error("--replicas must be in [1, 100000]");
+  }
+  if (metrics_interval <= 0.0) {
+    flags.usage_error("--metrics-interval must be > 0");
+  }
   try {
-    apply_config_args(base, cfg_args);
+    keys.finish();
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\nprotocol keys:\n%s", e.what(),
-                 config_args_help());
-    return 1;
+    flags.usage_error(e.what());
   }
 
   // Cartesian product, declared-axis order, rightmost axis fastest —
@@ -192,14 +148,13 @@ int main(int argc, char** argv) {
     try {
       cfg.validate();
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "cell '%s': %s\n", label.c_str(), e.what());
-      return 1;
+      flags.usage_error("cell '" + label + "': " + e.what());
     }
     runner::ReplicaPlan plan;
     plan.config = cfg;
     plan.warm = warm;
     plan.measure = measure;
-    plan.replicas = static_cast<std::size_t>(replicas);
+    plan.replicas = replicas;
     if (!metrics_dir.empty()) {
       plan.metrics_dir = metrics_dir + "/cell-" + std::to_string(cells.size());
       plan.metrics_interval = metrics_interval;
@@ -220,7 +175,7 @@ int main(int argc, char** argv) {
 
   const std::size_t n_jobs = runner::ThreadPool::resolve_jobs(jobs);
   std::fprintf(stderr,
-               "icollect_sweep: %zu cells x %ld replicas on %zu jobs "
+               "icollect_sweep: %zu cells x %zu replicas on %zu jobs "
                "(seed %llu)\n",
                cells.size(), replicas, n_jobs,
                static_cast<unsigned long long>(seed));
@@ -262,6 +217,6 @@ int main(int argc, char** argv) {
   if (out != nullptr) out->flush();
 
   std::fprintf(stderr, "icollect_sweep: done in %.2fs (%zu simulations)\n",
-               elapsed, cells.size() * static_cast<std::size_t>(replicas));
+               elapsed, cells.size() * replicas);
   return 0;
 }
