@@ -5,13 +5,17 @@
 /// registered once per kernel the CPU supports — "BM_AddScaled<avx2>/4096"
 /// vs "BM_AddScaled<scalar>/4096" — so one run yields the full
 /// scalar/SSSE3/AVX2 speedup matrix. scripts/run_bench.py consumes the
-/// JSON output and distills it into BENCH_gf_kernels.json.
+/// JSON output and distills it into BENCH_gf_kernels.json. The
+/// byte-stream kernels of the payload data plane get per-kernel rows
+/// too: the RNG payload fill (BM_FillGf), CRC-32 (BM_Crc32) and the
+/// integrity PRF expansion (BM_SplitmixExpand, in 8-byte words).
 
 #include <benchmark/benchmark.h>
 
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "gf/gf256.h"
 #include "gf/gf_matrix.h"
 #include "gf/kernels.h"
@@ -119,6 +123,46 @@ void BM_Dot(benchmark::State& state, Kernels::Kind kind) {
                           static_cast<std::int64_t>(n));
 }
 
+void BM_FillGf(benchmark::State& state, Kernels::Kind kind) {
+  const KernelGuard guard{kind};
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  sim::Rng rng{8};
+  std::vector<gf::Element> out(n);
+  for (auto _ : state) {
+    rng.fill_gf(out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+
+void BM_Crc32(benchmark::State& state, Kernels::Kind kind) {
+  const KernelGuard guard{kind};
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  sim::Rng rng{9};
+  std::vector<std::uint8_t> bytes(n);
+  rng.fill_gf(bytes);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(common::crc32(bytes));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+
+void BM_SplitmixExpand(benchmark::State& state, Kernels::Kind kind) {
+  const KernelGuard guard{kind};
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  std::vector<std::uint64_t> words(n);
+  std::uint64_t counter = 0;
+  for (auto _ : state) {
+    Kernels::active().splitmix_expand(words.data(), counter, n);
+    benchmark::DoNotOptimize(words.data());
+    counter += n;
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n * sizeof(words[0])));
+}
+
 void BM_MatrixRank(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   sim::Rng rng{4};
@@ -172,6 +216,16 @@ void register_kernel_benchmarks() {
     benchmark::RegisterBenchmark(("BM_Dot" + tag).c_str(), BM_Dot, kind)
         ->Arg(64)
         ->Arg(1024);
+    benchmark::RegisterBenchmark(("BM_FillGf" + tag).c_str(), BM_FillGf,
+                                 kind)
+        ->Arg(16384);
+    benchmark::RegisterBenchmark(("BM_Crc32" + tag).c_str(), BM_Crc32, kind)
+        ->Arg(64)
+        ->Arg(1024)
+        ->Arg(16384);
+    benchmark::RegisterBenchmark(("BM_SplitmixExpand" + tag).c_str(),
+                                 BM_SplitmixExpand, kind)
+        ->Arg(128);
   }
 }
 

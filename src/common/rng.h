@@ -19,10 +19,13 @@
 /// identical to std::mt19937_64 (same seeding, twist and tempering), so
 /// every seeded run and golden capture is unchanged by it. It differs
 /// only in how the work is laid out: the 312-word state block is
-/// regenerated in one flat loop, and `fill_gf` tempers a whole run of
-/// state words into payload bytes at once instead of paying a call and
-/// a bounds check per byte. The state stays 312 words + an index — no
-/// second output buffer — because a cluster holds one Rng per node.
+/// regenerated in one call of the active kernel table's `mt64_twist`,
+/// and `fill_gf` tempers a whole run of state words into payload bytes
+/// with one `mt64_low_bytes` call instead of paying a call and a bounds
+/// check per byte (gf/kernels.h; the AVX2 entries work four words per
+/// instruction, the scalar ones are the loops of this class). A single
+/// draw stays inline. The state stays 312 words + an index — no second
+/// output buffer — because a cluster holds one Rng per node.
 
 #include <algorithm>
 #include <array>
@@ -34,19 +37,26 @@
 
 #include "common/assert.h"
 #include "gf/gf256.h"
+#include "gf/kernels.h"
 
 namespace icollect::common {
+
+/// The SplitMix64 increment and its two mixing multipliers.
+inline constexpr std::uint64_t kSplitmixGamma = 0x9E3779B97F4A7C15ULL;
+inline constexpr std::uint64_t kSplitmixMul1 = 0xBF58476D1CE4E5B9ULL;
+inline constexpr std::uint64_t kSplitmixMul2 = 0x94D049BB133111EBULL;
 
 /// SplitMix64 finalizer (Steele/Lea/Flood; the mixer of
 /// std::philox-free seeding folklore): a bijective avalanche on 64 bits.
 /// This is the primitive every derived seed in the codebase flows
 /// through — runner::SeedSequence builds its per-cell / per-replica
 /// stream tree out of it, so two distinct derivation paths never yield
-/// correlated mt19937_64 seeds.
+/// correlated mt19937_64 seeds. gf::KernelTable::splitmix_expand
+/// evaluates it over a counter range, with the constants below.
 [[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t x) noexcept {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  x += kSplitmixGamma;
+  x = (x ^ (x >> 30)) * kSplitmixMul1;
+  x = (x ^ (x >> 27)) * kSplitmixMul2;
   return x ^ (x >> 31);
 }
 
@@ -59,6 +69,16 @@ namespace icollect::common {
 class Mt19937_64 {
  public:
   using result_type = std::uint64_t;
+
+  static constexpr std::size_t kN = gf::kMt64StateWords;
+  static constexpr std::size_t kM = 156;
+  static constexpr result_type kMatrixA = 0xB5026F5AA96619E9ULL;
+  static constexpr result_type kUpperMask = ~result_type{0} << 31U;
+  static constexpr result_type kLowerMask = ~kUpperMask;
+  /// Tempering masks (the standard's d, b and c).
+  static constexpr result_type kTemperD = 0x5555555555555555ULL;
+  static constexpr result_type kTemperB = 0x71D67FFFEDA60000ULL;
+  static constexpr result_type kTemperC = 0xFFF7EEE000000000ULL;
 
   explicit Mt19937_64(result_type seed) noexcept {
     state_[0] = seed;
@@ -81,34 +101,27 @@ class Mt19937_64 {
   /// out[i] = low byte of the i-th next draw: the same bytes and the
   /// same stream position as out.size() calls of operator() & 0xFF.
   void fill_low_bytes(std::span<std::uint8_t> out) noexcept {
+    const auto low_bytes = gf::Kernels::active().mt64_low_bytes;
     std::size_t done = 0;
     while (done < out.size()) {
       if (index_ == kN) twist();
       const std::size_t n = std::min(out.size() - done, kN - index_);
-      const result_type* src = state_.data() + index_;
-      std::uint8_t* dst = out.data() + done;
-      for (std::size_t i = 0; i < n; ++i) {
-        dst[i] = static_cast<std::uint8_t>(temper(src[i]));
-      }
+      low_bytes(out.data() + done, state_.data() + index_, n);
       index_ += n;
       done += n;
     }
   }
 
- private:
-  static constexpr std::size_t kN = 312;
-  static constexpr std::size_t kM = 156;
-  static constexpr result_type kMatrixA = 0xB5026F5AA96619E9ULL;
-  static constexpr result_type kUpperMask = ~result_type{0} << 31U;
-  static constexpr result_type kLowerMask = ~kUpperMask;
-
+  /// The tempering transform: state word -> output draw.
   [[nodiscard]] static constexpr result_type temper(result_type y) noexcept {
-    y ^= (y >> 29U) & 0x5555555555555555ULL;
-    y ^= (y << 17U) & 0x71D67FFFEDA60000ULL;
-    y ^= (y << 37U) & 0xFFF7EEE000000000ULL;
+    y ^= (y >> 29U) & kTemperD;
+    y ^= (y << 17U) & kTemperB;
+    y ^= (y << 37U) & kTemperC;
     return y ^ (y >> 43U);
   }
 
+  /// One step of the twist recurrence: the new state word from the old
+  /// word, its successor and the word kM places ahead.
   [[nodiscard]] static constexpr result_type mix(result_type hi_word,
                                                  result_type lo_word,
                                                  result_type far) noexcept {
@@ -116,17 +129,10 @@ class Mt19937_64 {
     return far ^ (y >> 1U) ^ ((0 - (y & 1U)) & kMatrixA);
   }
 
-  /// Regenerate the whole 312-word block. The three branch-free loops
-  /// are the standard recurrence split where the k + m index wraps.
+ private:
+  /// Regenerate the whole 312-word block on the active kernel.
   void twist() noexcept {
-    std::size_t k = 0;
-    for (; k < kN - kM; ++k) {
-      state_[k] = mix(state_[k], state_[k + 1], state_[k + kM]);
-    }
-    for (; k < kN - 1; ++k) {
-      state_[k] = mix(state_[k], state_[k + 1], state_[k + kM - kN]);
-    }
-    state_[kN - 1] = mix(state_[kN - 1], state_[0], state_[kM - 1]);
+    gf::Kernels::active().mt64_twist(state_.data());
     index_ = 0;
   }
 

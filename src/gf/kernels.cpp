@@ -3,6 +3,9 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/crc32.h"
+#include "common/rng.h"
+
 namespace icollect::gf {
 
 namespace {
@@ -61,8 +64,66 @@ Element scalar_dot(const Element* a, const Element* b, std::size_t n) {
 
 namespace detail {
 
-const KernelTable kScalarKernels{scalar_add_assign, scalar_scale_assign,
-                                 scalar_add_scaled, scalar_dot, "scalar"};
+// ---- scalar byte-stream kernels -------------------------------------------
+
+void scalar_mt64_twist(std::uint64_t* state) {
+  // The standard recurrence, split where the k + m index wraps, so the
+  // three loops are branch-free.
+  using Mt = common::Mt19937_64;
+  constexpr std::size_t kN = Mt::kN;
+  constexpr std::size_t kM = Mt::kM;
+  std::size_t k = 0;
+  for (; k < kN - kM; ++k) {
+    state[k] = Mt::mix(state[k], state[k + 1], state[k + kM]);
+  }
+  for (; k < kN - 1; ++k) {
+    state[k] = Mt::mix(state[k], state[k + 1], state[k + kM - kN]);
+  }
+  state[kN - 1] = Mt::mix(state[kN - 1], state[0], state[kM - 1]);
+}
+
+void scalar_mt64_low_bytes(std::uint8_t* out, const std::uint64_t* words,
+                           std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<std::uint8_t>(common::Mt19937_64::temper(words[i]));
+  }
+}
+
+void scalar_splitmix_expand(std::uint64_t* words, std::uint64_t counter,
+                            std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    words[i] = common::splitmix64(counter + i);
+  }
+}
+
+std::uint32_t scalar_crc32_update(std::uint32_t state,
+                                  const std::uint8_t* bytes, std::size_t n) {
+  // Slice-by-8 on the bulk, the classic byte-at-a-time table on the
+  // tail (see common/crc32.h).
+  const auto& t = common::detail::kCrcTables;
+  const std::uint8_t* p = bytes;
+  std::uint32_t c = state;
+  for (; n >= 8; n -= 8, p += 8) {
+    const std::uint32_t lo = c ^ common::detail::load_le32(p);
+    const std::uint32_t hi = common::detail::load_le32(p + 4);
+    c = t[7][lo & 0xFFU] ^ t[6][(lo >> 8U) & 0xFFU] ^
+        t[5][(lo >> 16U) & 0xFFU] ^ t[4][lo >> 24U] ^ t[3][hi & 0xFFU] ^
+        t[2][(hi >> 8U) & 0xFFU] ^ t[1][(hi >> 16U) & 0xFFU] ^
+        t[0][hi >> 24U];
+  }
+  for (; n > 0; --n, ++p) c = t[0][(c ^ *p) & 0xFFU] ^ (c >> 8U);
+  return c;
+}
+
+const KernelTable kScalarKernels{scalar_add_assign,
+                                 scalar_scale_assign,
+                                 scalar_add_scaled,
+                                 scalar_dot,
+                                 scalar_mt64_twist,
+                                 scalar_mt64_low_bytes,
+                                 scalar_splitmix_expand,
+                                 scalar_crc32_update,
+                                 "scalar"};
 
 const NibbleTables& nibble_tables() noexcept {
   // Built from the constexpr exp/log-backed GF256::mul (not the
@@ -93,7 +154,9 @@ bool cpu_has(Kernels::Kind kind) noexcept {
     case Kernels::Kind::kSsse3:
       return __builtin_cpu_supports("ssse3") != 0;
     case Kernels::Kind::kAvx2:
-      return __builtin_cpu_supports("avx2") != 0;
+      // The AVX2 table's CRC-32 folds with PCLMULQDQ.
+      return __builtin_cpu_supports("avx2") != 0 &&
+             __builtin_cpu_supports("pclmul") != 0;
     default:
       return true;
   }

@@ -1,7 +1,8 @@
 #pragma once
 
 /// \file kernels.h
-/// Vectorized GF(2^8) bulk-operation kernels with runtime dispatch.
+/// Vectorized bulk kernels with runtime dispatch: the GF(2^8) coding
+/// primitives, plus the byte-stream kernels of the payload data plane.
 ///
 /// Every coding operation in the system — encoding, recoding, and the
 /// server-side Gaussian elimination — reduces to four bulk primitives
@@ -27,6 +28,21 @@
 /// which needs only AND/XOR per byte, and a Horner fold of the eight
 /// P_k in x once per call.
 ///
+/// Payload synthesis and framing add four byte-stream kernels:
+///
+///   mt64_twist       regenerate the 312-word MT19937-64 state block
+///   mt64_low_bytes   out[i] = low byte of temper(words[i])
+///   splitmix_expand  words[i] = splitmix64(counter + i)
+///   crc32_update     CRC-32 state (inverted in and out) over a range
+///
+/// Their scalar entries are the reference loops of common/rng.h and
+/// common/crc32.h. The AVX2 entries twist and temper four state words
+/// per instruction, run splitmix64 four lanes wide, and fold CRC-32
+/// 64 bytes per step with PCLMULQDQ (Gopal et al., "Fast CRC
+/// Computation for Generic Polynomials Using PCLMULQDQ", Intel 2009),
+/// so the AVX2 table needs PCLMULQDQ as well. The SSSE3 table uses the
+/// scalar byte-stream entries.
+///
 /// Dispatch model: a single function-pointer table (`KernelTable`)
 /// selected once — at static initialization from CPUID (plus the
 /// `ICOLLECT_GF_KERNEL` environment variable), or explicitly via
@@ -34,7 +50,8 @@
 /// pointer is constant-initialized to the scalar table, so code running
 /// before the dispatcher's initializer (or on non-x86 builds) always
 /// has a valid, bit-identical fallback. All kernels produce identical
-/// results; selection changes speed, never output.
+/// results; selection changes speed, never output: the same payload
+/// bytes, RNG stream position, CRCs and integrity tags.
 
 #include <cstddef>
 #include <cstdint>
@@ -43,6 +60,9 @@
 #include "gf/gf256.h"
 
 namespace icollect::gf {
+
+/// Words in one MT19937-64 state block (the `mt64_twist` operand).
+inline constexpr std::size_t kMt64StateWords = 312;
 
 /// One complete set of bulk-operation implementations. All pointers are
 /// always non-null; `name` is a static string ("scalar", "ssse3",
@@ -55,11 +75,23 @@ struct KernelTable {
                                std::size_t n);
   using DotFn = Element (*)(const Element* a, const Element* b,
                             std::size_t n);
+  using Mt64TwistFn = void (*)(std::uint64_t* state);
+  using Mt64LowBytesFn = void (*)(std::uint8_t* out,
+                                  const std::uint64_t* words, std::size_t n);
+  using SplitmixExpandFn = void (*)(std::uint64_t* words,
+                                    std::uint64_t counter, std::size_t n);
+  using Crc32UpdateFn = std::uint32_t (*)(std::uint32_t state,
+                                          const std::uint8_t* bytes,
+                                          std::size_t n);
 
   AddAssignFn add_assign;
   ScaleAssignFn scale_assign;
   AddScaledFn add_scaled;
   DotFn dot;
+  Mt64TwistFn mt64_twist;          ///< state has kMt64StateWords words
+  Mt64LowBytesFn mt64_low_bytes;
+  SplitmixExpandFn splitmix_expand;
+  Crc32UpdateFn crc32_update;
   const char* name;
 };
 
@@ -72,6 +104,18 @@ extern const KernelTable kScalarKernels;
 /// static-initialization-order hazard: anything running before the
 /// dispatcher gets the scalar kernels.
 inline const KernelTable* g_active_kernels = &kScalarKernels;
+
+/// The scalar byte-stream entries (definitions in kernels.cpp). The
+/// SIMD tables name them for their sub-vector tails and, in the SSSE3
+/// table, as whole entries.
+void scalar_mt64_twist(std::uint64_t* state);
+void scalar_mt64_low_bytes(std::uint8_t* out, const std::uint64_t* words,
+                           std::size_t n);
+void scalar_splitmix_expand(std::uint64_t* words, std::uint64_t counter,
+                            std::size_t n);
+[[nodiscard]] std::uint32_t scalar_crc32_update(std::uint32_t state,
+                                                const std::uint8_t* bytes,
+                                                std::size_t n);
 
 /// Half-table pairs for the PSHUFB nibble-split kernels, one 32-byte
 /// pair per multiplier c. Built lazily (Meyers singleton) from the
@@ -100,6 +144,7 @@ class Kernels {
   }
 
   /// True if `kind` can run on this CPU (kScalar and kAuto always can).
+  /// kAvx2 needs both AVX2 and PCLMULQDQ.
   [[nodiscard]] static bool supported(Kind kind) noexcept;
 
   /// The best kernel this CPU supports.

@@ -112,8 +112,16 @@ Element ssse3_dot(const Element* a, const Element* b, std::size_t n) {
          detail::kScalarKernels.dot(a + i, b + i, n - i);
 }
 
-const KernelTable kSsse3Kernels{ssse3_add_assign, ssse3_scale_assign,
-                                ssse3_add_scaled, ssse3_dot, "ssse3"};
+// The byte-stream entries are the scalar ones.
+const KernelTable kSsse3Kernels{ssse3_add_assign,
+                                ssse3_scale_assign,
+                                ssse3_add_scaled,
+                                ssse3_dot,
+                                detail::scalar_mt64_twist,
+                                detail::scalar_mt64_low_bytes,
+                                detail::scalar_splitmix_expand,
+                                detail::scalar_crc32_update,
+                                "ssse3"};
 
 }  // namespace
 

@@ -26,18 +26,29 @@ constexpr std::uint64_t kCheckDomain = 0xC0EFF1C1E47A65ULL;
   return common::splitmix64(x ^ (static_cast<std::uint64_t>(j) + 1));
 }
 
-/// A PRF word in the byte order the check vector uses (low byte first),
-/// so a word buffer read as bytes is the check vector on any host.
-[[nodiscard]] constexpr std::uint64_t little_endian(std::uint64_t w) noexcept {
-  if constexpr (std::endian::native == std::endian::little) {
-    return w;
-  } else {
-    std::uint64_t swapped = 0;
-    for (int b = 0; b < 8; ++b) {
-      swapped = (swapped << 8U) | ((w >> (8 * b)) & 0xFFU);
+/// r_j is expanded and reduced this many payload bytes at a time, from
+/// a stack buffer of words.
+constexpr std::size_t kChunk = 256;
+using ChunkWords = std::array<std::uint64_t, kChunk / 8>;
+
+/// Expand the check-vector words covering the next n <= kChunk payload
+/// bytes, one splitmix64 word per 8 bytes, low byte first, so the word
+/// buffer read as bytes is the check vector on any host. Returns the
+/// counter of the following chunk.
+std::uint64_t expand_chunk(ChunkWords& words, std::uint64_t counter,
+                           std::size_t n) noexcept {
+  const std::size_t count = (n + 7) / 8;
+  gf::Kernels::active().splitmix_expand(words.data(), counter, count);
+  if constexpr (std::endian::native != std::endian::little) {
+    for (std::size_t w = 0; w < count; ++w) {
+      std::uint64_t swapped = 0;
+      for (int b = 0; b < 8; ++b) {
+        swapped = (swapped << 8U) | ((words[w] >> (8 * b)) & 0xFFU);
+      }
+      words[w] = swapped;
     }
-    return swapped;
   }
+  return counter + count;
 }
 
 }  // namespace
@@ -45,20 +56,16 @@ constexpr std::uint64_t kCheckDomain = 0xC0EFF1C1E47A65ULL;
 gf::Element IntegrityAuthority::check_dot(
     const coding::SegmentId& id, std::size_t j,
     std::span<const std::uint8_t> v) const {
-  // r_j is one splitmix64 word per 8 payload bytes, low byte first. It
-  // is expanded a chunk at a time into a stack buffer of words, and the
-  // active kernel's dot reduces each chunk; the chunk dots XOR together.
-  constexpr std::size_t kChunk = 256;
+  // The active kernel's dot reduces each chunk of r_j against v; the
+  // chunk dots XOR together.
   const auto kernel_dot = gf::Kernels::active().dot;
-  std::array<std::uint64_t, kChunk / 8> words{};
+  ChunkWords words{};
   const auto* r = reinterpret_cast<const gf::Element*>(words.data());
   std::uint64_t counter = check_state(params_.key, id, j);
   gf::Element acc = 0;
   for (std::size_t off = 0; off < v.size(); off += kChunk) {
     const std::size_t n = std::min(kChunk, v.size() - off);
-    for (std::size_t w = 0; w < (n + 7) / 8; ++w) {
-      words[w] = little_endian(common::splitmix64(counter++));
-    }
+    counter = expand_chunk(words, counter, n);
     acc ^= kernel_dot(r, v.data() + off, n);
   }
   return acc;
@@ -67,6 +74,11 @@ gf::Element IntegrityAuthority::check_dot(
 void IntegrityAuthority::register_segment(
     const coding::SegmentId& id,
     std::span<const std::vector<std::uint8_t>> originals) {
+  // Churn re-uses peer slots under fresh origin ids, so a live id never
+  // repeats; seeing one again means the caller re-injected a segment
+  // without forgetting it first. Rejected before anything is computed,
+  // so the live segment's tags stay as they were.
+  ICOLLECT_EXPECTS(!known(id));
   ICOLLECT_EXPECTS(!originals.empty());
   const std::size_t len = originals.front().size();
   ICOLLECT_EXPECTS(len > 0);
@@ -76,17 +88,23 @@ void IntegrityAuthority::register_segment(
   t.segment_size = originals.size();
   t.payload_len = len;
   t.rows.resize(params_.checks * t.segment_size);
+  // T[j][k] = <r_j, b_k> for every k off one expansion of each chunk of
+  // r_j: the same chunk dots check_dot would XOR together, per original.
+  const auto kernel_dot = gf::Kernels::active().dot;
+  ChunkWords words{};
+  const auto* r = reinterpret_cast<const gf::Element*>(words.data());
   for (std::size_t j = 0; j < params_.checks; ++j) {
-    for (std::size_t k = 0; k < t.segment_size; ++k) {
-      t.rows[j * t.segment_size + k] = check_dot(id, j, originals[k]);
+    gf::Element* row = t.rows.data() + j * t.segment_size;
+    std::uint64_t counter = check_state(params_.key, id, j);
+    for (std::size_t off = 0; off < len; off += kChunk) {
+      const std::size_t n = std::min(kChunk, len - off);
+      counter = expand_chunk(words, counter, n);
+      for (std::size_t k = 0; k < t.segment_size; ++k) {
+        row[k] ^= kernel_dot(r, originals[k].data() + off, n);
+      }
     }
   }
-  const auto [it, inserted] = tags_.insert_or_assign(id, std::move(t));
-  (void)it;
-  // Churn re-uses peer slots under fresh origin ids, so a live id never
-  // repeats; seeing one again means the caller re-injected a segment
-  // without forgetting it first.
-  ICOLLECT_ENSURES(inserted);
+  tags_.emplace(id, std::move(t));
 }
 
 VerifyResult IntegrityAuthority::verify(

@@ -46,6 +46,12 @@
 /// Determinism: the PRF is a splitmix64 counter chain, deliberately
 /// independent of common::Rng so enabling verification adds zero draws
 /// to any seeded RNG stream (the golden-run byte-identity contract).
+///
+/// Cost: r_j is never stored. It is expanded 256 bytes at a time by the
+/// active kernel table's `splitmix_expand` (four lanes wide on AVX2) and
+/// reduced by its `dot`. Registration expands each chunk of r_j once and
+/// reduces all s originals against it, so a segment's tags cost
+/// `checks` expansions of one payload length, not `checks * s`.
 
 #include <cstdint>
 #include <span>
@@ -92,9 +98,10 @@ class IntegrityAuthority {
 
   /// Compute and store the tag matrix for a freshly injected segment.
   /// Must be called before any coded block of the segment circulates;
-  /// re-registration of a live id is a contract error. Every original
-  /// must be non-empty and equal-length (checks over empty payloads
-  /// would be vacuous).
+  /// re-registration of a live id is a contract error, raised before
+  /// anything is computed, so the live segment's tags stay intact. Every
+  /// original must be non-empty and equal-length (checks over empty
+  /// payloads would be vacuous).
   void register_segment(const coding::SegmentId& id,
                         std::span<const std::vector<std::uint8_t>> originals);
 
@@ -122,8 +129,8 @@ class IntegrityAuthority {
   };
 
   /// <r_j, v> where r_j is the (never-stored) check vector for
-  /// (key, id, j), expanded 8 bytes per splitmix64 call into a small
-  /// stack buffer and reduced chunk by chunk on the active GF kernel.
+  /// (key, id, j), expanded 8 bytes per splitmix64 word into a small
+  /// stack buffer and reduced chunk by chunk on the active kernels.
   [[nodiscard]] gf::Element check_dot(
       const coding::SegmentId& id, std::size_t j,
       std::span<const std::uint8_t> v) const;

@@ -15,8 +15,10 @@
 #include "coding/decoder.h"
 #include "coding/encoder.h"
 #include "coding/segment_buffer.h"
+#include "common/rng.h"
 #include "gf/gf256.h"
 #include "gf/kernels.h"
+#include "kernel_kinds.h"
 #include "sim/random.h"
 
 // --- global allocation counter (for the zero-allocation tests) ----------
@@ -79,6 +81,7 @@ namespace {
 using namespace icollect;
 using gf::Element;
 using gf::Kernels;
+using testkit::supported_kernels;
 
 /// Byte-at-a-time oracle: dst ^= c * src via the carry-less field mul.
 void oracle_add_scaled(Element* dst, const Element* src, Element c,
@@ -86,17 +89,6 @@ void oracle_add_scaled(Element* dst, const Element* src, Element c,
   for (std::size_t i = 0; i < n; ++i) {
     dst[i] = gf::GF256::add(dst[i], gf::GF256::mul(c, src[i]));
   }
-}
-
-std::vector<Kernels::Kind> supported_kinds() {
-  std::vector<Kernels::Kind> kinds{Kernels::Kind::kScalar};
-  if (Kernels::supported(Kernels::Kind::kSsse3)) {
-    kinds.push_back(Kernels::Kind::kSsse3);
-  }
-  if (Kernels::supported(Kernels::Kind::kAvx2)) {
-    kinds.push_back(Kernels::Kind::kAvx2);
-  }
-  return kinds;
 }
 
 const gf::KernelTable& table_for(Kernels::Kind kind) {
@@ -133,7 +125,7 @@ TEST(GfKernels, SelectByNameRoundTrip) {
 
 TEST(GfKernels, AddScaledMatchesOracleEverywhere) {
   sim::Rng rng{11};
-  for (const auto kind : supported_kinds()) {
+  for (const auto kind : supported_kernels()) {
     const gf::KernelTable& t = table_for(kind);
     for (const std::size_t n : kLengths) {
       for (const std::size_t off : kOffsets) {
@@ -157,7 +149,7 @@ TEST(GfKernels, AddScaledMatchesOracleEverywhere) {
 
 TEST(GfKernels, ScaleAssignMatchesOracleEverywhere) {
   sim::Rng rng{12};
-  for (const auto kind : supported_kinds()) {
+  for (const auto kind : supported_kernels()) {
     const gf::KernelTable& t = table_for(kind);
     for (const std::size_t n : kLengths) {
       for (const std::size_t off : kOffsets) {
@@ -182,7 +174,7 @@ TEST(GfKernels, ScaleAssignMatchesOracleEverywhere) {
 
 TEST(GfKernels, AddAssignMatchesOracleEverywhere) {
   sim::Rng rng{13};
-  for (const auto kind : supported_kinds()) {
+  for (const auto kind : supported_kernels()) {
     const gf::KernelTable& t = table_for(kind);
     for (const std::size_t n : kLengths) {
       for (const std::size_t off : kOffsets) {
@@ -204,7 +196,7 @@ TEST(GfKernels, AddAssignMatchesOracleEverywhere) {
 
 TEST(GfKernels, DotMatchesOracleEverywhere) {
   sim::Rng rng{14};
-  for (const auto kind : supported_kinds()) {
+  for (const auto kind : supported_kernels()) {
     const gf::KernelTable& t = table_for(kind);
     for (const std::size_t n : kLengths) {
       for (const std::size_t off : kOffsets) {
@@ -227,7 +219,7 @@ TEST(GfKernels, DotHandlesSignBitAndSaturatedBytes) {
   // The bit-sliced SIMD dots read b's bits through the byte sign bit;
   // pin the bytes where that matters most against the oracle.
   const Element patterns[] = {0x00, 0x01, 0x7F, 0x80, 0xFE, 0xFF};
-  for (const auto kind : supported_kinds()) {
+  for (const auto kind : supported_kernels()) {
     const gf::KernelTable& t = table_for(kind);
     for (const Element pa : patterns) {
       for (const Element pb : patterns) {
@@ -250,7 +242,7 @@ TEST(GfKernels, KernelsAgreePairwiseOnRandomStreams) {
   // Cross-kernel agreement on longer random streams: the property the
   // simulation's determinism guarantee rests on.
   sim::Rng rng{15};
-  const auto kinds = supported_kinds();
+  const auto kinds = supported_kernels();
   for (int round = 0; round < 16; ++round) {
     const std::size_t n = 1 + rng.uniform_index(2048);
     std::vector<Element> dst(n), src(n);
@@ -272,6 +264,76 @@ TEST(GfKernels, KernelsAgreePairwiseOnRandomStreams) {
           << ", c=" << static_cast<int>(c) << ")";
     }
   }
+}
+
+// --- byte-stream kernels --------------------------------------------------
+
+TEST(GfKernels, SplitmixExpandMatchesScalarLoop) {
+  // Lengths around the 4-lane step, counters that wrap 2^64 mid-range,
+  // and a sentinel word past the end that no kernel may touch.
+  const std::size_t lengths[] = {0, 1, 3, 4, 5, 7, 8, 31, 32, 33, 128, 1001};
+  const std::uint64_t counters[] = {0, 1, 0x123456789ABCDEFULL,
+                                    ~std::uint64_t{0} - 2};
+  constexpr std::uint64_t kSentinel = 0xA5A5A5A5A5A5A5A5ULL;
+  for (const auto kind : supported_kernels()) {
+    const gf::KernelTable& t = table_for(kind);
+    for (const std::size_t n : lengths) {
+      for (const std::uint64_t counter : counters) {
+        std::vector<std::uint64_t> words(n + 1, kSentinel);
+        t.splitmix_expand(words.data(), counter, n);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(words[i], common::splitmix64(counter + i))
+              << t.name << " n " << n << " counter " << counter << " i " << i;
+        }
+        ASSERT_EQ(words[n], kSentinel) << t.name << " n " << n;
+      }
+    }
+  }
+}
+
+TEST(GfKernels, Mt64EntriesMatchScalarReference) {
+  // Raw table entries against the scalar ones: the twist on random
+  // states (three blocks in a row), and the low-byte temper at lengths
+  // around the 16-word step with a sentinel byte past the end.
+  sim::Rng rng{16};
+  for (const auto kind : supported_kernels()) {
+    const gf::KernelTable& t = table_for(kind);
+    std::vector<std::uint64_t> state(gf::kMt64StateWords);
+    for (auto& w : state) w = rng.engine()();
+    std::vector<std::uint64_t> expect = state;
+    for (int block = 0; block < 3; ++block) {
+      t.mt64_twist(state.data());
+      gf::detail::scalar_mt64_twist(expect.data());
+      ASSERT_EQ(state, expect) << t.name << " block " << block;
+    }
+    for (std::size_t n = 0; n <= gf::kMt64StateWords; ++n) {
+      std::vector<std::uint8_t> got(n + 1, 0x5A);
+      std::vector<std::uint8_t> want(n + 1, 0x5A);
+      t.mt64_low_bytes(got.data(), state.data(), n);
+      gf::detail::scalar_mt64_low_bytes(want.data(), state.data(), n);
+      ASSERT_EQ(got, want) << t.name << " n " << n;
+    }
+  }
+}
+
+TEST(GfKernels, SelectScalarMakesEveryByteStreamEntryPortable) {
+  ASSERT_TRUE(Kernels::select(Kernels::Kind::kScalar));
+  const gf::KernelTable& t = Kernels::active();
+  EXPECT_EQ(t.mt64_twist, &gf::detail::scalar_mt64_twist);
+  EXPECT_EQ(t.mt64_low_bytes, &gf::detail::scalar_mt64_low_bytes);
+  EXPECT_EQ(t.splitmix_expand, &gf::detail::scalar_splitmix_expand);
+  EXPECT_EQ(t.crc32_update, &gf::detail::scalar_crc32_update);
+  Kernels::select(Kernels::Kind::kAuto);
+}
+
+TEST(GfKernels, Avx2RequiresPclmul) {
+#if defined(__x86_64__) || defined(__i386__)
+  const bool cpu = __builtin_cpu_supports("avx2") != 0 &&
+                   __builtin_cpu_supports("pclmul") != 0;
+  EXPECT_EQ(Kernels::supported(Kernels::Kind::kAvx2), cpu);
+#else
+  EXPECT_FALSE(Kernels::supported(Kernels::Kind::kAvx2));
+#endif
 }
 
 // --- zero-allocation decode path ----------------------------------------

@@ -15,6 +15,7 @@
 #include "common/rng.h"
 #include "gf/gf256.h"
 #include "gf/kernels.h"
+#include "kernel_kinds.h"
 #include "proto/adversary.h"
 #include "proto/integrity.h"
 
@@ -102,6 +103,23 @@ TEST(Integrity, ValidBlocksAndRecodingsPass) {
                                         gf::GF256::mul(beta, b.payload[j]));
     }
     ASSERT_EQ(auth.verify(mixed), VerifyResult::kOk);
+  }
+}
+
+TEST(Integrity, DuplicateRegistrationLeavesTagsIntact) {
+  // A second registration of a live id is a contract error; a caller
+  // that catches it must still hold a segment whose blocks verify.
+  common::Rng rng{0x12};
+  IntegrityAuthority auth{IntegrityParams{0xFEEDULL, 2}};
+  const SegmentId id{4, 2};
+  const auto originals = random_originals(rng, 3, 300);
+  auth.register_segment(id, originals);
+  const auto other = random_originals(rng, 3, 300);
+  EXPECT_THROW(auth.register_segment(id, other), ContractViolation);
+  EXPECT_EQ(auth.segments(), 1U);
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_EQ(auth.verify(random_valid_block(rng, id, originals)),
+              VerifyResult::kOk);
   }
 }
 
@@ -330,20 +348,13 @@ struct ReferenceChecker {
 };
 
 TEST(Integrity, EveryKernelMatchesPerByteReference) {
-  struct RestoreAuto {
-    ~RestoreAuto() { gf::Kernels::select(gf::Kernels::Kind::kAuto); }
-  } restore;
-  std::vector<gf::Kernels::Kind> kinds{gf::Kernels::Kind::kScalar};
-  for (const auto kind : {gf::Kernels::Kind::kSsse3,
-                          gf::Kernels::Kind::kAvx2}) {
-    if (gf::Kernels::supported(kind)) kinds.push_back(kind);
-  }
+  const testkit::RestoreAutoKernel restore;
   constexpr std::uint64_t kKey = 0x5EED1234ULL;
   constexpr std::size_t kChecks = 2;
   constexpr std::size_t kS = 3;
   // Both sides of the 8-byte PRF word and the 256-byte expansion chunk.
   constexpr std::size_t kLengths[] = {1, 7, 8, 255, 256, 257, 1024, 1025};
-  for (const auto kind : kinds) {
+  for (const auto kind : testkit::supported_kernels()) {
     ASSERT_TRUE(gf::Kernels::select(kind));
     const char* name = gf::Kernels::name(kind);
     for (const std::size_t len : kLengths) {

@@ -8,6 +8,8 @@
 #include <random>
 #include <vector>
 
+#include "gf/kernels.h"
+#include "kernel_kinds.h"
 #include "sim/random.h"
 
 namespace icollect::sim {
@@ -173,16 +175,23 @@ TEST(Rng, ForkProducesIndependentStream) {
 
 // The in-tree engine replaced std::mt19937_64 without re-capturing any
 // golden, so it must be draw-for-draw the std engine: scalar draws, the
-// bulk fill and every std distribution layered on top.
+// bulk fill and every std distribution layered on top. Its twist and
+// bulk fill run on the active kernel table, so every table the CPU
+// supports must give the std engine's stream.
 constexpr std::array<std::uint64_t, 3> kEngineSeeds{0, 5489,
                                                     0x9E3779B97F4A7C15ULL};
 
 TEST(Rng, EngineMatchesStdMt19937_64) {
-  for (const std::uint64_t seed : kEngineSeeds) {
-    common::Mt19937_64 engine{seed};
-    std::mt19937_64 reference{seed};
-    for (int i = 0; i < 3 * 312 + 5; ++i) {
-      ASSERT_EQ(engine(), reference()) << "seed " << seed << " draw " << i;
+  const testkit::RestoreAutoKernel restore;
+  for (const auto kind : testkit::supported_kernels()) {
+    ASSERT_TRUE(gf::Kernels::select(kind));
+    for (const std::uint64_t seed : kEngineSeeds) {
+      common::Mt19937_64 engine{seed};
+      std::mt19937_64 reference{seed};
+      for (int i = 0; i < 3 * 312 + 5; ++i) {
+        ASSERT_EQ(engine(), reference())
+            << gf::Kernels::name(kind) << " seed " << seed << " draw " << i;
+      }
     }
   }
   static_assert(common::Mt19937_64::min() == std::mt19937_64::min());
@@ -219,6 +228,44 @@ TEST(Rng, FillGfInterleavedMatchesStdMt19937_64) {
     Rng child = rng.fork();
     std::mt19937_64 ref_child{ref() ^ 0x9E3779B97F4A7C15ULL};
     ASSERT_EQ(child.engine()(), ref_child());
+  }
+}
+
+TEST(Rng, FillGfMatchesStdUnderEveryKernelFromEveryOffset) {
+  // Lengths on both sides of the 16-word vector step and of the 312-word
+  // state block, from stream offsets at the start, one word in, and one
+  // word before a twist; each fill is followed by scalar draws so the
+  // stream position after a fill is pinned too.
+  const testkit::RestoreAutoKernel restore;
+  const std::size_t lengths[] = {0, 15, 16, 17, 311, 312, 313, 1027, 16384};
+  const std::size_t offsets[] = {0, 1, 311};
+  for (const auto kind : testkit::supported_kernels()) {
+    ASSERT_TRUE(gf::Kernels::select(kind));
+    const char* name = gf::Kernels::name(kind);
+    for (const std::size_t offset : offsets) {
+      for (const std::size_t n : lengths) {
+        const std::uint64_t seed = 31 * offset + n;
+        Rng rng{seed};
+        std::mt19937_64 ref{seed};
+        for (std::size_t i = 0; i < offset; ++i) {
+          ASSERT_EQ(rng.engine()(), ref());
+        }
+        std::vector<gf::Element> got(n);
+        for (int round = 0; round < 2; ++round) {
+          rng.fill_gf(got);
+          for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(got[i], static_cast<gf::Element>(ref() & 0xFFU))
+                << name << " offset " << offset << " fill " << n
+                << " round " << round << " byte " << i;
+          }
+          for (int draw = 0; draw < 3; ++draw) {
+            ASSERT_EQ(rng.engine()(), ref())
+                << name << " offset " << offset << " fill " << n
+                << " round " << round << " draw " << draw;
+          }
+        }
+      }
+    }
   }
 }
 

@@ -74,7 +74,8 @@ int main(int argc, char** argv) {
       .add("--progress", "", "progress line per snapshot (stderr)",
            topts.progress)
       .add("--gf-kernel", "K",
-           "GF(2^8) kernel: scalar|ssse3|avx2|auto\n"
+           "kernel set: scalar|ssse3|avx2|auto; GF(2^8)\n"
+           "ops, RNG fill, CRC-32, integrity PRF\n"
            "(default auto; env ICOLLECT_GF_KERNEL)",
            gf_kernel)
       .section("scenario pack (docs/SCENARIOS.md):")
