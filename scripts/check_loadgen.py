@@ -22,9 +22,10 @@ Exits nonzero with a message on the first failed check.
 
 import json
 import os
-import socket
 import subprocess
 import sys
+
+from checklib import fail, free_port, require, usage, usage_error
 
 SCHEMA = "icollect-node-bench/1"
 
@@ -35,22 +36,6 @@ REQUIRED_FIELDS = [
     "segments_acked", "goal_reached", "measure_window_s", "frames_per_s",
     "pull_round_trips_per_s", "duration_s", "transport",
 ]
-
-
-def fail(msg):
-    print(f"check_loadgen: FAIL: {msg}", file=sys.stderr)
-    sys.exit(1)
-
-
-def check(cond, msg):
-    if not cond:
-        fail(msg)
-
-
-def free_port():
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as s:
-        s.bind(("127.0.0.1", 0))
-        return s.getsockname()[1]
 
 
 def run_loadgen(node_bin, loadgen_bin, backend):
@@ -73,8 +58,8 @@ def run_loadgen(node_bin, loadgen_bin, backend):
     finally:
         server.kill()
         server.wait()
-    check(proc.returncode == 0,
-          f"loadgen exited {proc.returncode}: {proc.stderr}")
+    require(proc.returncode == 0,
+            f"loadgen exited {proc.returncode}: {proc.stderr}")
     try:
         report = json.loads(proc.stdout)
     except json.JSONDecodeError as e:
@@ -84,23 +69,23 @@ def run_loadgen(node_bin, loadgen_bin, backend):
 
 def check_report(report, peers):
     for field in REQUIRED_FIELDS:
-        check(field in report, f"report missing field {field!r}")
-    check(report["schema"] == SCHEMA,
-          f"schema {report['schema']!r}, expected {SCHEMA!r}")
-    check(report["goal_reached"] is True, "collection goal not reached")
-    check(report["conns_established"] == peers,
-          f"established {report['conns_established']}/{peers}")
-    check(report["handshakes_ok"] == peers,
-          f"handshakes {report['handshakes_ok']}/{peers}")
-    check(report["segments_acked"] == report["segments_total"],
-          "not every segment ACKed")
-    check(report["frames_sent"] > 0 and report["frames_received"] > 0,
-          "no frame traffic recorded")
-    check(report["pulls_answered"] > 0, "server never pulled")
-    check(report["decode_errors"] == 0, "frame decode errors on the wire")
-    check(report["send_refusals"] == 0, "loadgen hit its own send cap")
-    check(report["pull_round_trips_per_s"] > 0,
-          "measurement window recorded no pull round-trips")
+        require(field in report, f"report missing field {field!r}")
+    require(report["schema"] == SCHEMA,
+            f"schema {report['schema']!r}, expected {SCHEMA!r}")
+    require(report["goal_reached"] is True, "collection goal not reached")
+    require(report["conns_established"] == peers,
+            f"established {report['conns_established']}/{peers}")
+    require(report["handshakes_ok"] == peers,
+            f"handshakes {report['handshakes_ok']}/{peers}")
+    require(report["segments_acked"] == report["segments_total"],
+            "not every segment ACKed")
+    require(report["frames_sent"] > 0 and report["frames_received"] > 0,
+            "no frame traffic recorded")
+    require(report["pulls_answered"] > 0, "server never pulled")
+    require(report["decode_errors"] == 0, "frame decode errors on the wire")
+    require(report["send_refusals"] == 0, "loadgen hit its own send cap")
+    require(report["pull_round_trips_per_s"] > 0,
+            "measurement window recorded no pull round-trips")
     print(f"check_loadgen: goal reached with {peers} peers over "
           f"{report['backend']} "
           f"(rt/s={report['pull_round_trips_per_s']:.0f}, "
@@ -113,18 +98,18 @@ def check_transport_counters(report):
 
     def counter(name):
         key = f"{backend}.{name}"
-        check(key in t, f"transport counters missing {key}")
+        require(key in t, f"transport counters missing {key}")
         return t[key]
 
-    check(counter("connects_ok") == report["conns_established"],
-          "transport connects_ok disagrees with established count")
-    check(counter("conns") == report["conns_established"],
-          f"transport reports {counter('conns')} open conns, "
-          f"expected {report['conns_established']}")
-    check(counter("bytes_in") > 0 and counter("bytes_out") > 0,
-          "transport byte counters are zero")
-    check(counter("wakeups") > 0, "no poller wakeups recorded")
-    check(counter("events") > 0, "no ready events recorded")
+    require(counter("connects_ok") == report["conns_established"],
+            "transport connects_ok disagrees with established count")
+    require(counter("conns") == report["conns_established"],
+            f"transport reports {counter('conns')} open conns, "
+            f"expected {report['conns_established']}")
+    require(counter("bytes_in") > 0 and counter("bytes_out") > 0,
+            "transport byte counters are zero")
+    require(counter("wakeups") > 0, "no poller wakeups recorded")
+    require(counter("events") > 0, "no ready events recorded")
     print(f"check_loadgen: {backend} transport counters OK")
 
 
@@ -141,21 +126,16 @@ def check_cli_errors(loadgen_bin):
          "unknown backend"),
     ]
     for cmd, what in cases:
-        proc = subprocess.run(cmd, capture_output=True, text=True,
-                              timeout=60)
-        check(proc.returncode == 2, f"{what}: expected exit 2, "
-              f"got {proc.returncode}")
-        check(proc.stderr.strip() != "",
-              f"{what}: expected a diagnostic on stderr")
+        usage_error(cmd, what)
     print(f"check_loadgen: CLI rejects {len(cases)} malformed invocations")
 
 
 def main():
     if len(sys.argv) != 3:
-        fail("usage: check_loadgen.py <icollect_node> <icollect_loadgen>")
+        usage("usage: check_loadgen.py <icollect_node> <icollect_loadgen>")
     node_bin, loadgen_bin = sys.argv[1], sys.argv[2]
-    check(os.path.exists(node_bin), f"no such binary: {node_bin}")
-    check(os.path.exists(loadgen_bin), f"no such binary: {loadgen_bin}")
+    require(os.path.exists(node_bin), f"no such binary: {node_bin}")
+    require(os.path.exists(loadgen_bin), f"no such binary: {loadgen_bin}")
     for backend in ("poll", "auto"):
         report, peers = run_loadgen(node_bin, loadgen_bin, backend)
         check_report(report, peers)

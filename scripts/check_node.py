@@ -20,42 +20,12 @@ Exits nonzero with a message on the first failed check.
 
 import json
 import os
-import socket
 import subprocess
 import sys
 import tempfile
 
-
-def fail(msg):
-    print(f"check_node: FAIL: {msg}", file=sys.stderr)
-    sys.exit(1)
-
-
-def check(cond, msg):
-    if not cond:
-        fail(msg)
-
-
-def free_port():
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as s:
-        s.bind(("127.0.0.1", 0))
-        return s.getsockname()[1]
-
-
-def parse_jsonl(path, what):
-    check(os.path.exists(path), f"missing {what} at {path}")
-    rows = []
-    with open(path) as f:
-        for i, line in enumerate(f):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append(json.loads(line))
-            except json.JSONDecodeError as e:
-                fail(f"{what} line {i + 1} is not JSON: {e}")
-    check(rows, f"{what} is empty")
-    return rows
+from checklib import (fail, free_port, parse_jsonl, require, run, usage,
+                      usage_error)
 
 
 def check_cluster(cluster_bin, tmp):
@@ -68,35 +38,32 @@ def check_cluster(cluster_bin, tmp):
         "--metrics-out", metrics, "--metrics-interval", "0.5",
     ]
 
-    def run():
-        proc = subprocess.run(cmd, capture_output=True, text=True,
-                              timeout=240)
-        check(proc.returncode == 0,
-              f"cluster run failed (exit {proc.returncode}): {proc.stderr}")
+    def run_cluster():
+        out = run(cmd, timeout=240)
         try:
-            return json.loads(proc.stdout)
+            return json.loads(out)
         except json.JSONDecodeError as e:
-            fail(f"cluster summary is not JSON: {e}\n{proc.stdout}")
+            fail(f"cluster summary is not JSON: {e}\n{out}")
 
-    summary = run()
-    check(summary["complete"] is True, "cluster did not complete")
-    check(summary["segments_injected"] == 8 * 3,
-          f"expected 24 injected, got {summary['segments_injected']}")
-    check(summary["segments_decoded"] == summary["segments_injected"],
-          "decoded != injected")
-    check(summary["innovative_pulls"] >= summary["segments_injected"],
-          "implausibly few innovative pulls")
+    summary = run_cluster()
+    require(summary["complete"] is True, "cluster did not complete")
+    require(summary["segments_injected"] == 8 * 3,
+            f"expected 24 injected, got {summary['segments_injected']}")
+    require(summary["segments_decoded"] == summary["segments_injected"],
+            "decoded != injected")
+    require(summary["innovative_pulls"] >= summary["segments_injected"],
+            "implausibly few innovative pulls")
 
     rows = parse_jsonl(metrics, "cluster metrics JSONL")
     times = [r["t"] for r in rows]
-    check(times == sorted(times), "metrics time column not nondecreasing")
-    check("cluster.segments_decoded" in rows[-1],
-          "metrics rows missing cluster.* gauges")
-    check(rows[-1]["cluster.segments_decoded"] == 24,
-          "final metrics row disagrees with the summary")
+    require(times == sorted(times), "metrics time column not nondecreasing")
+    require("cluster.segments_decoded" in rows[-1],
+            "metrics rows missing cluster.* gauges")
+    require(rows[-1]["cluster.segments_decoded"] == 24,
+            "final metrics row disagrees with the summary")
 
     # Same seed, same run — the loopback cluster is deterministic.
-    check(run() == summary, "identical seeds produced different summaries")
+    require(run_cluster() == summary, "identical seeds produced different summaries")
     print("check_node: loopback cluster OK "
           f"(t={summary['t']:.2f}, decoded={summary['segments_decoded']})")
 
@@ -134,12 +101,12 @@ def check_tcp(node_bin, tmp):
             for p in procs.values():
                 p.kill()
             fail(f"{name} did not finish within the wall-clock budget")
-        check(proc.returncode == 0,
-              f"{name} exited {proc.returncode}: {err}")
+        require(proc.returncode == 0,
+                f"{name} exited {proc.returncode}: {err}")
 
     rows = parse_jsonl(server_metrics, "server metrics JSONL")
-    check(any(r.get("node.segments_decoded", 0) >= 4 for r in rows),
-          "server metrics never reached 4 decoded segments")
+    require(any(r.get("node.segments_decoded", 0) >= 4 for r in rows),
+            "server metrics never reached 4 decoded segments")
     print("check_node: real-TCP collection OK (4 segments over "
           f"port {server_port})")
 
@@ -160,18 +127,13 @@ def check_cli_errors(cluster_bin, node_bin):
          "unparseable listen address"),
     ]
     for cmd, what in cases:
-        proc = subprocess.run(cmd, capture_output=True, text=True,
-                              timeout=60)
-        check(proc.returncode == 2,
-              f"{what}: expected exit 2, got {proc.returncode}")
-        check(proc.stderr.strip() != "",
-              f"{what}: expected a diagnostic on stderr")
+        usage_error(cmd, what)
     print(f"check_node: CLI rejects {len(cases)} malformed invocations")
 
 
 def main():
     if len(sys.argv) != 3:
-        fail("usage: check_node.py <icollect_cluster> <icollect_node>")
+        usage("usage: check_node.py <icollect_cluster> <icollect_node>")
     cluster_bin, node_bin = sys.argv[1], sys.argv[2]
     with tempfile.TemporaryDirectory(prefix="icollect_node_check_") as tmp:
         check_cluster(cluster_bin, tmp)

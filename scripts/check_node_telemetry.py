@@ -33,48 +33,19 @@ import sys
 import tempfile
 import time
 
+from checklib import (fail, free_port, parse_jsonl, require, run, usage,
+                      usage_error)
+
 TRACE_KINDS = {"inject", "gossip", "ttl", "pull", "decode",
                "lost", "depart", "gossip-lost"}
 
 
-def fail(msg):
-    print(f"check_node_telemetry: FAIL: {msg}", file=sys.stderr)
-    sys.exit(1)
-
-
-def check(cond, msg):
-    if not cond:
-        fail(msg)
-
-
-def free_port():
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as s:
-        s.bind(("127.0.0.1", 0))
-        return s.getsockname()[1]
-
-
-def parse_jsonl(path, what):
-    check(os.path.exists(path), f"missing {what} at {path}")
-    rows = []
-    with open(path) as f:
-        for i, line in enumerate(f):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append(json.loads(line))
-            except json.JSONDecodeError as e:
-                fail(f"{what} line {i + 1} is not JSON: {e}")
-    check(rows, f"{what} is empty")
-    return rows
-
-
 def check_latency_block(block, what):
     for key in ("count", "p50", "p90", "p99", "max"):
-        check(key in block, f"{what} missing '{key}'")
-    check(block["count"] > 0, f"{what} recorded no samples")
-    check(0.0 < block["p50"] <= block["p90"] <= block["p99"] <=
-          block["max"], f"{what} quantiles not ordered: {block}")
+        require(key in block, f"{what} missing '{key}'")
+    require(block["count"] > 0, f"{what} recorded no samples")
+    require(0.0 < block["p50"] <= block["p90"] <= block["p99"] <=
+            block["max"], f"{what} quantiles not ordered: {block}")
 
 
 def check_cluster(cluster_bin, tmp):
@@ -87,68 +58,65 @@ def check_cluster(cluster_bin, tmp):
         "--server-rate", "24", "--max-time", "300", "--seed", "5",
     ]
 
-    def run(extra):
-        proc = subprocess.run(base + extra, capture_output=True,
-                              text=True, timeout=240)
-        check(proc.returncode == 0,
-              f"cluster run failed (exit {proc.returncode}): {proc.stderr}")
+    def run_cluster(extra):
+        out = run(base + extra, timeout=240)
         try:
-            return json.loads(proc.stdout)
+            return json.loads(out)
         except json.JSONDecodeError as e:
-            fail(f"cluster summary is not JSON: {e}\n{proc.stdout}")
+            fail(f"cluster summary is not JSON: {e}\n{out}")
 
-    summary = run(["--metrics-out", metrics, "--metrics-interval", "0.5",
+    summary = run_cluster(["--metrics-out", metrics, "--metrics-interval", "0.5",
                    "--trace-out", trace])
-    check(summary["complete"] is True, "cluster did not complete")
+    require(summary["complete"] is True, "cluster did not complete")
 
     # --- the stats block -------------------------------------------------
-    check("stats" in summary, "summary has no stats block")
+    require("stats" in summary, "summary has no stats block")
     stats = summary["stats"]
     for key in ("frames_sent", "frames_received", "handshakes_ok",
                 "loopback_deliveries", "loopback_bytes_out"):
-        check(stats.get(key, 0) > 0, f"stats.{key} is zero")
-    check(stats["wire_decode_errors"] == 0,
-          "clean loopback run reported wire decode errors")
+        require(stats.get(key, 0) > 0, f"stats.{key} is zero")
+    require(stats["wire_decode_errors"] == 0,
+            "clean loopback run reported wire decode errors")
     check_latency_block(stats["pull_rtt"], "stats.pull_rtt")
     check_latency_block(stats["decode_latency"], "stats.decode_latency")
-    check(stats["pull_rtt"]["max"] <= summary["t"],
-          "pull RTT exceeds the whole run's duration")
+    require(stats["pull_rtt"]["max"] <= summary["t"],
+            "pull RTT exceeds the whole run's duration")
 
     # --- the metrics JSONL -----------------------------------------------
     rows = parse_jsonl(metrics, "cluster metrics JSONL")
     times = [r["t"] for r in rows]
-    check(times == sorted(times), "metrics time column not nondecreasing")
+    require(times == sorted(times), "metrics time column not nondecreasing")
     last = rows[-1]
     for col in ("loopback.sends", "loopback.bytes_out", "loopback.bytes_in",
                 "peer1.frames_sent", "peer1.frames_received",
                 "peer1.handshakes_ok", "server0.pulls_sent",
                 "server0.pull_rtt.count", "cluster.segments_decoded"):
-        check(col in last, f"metrics rows missing column {col}")
-        check(last[col] > 0, f"final metrics row has {col} == 0")
-    check(last["server0.pull_rtt.p50"] > 0,
-          "pull-RTT p50 column is zero despite recorded samples")
-    check(last["peer1.wire_err.bad-crc"] == 0,
-          "per-status wire error column nonzero on a clean run")
+        require(col in last, f"metrics rows missing column {col}")
+        require(last[col] > 0, f"final metrics row has {col} == 0")
+    require(last["server0.pull_rtt.p50"] > 0,
+            "pull-RTT p50 column is zero despite recorded samples")
+    require(last["peer1.wire_err.bad-crc"] == 0,
+            "per-status wire error column nonzero on a clean run")
 
     # --- the trace JSONL -------------------------------------------------
     events = parse_jsonl(trace, "cluster trace JSONL")
     prev = 0.0
     injects = decodes = 0
     for e in events:
-        check(e["kind"] in TRACE_KINDS, f"unknown trace kind {e['kind']}")
-        check(e["t"] >= prev, "trace timestamps not nondecreasing")
+        require(e["kind"] in TRACE_KINDS, f"unknown trace kind {e['kind']}")
+        require(e["t"] >= prev, "trace timestamps not nondecreasing")
         prev = e["t"]
         injects += e["kind"] == "inject"
         decodes += e["kind"] == "decode"
-    check(injects == summary["segments_injected"],
-          f"{injects} inject events vs "
-          f"{summary['segments_injected']} injected segments")
-    check(decodes == summary["segments_injected"] * 2,
-          "each of 2 servers should trace each segment's decode")
+    require(injects == summary["segments_injected"],
+            f"{injects} inject events vs "
+            f"{summary['segments_injected']} injected segments")
+    require(decodes == summary["segments_injected"] * 2,
+            "each of 2 servers should trace each segment's decode")
 
     # --- telemetry must not perturb the run ------------------------------
-    check(run([]) == summary,
-          "summary differs between telemetry-on and telemetry-off runs")
+    require(run_cluster([]) == summary,
+            "summary differs between telemetry-on and telemetry-off runs")
     print("check_node_telemetry: loopback cluster telemetry OK "
           f"({len(rows)} metric rows, {len(events)} trace events)")
 
@@ -180,7 +148,7 @@ def check_tcp(node_bin, tmp):
 
     # Poke the server while it is certainly alive (idle, pre-peers): the
     # poll loop must service the flag and print one stats line.
-    check(wait_listening(server_port), "server never started listening")
+    require(wait_listening(server_port), "server never started listening")
     server.send_signal(signal.SIGUSR1)
     time.sleep(0.3)
 
@@ -208,40 +176,40 @@ def check_tcp(node_bin, tmp):
             for p in procs.values():
                 p.kill()
             fail(f"{name} did not finish within the wall-clock budget")
-        check(proc.returncode == 0,
-              f"{name} exited {proc.returncode}: {errs[name]}")
+        require(proc.returncode == 0,
+                f"{name} exited {proc.returncode}: {errs[name]}")
 
     # --- the SIGUSR1 dump ------------------------------------------------
     dumps = [line for line in errs["server"].splitlines()
              if line.startswith("SIGUSR1 stats ")]
-    check(dumps, "server stderr has no SIGUSR1 stats line")
+    require(dumps, "server stderr has no SIGUSR1 stats line")
     try:
         dump = json.loads(dumps[0][len("SIGUSR1 stats "):])
     except json.JSONDecodeError as e:
         fail(f"SIGUSR1 dump is not JSON: {e}\n{dumps[0]}")
-    check("t" in dump and "tcp.accepts" in dump and
-          "node.frames_sent" in dump,
-          f"SIGUSR1 dump missing expected columns: {sorted(dump)[:8]}")
+    require("t" in dump and "tcp.accepts" in dump and
+            "node.frames_sent" in dump,
+            f"SIGUSR1 dump missing expected columns: {sorted(dump)[:8]}")
 
     # --- the wall-clock metrics JSONL ------------------------------------
     rows = parse_jsonl(server_metrics, "server metrics JSONL")
     times = [r["t"] for r in rows]
-    check(times == sorted(times),
-          "server metrics time column not nondecreasing")
+    require(times == sorted(times),
+            "server metrics time column not nondecreasing")
     last = rows[-1]
     for col in ("tcp.accepts", "tcp.bytes_in", "tcp.bytes_out",
                 "node.frames_sent", "node.frames_received",
                 "node.handshakes_ok", "node.pulls_sent",
                 "node.pull_rtt.count"):
-        check(col in last, f"server metrics missing column {col}")
-        check(last[col] > 0, f"final server metrics row has {col} == 0")
-    check(last["node.segments_decoded"] >= 4,
-          "server metrics never reached 4 decoded segments")
+        require(col in last, f"server metrics missing column {col}")
+        require(last[col] > 0, f"final server metrics row has {col} == 0")
+    require(last["node.segments_decoded"] >= 4,
+            "server metrics never reached 4 decoded segments")
     # RTT is stamped off the node's timer wheel, so a localhost reply
     # faster than one tick legitimately records 0 — require presence and
     # ordering here; the loopback check above asserts nonzero quantiles.
-    check(last["node.pull_rtt.p50"] <= last["node.pull_rtt.max"],
-          "wall-clock pull-RTT quantiles not ordered")
+    require(last["node.pull_rtt.p50"] <= last["node.pull_rtt.max"],
+            "wall-clock pull-RTT quantiles not ordered")
     print("check_node_telemetry: real-TCP telemetry OK "
           f"({len(rows)} metric rows, SIGUSR1 dump verified)")
 
@@ -271,20 +239,15 @@ def check_cli_errors(cluster_bin, node_bin, tmp):
          "node unwritable trace path"),
     ]
     for cmd, what in cases:
-        proc = subprocess.run(cmd, capture_output=True, text=True,
-                              timeout=60)
-        check(proc.returncode == 2,
-              f"{what}: expected exit 2, got {proc.returncode}")
-        check(proc.stderr.strip() != "",
-              f"{what}: expected a diagnostic on stderr")
+        usage_error(cmd, what)
     print(f"check_node_telemetry: CLI rejects {len(cases)} bad "
           "telemetry invocations with exit 2")
 
 
 def main():
     if len(sys.argv) != 3:
-        fail("usage: check_node_telemetry.py <icollect_cluster> "
-             "<icollect_node>")
+        usage("usage: check_node_telemetry.py <icollect_cluster> "
+              "<icollect_node>")
     cluster_bin, node_bin = sys.argv[1], sys.argv[2]
     with tempfile.TemporaryDirectory(
             prefix="icollect_node_telemetry_") as tmp:

@@ -14,7 +14,8 @@ tool emits only for the feedback-driven policies:
   deficit   same, under deficit-weighted sampling.
 
 Every CLI (including `icollect_node`) must reject an unknown policy
-name with exit 2. With --validate, schema-checks the committed
+name with exit 2, and the live ones (`icollect_cluster`, `icollect_node`)
+must reject the simulator-only `all` (uniform-all) the same way. With --validate, schema-checks the committed
 BENCH_pulls.json table, including the headline claim: both feedback
 policies beat uniform on mean pulls-to-completion with non-overlapping
 95% CIs in at least one point per driver.
@@ -25,8 +26,10 @@ Usage:
 """
 
 import json
-import subprocess
 import sys
+
+from checklib import (check, json_after, last_json_line, run, usage,
+                      usage_error)
 
 SIM_BASE = [
     "peers=24", "lambda=8", "s=4", "mu=8", "gamma=1", "buffer=32",
@@ -50,42 +53,13 @@ CLUSTER_POLICY_KEYS = {"policy", "summaries_received", "targeted_pulls"}
 SUMMARY_KEYS = {"mean", "stddev", "ci95", "min", "max"}
 
 
-def fail(msg: str) -> None:
-    print(f"FAIL: {msg}", file=sys.stderr)
-    sys.exit(1)
-
-
-def run(cmd: list[str], expect_exit: int = 0) -> str:
-    proc = subprocess.run(cmd, stdout=subprocess.PIPE,
-                          stderr=subprocess.PIPE, check=False)
-    if proc.returncode != expect_exit:
-        sys.stderr.buffer.write(proc.stdout + proc.stderr)
-        fail(f"exit {proc.returncode} (expected {expect_exit}): "
-             f"{' '.join(cmd)}")
-    return proc.stdout.decode()
-
-
-def check(cond: bool, what: str) -> None:
-    if not cond:
-        fail(what)
-    print(f"  ok: {what}")
-
-
 def sim_policy_block(out: str) -> dict | None:
     """The JSON object after the '-- pull-policy --' banner, if any."""
-    lines = out.splitlines()
-    for i, line in enumerate(lines):
-        if line.strip() == "-- pull-policy --":
-            return json.loads(lines[i + 1])
-    return None
+    return json_after(out, "-- pull-policy --")
 
 
 def cluster_json(out: str) -> dict:
-    for line in reversed(out.splitlines()):
-        if line.strip().startswith("{"):
-            return json.loads(line)
-    fail("cluster output has no JSON report line")
-    raise AssertionError  # unreachable
+    return last_json_line(out, "cluster output")
 
 
 def check_sim(sim: str) -> None:
@@ -102,7 +76,7 @@ def check_sim(sim: str) -> None:
     s = sim_policy_block(out)
     check(s is not None, "pull-policy block present")
     check(set(s) == SIM_POLICY_KEYS, "pull-policy block schema")
-    check(s["policy"] == "rarest-first", "policy is named")
+    check(s["policy"] == "rarest", "policy is named")
     check(s["pulls"] > 0, "servers pulled")
     check(0.0 <= s["redundant_fraction"] <= 1.0,
           "redundant fraction in range")
@@ -112,7 +86,7 @@ def check_sim(sim: str) -> None:
 
     print("deficit (via config key):")
     s = sim_policy_block(run([sim, *SIM_BASE, "pull=deficit"]))
-    check(s is not None and s["policy"] == "deficit-weighted",
+    check(s is not None and s["policy"] == "deficit",
           "pull=deficit selects deficit-weighted")
 
     print("bad policy rejected:")
@@ -156,6 +130,16 @@ def check_cluster(cluster: str, node: str) -> None:
     print("  ok: cluster rejects unknown policy with exit 2")
     run([node, "--pull-policy", "round-robin"], expect_exit=2)
     print("  ok: node rejects unknown policy with exit 2")
+    err = usage_error([cluster, *CLUSTER_BASE, "--pull-policy", "all"],
+                      "cluster --pull-policy all")
+    check("simulator-only" in err,
+          "cluster rejects the simulator-only policy with exit 2")
+    # Validation precedes any socket work, so nothing is dialed.
+    err = usage_error([node, "--role", "server", "--connect",
+                       "127.0.0.1:9", "--pull-policy", "all"],
+                      "node --pull-policy all")
+    check("simulator-only" in err,
+          "node rejects the simulator-only policy with exit 2")
 
 
 def validate_bench(path: str) -> None:
@@ -165,10 +149,6 @@ def validate_bench(path: str) -> None:
     check(d.get("schema") == "icollect-pulls-bench-v1",
           "schema tag present")
     check(d["replicas"] >= 2, "at least two replicas per point")
-
-    uniform_names = {"uniform", "uniform-non-empty"}
-    feedback_names = {"rarest", "rarest-first", "deficit",
-                      "deficit-weighted"}
 
     for table in ("simulator", "cluster"):
         tab = d[table]
@@ -185,21 +165,20 @@ def validate_bench(path: str) -> None:
             ident = (p["s"], p["peers"], p.get("segments_per_peer"))
             by_point.setdefault(ident, {})[p["policy"]] = m
         for ident, arms in by_point.items():
-            uniform = next((arms[n] for n in uniform_names if n in arms),
-                           None)
+            uniform = arms.get("uniform")
             check(uniform is not None,
                   f"{table} point {ident} has a uniform control")
             hi = (uniform["pulls_to_completion"]["mean"] -
                   uniform["pulls_to_completion"]["ci95"])
             for name, m in arms.items():
-                if name in uniform_names:
+                if name == "uniform":
                     continue
-                check(name in feedback_names,
+                check(name in ("rarest", "deficit"),
                       f"{table} arm {name} is a known policy")
                 lo = (m["pulls_to_completion"]["mean"] +
                       m["pulls_to_completion"]["ci95"])
                 if lo < hi:
-                    separated.add(name.split("-")[0])
+                    separated.add(name)
         check(len(separated) >= 2,
               f"{table}: both feedback policies beat uniform with "
               "non-overlapping 95% CIs in at least one point")
@@ -212,8 +191,7 @@ def main() -> int:
         print("bench table OK")
         return 0
     if len(argv) != 3:
-        print(__doc__, file=sys.stderr)
-        return 2
+        usage(__doc__)
     sim, cluster, node = argv
     check_sim(sim)
     check_cluster(cluster, node)

@@ -23,8 +23,10 @@ Usage:
 """
 
 import json
-import subprocess
 import sys
+
+from checklib import (check, fail, json_after, last_json_line, run, usage,
+                      usage_error)
 
 SIM_BASE = [
     "peers=24", "lambda=8", "s=4", "mu=8", "gamma=1", "buffer=32",
@@ -51,44 +53,17 @@ CLUSTER_SCENARIO_KEYS = {
 }
 
 
-def fail(msg: str) -> None:
-    print(f"FAIL: {msg}", file=sys.stderr)
-    sys.exit(1)
-
-
-def run(cmd: list[str], expect_exit: int = 0) -> str:
-    proc = subprocess.run(cmd, stdout=subprocess.PIPE,
-                          stderr=subprocess.PIPE, check=False)
-    if proc.returncode != expect_exit:
-        sys.stderr.buffer.write(proc.stdout + proc.stderr)
-        fail(f"exit {proc.returncode} (expected {expect_exit}): "
-             f"{' '.join(cmd)}")
-    return proc.stdout.decode()
-
-
-def check(cond: bool, what: str) -> None:
-    if not cond:
-        fail(what)
-    print(f"  ok: {what}")
-
-
 def sim_scenario(out: str) -> dict:
     """The JSON object printed after the '-- scenario --' banner."""
-    lines = out.splitlines()
-    for i, line in enumerate(lines):
-        if line.strip() == "-- scenario --":
-            return json.loads(lines[i + 1])
-    fail("sim output has no '-- scenario --' section")
-    raise AssertionError  # unreachable
+    s = json_after(out, "-- scenario --")
+    if s is None:
+        fail("sim output has no '-- scenario --' section")
+    return s
 
 
 def cluster_json(out: str) -> dict:
     """The cluster's final JSON report (last non-empty stdout line)."""
-    for line in reversed(out.splitlines()):
-        if line.strip().startswith("{"):
-            return json.loads(line)
-    fail("cluster output has no JSON report line")
-    raise AssertionError  # unreachable
+    return last_json_line(out, "cluster output")
 
 
 def check_sim(sim: str) -> None:
@@ -124,6 +99,13 @@ def check_sim(sim: str) -> None:
     check(s["dishonest_peers"] == 0, "trace replay is all-honest")
     check(s["segments_injected"] > 0, "shaped profile injected data")
     check(s["segments_decoded"] > 0, "collection proceeded")
+
+    print("inconsistent scenario rejected:")
+    err = usage_error([sim, *SIM_BASE, "fidelity=state-counter",
+                       "payload=0", "--scenario=byzantine"],
+                      "byzantine under state-counter fidelity")
+    check("real-coding" in err,
+          "byzantine under state-counter fidelity exits 2")
 
 
 def check_cluster(cluster: str) -> None:
@@ -221,8 +203,7 @@ def main() -> int:
         print("bench table OK")
         return 0
     if len(argv) != 2:
-        print(__doc__, file=sys.stderr)
-        return 2
+        usage(__doc__)
     sim, cluster = argv
     check_sim(sim)
     check_cluster(cluster)

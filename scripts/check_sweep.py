@@ -22,6 +22,8 @@ import subprocess
 import sys
 import tempfile
 
+from checklib import fail, usage
+
 GRID = [
     "--grid-s=1,4",
     "--grid-c=2,4",
@@ -35,11 +37,6 @@ GRID = [
 EXPECTED_CELLS = 4  # |grid-s| x |grid-c|
 
 AGGREGATE_STAT_KEYS = {"mean", "stddev", "ci95", "min", "max"}
-
-
-def fail(msg):
-    print(f"check_sweep: FAIL: {msg}", file=sys.stderr)
-    sys.exit(1)
 
 
 def run_sweep(binary, out, seed, jobs):
@@ -80,7 +77,7 @@ def check_rows(raw):
 
 def main():
     if len(sys.argv) != 2:
-        fail("usage: check_sweep.py /path/to/icollect_sweep")
+        usage("usage: check_sweep.py /path/to/icollect_sweep")
     binary = sys.argv[1]
     if not os.path.exists(binary):
         fail(f"sweep binary not found: {binary} (build the repo first)")

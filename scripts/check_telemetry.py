@@ -19,9 +19,10 @@ Exits nonzero with a message on the first failed check.
 import json
 import os
 import shutil
-import subprocess
 import sys
 import tempfile
+
+from checklib import fail, parse_jsonl, require, run, usage
 
 REQUIRED_SNAPSHOT_KEYS = [
     "t",
@@ -34,18 +35,8 @@ REQUIRED_SNAPSHOT_KEYS = [
 TRACE_FILTER = ["gossip", "pull", "decode", "gossip-lost"]
 
 
-def fail(msg):
-    print(f"check_telemetry: FAIL: {msg}", file=sys.stderr)
-    sys.exit(1)
-
-
-def check(cond, msg):
-    if not cond:
-        fail(msg)
-
-
 def load_json_file(path):
-    check(os.path.exists(path), f"missing {path}")
+    require(os.path.exists(path), f"missing {path}")
     with open(path) as f:
         try:
             return json.load(f)
@@ -53,26 +44,11 @@ def load_json_file(path):
             fail(f"{path} is not valid JSON: {e}")
 
 
-def load_jsonl(path):
-    check(os.path.exists(path), f"missing {path}")
-    rows = []
-    with open(path) as f:
-        for i, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append(json.loads(line))
-            except json.JSONDecodeError as e:
-                fail(f"{path}:{i} is not valid JSON: {e}")
-    return rows
-
-
 def main():
     if len(sys.argv) < 2:
-        fail("usage: check_telemetry.py /path/to/icollect_sim [bundle_dir]")
+        usage("usage: check_telemetry.py /path/to/icollect_sim [bundle_dir]")
     sim = sys.argv[1]
-    check(os.path.exists(sim), f"simulator binary not found: {sim}")
+    require(os.path.exists(sim), f"simulator binary not found: {sim}")
 
     if len(sys.argv) > 2:
         bundle = sys.argv[2]
@@ -91,74 +67,73 @@ def main():
         f"--trace-filter={','.join(TRACE_FILTER)}",
         "--profile",
     ]
-    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=240)
-    check(proc.returncode == 0,
-          f"simulator exited {proc.returncode}:\n{proc.stderr}")
+    run(cmd, timeout=240)
 
     # -- config.json ------------------------------------------------------
     config = load_json_file(os.path.join(bundle, "config.json"))
-    check("seed" in config, "config.json lacks 'seed'")
-    check(config.get("gf_kernel") in ("scalar", "ssse3", "avx2"),
-          f"config.json gf_kernel invalid: {config.get('gf_kernel')!r}")
-    check(config.get("peers") == 60, "config.json peer count mismatch")
-    check(isinstance(config.get("churn"), dict) and config["churn"]["enabled"],
-          "config.json churn echo wrong")
+    require("seed" in config, "config.json lacks 'seed'")
+    require(config.get("gf_kernel") in ("scalar", "ssse3", "avx2"),
+            f"config.json gf_kernel invalid: {config.get('gf_kernel')!r}")
+    require(config.get("peers") == 60, "config.json peer count mismatch")
+    require(isinstance(config.get("churn"), dict) and config["churn"]["enabled"],
+            "config.json churn echo wrong")
 
     # -- snapshots.jsonl --------------------------------------------------
-    snaps = load_jsonl(os.path.join(bundle, "snapshots.jsonl"))
-    check(len(snaps) >= 10,
-          f"expected >= 10 snapshots, got {len(snaps)}")
+    snaps = parse_jsonl(os.path.join(bundle, "snapshots.jsonl"),
+                        "snapshots.jsonl")
+    require(len(snaps) >= 10,
+            f"expected >= 10 snapshots, got {len(snaps)}")
     for key in REQUIRED_SNAPSHOT_KEYS:
-        check(all(key in row for row in snaps),
-              f"snapshot rows lack required key '{key}'")
+        require(all(key in row for row in snaps),
+                f"snapshot rows lack required key '{key}'")
     times = [row["t"] for row in snaps]
-    check(all(b >= a for a, b in zip(times, times[1:])),
-          "snapshot times are not nondecreasing")
-    check(snaps[-1]["net.segments_injected"] >=
-          snaps[0]["net.segments_injected"],
-          "lifetime counter decreased across snapshots")
+    require(all(b >= a for a, b in zip(times, times[1:])),
+            "snapshot times are not nondecreasing")
+    require(snaps[-1]["net.segments_injected"] >=
+            snaps[0]["net.segments_injected"],
+            "lifetime counter decreased across snapshots")
 
     # -- snapshots.csv ----------------------------------------------------
     csv_path = os.path.join(bundle, "snapshots.csv")
-    check(os.path.exists(csv_path), "missing snapshots.csv")
+    require(os.path.exists(csv_path), "missing snapshots.csv")
     with open(csv_path) as f:
         csv_lines = [ln for ln in f.read().splitlines() if ln]
-    check(len(csv_lines) == len(snaps) + 1,
-          f"CSV rows ({len(csv_lines)}) != JSONL rows + header "
-          f"({len(snaps) + 1})")
+    require(len(csv_lines) == len(snaps) + 1,
+            f"CSV rows ({len(csv_lines)}) != JSONL rows + header "
+            f"({len(snaps) + 1})")
     header = csv_lines[0].split(",")
-    check(header[0] == "t" and "net.throughput" in header,
-          f"unexpected CSV header: {csv_lines[0][:120]}")
+    require(header[0] == "t" and "net.throughput" in header,
+            f"unexpected CSV header: {csv_lines[0][:120]}")
 
     # -- trace.jsonl ------------------------------------------------------
-    trace = load_jsonl(os.path.join(bundle, "trace.jsonl"))
-    check(len(trace) > 0, "trace.jsonl is empty")
+    trace = parse_jsonl(os.path.join(bundle, "trace.jsonl"), "trace.jsonl")
+    require(len(trace) > 0, "trace.jsonl is empty")
     kinds = {ev["kind"] for ev in trace}
-    check(kinds <= set(TRACE_FILTER),
-          f"trace contains kinds outside the filter: "
-          f"{kinds - set(TRACE_FILTER)}")
+    require(kinds <= set(TRACE_FILTER),
+            f"trace contains kinds outside the filter: "
+            f"{kinds - set(TRACE_FILTER)}")
     for ev in trace[:100]:
         for key in ("t", "kind", "slot", "origin", "seq", "aux"):
-            check(key in ev, f"trace event lacks '{key}': {ev}")
+            require(key in ev, f"trace event lacks '{key}': {ev}")
 
     # -- summary.json -----------------------------------------------------
     summary = load_json_file(os.path.join(bundle, "summary.json"))
     for key in ("throughput", "normalized_throughput", "segments_injected",
                 "saved"):
-        check(key in summary, f"summary.json lacks '{key}'")
+        require(key in summary, f"summary.json lacks '{key}'")
 
     # -- profile.json -----------------------------------------------------
     profile = load_json_file(os.path.join(bundle, "profile.json"))
-    check(profile.get("gf_kernel") == config["gf_kernel"],
-          "profile.json gf_kernel disagrees with config.json")
+    require(profile.get("gf_kernel") == config["gf_kernel"],
+            "profile.json gf_kernel disagrees with config.json")
     scopes = profile.get("scopes")
-    check(isinstance(scopes, dict) and len(scopes) > 0,
-          "profile.json lacks a non-empty 'scopes' object")
+    require(isinstance(scopes, dict) and len(scopes) > 0,
+            "profile.json lacks a non-empty 'scopes' object")
     for scope, stat in scopes.items():
-        check("count" in stat and "total_ns" in stat,
-              f"profile scope '{scope}' lacks count/total_ns")
-    check(any(stat["count"] > 0 for stat in scopes.values()),
-          "profiler recorded no events")
+        require("count" in stat and "total_ns" in stat,
+                f"profile scope '{scope}' lacks count/total_ns")
+    require(any(stat["count"] > 0 for stat in scopes.values()),
+            "profiler recorded no events")
 
     if cleanup:
         shutil.rmtree(bundle, ignore_errors=True)

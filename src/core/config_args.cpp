@@ -47,7 +47,7 @@ ConfigKeys::ConfigKeys(cli::Flags& flags, p2p::ProtocolConfig& cfg)
       .parsed("pull", "non-empty|all|rarest|deficit",
               "server pull scheduling (uniform = non-empty; rarest and\n"
               "deficit accept the -first/-weighted long forms too)",
-              cfg.pull_policy, p2p::parse_pull_policy)
+              cfg.pull_policy, proto::parse_pull_policy_kind)
       .choice("gossip", "gossip segment selection", cfg.gossip_policy,
               {{"uniform", GossipPolicy::kUniformSegment},
                {"newest", GossipPolicy::kNewestFirst},
@@ -98,7 +98,7 @@ std::string describe(const p2p::ProtocolConfig& cfg) {
     out += " churn(E[L]=" + std::to_string(cfg.churn.mean_lifetime) + "," +
            to_string(cfg.churn.distribution) + ")";
   }
-  if (cfg.pull_policy != p2p::PullPolicy::kUniformNonEmpty) {
+  if (cfg.pull_policy != proto::PullPolicyKind::kUniform) {
     out += " pull=";
     out += to_string(cfg.pull_policy);
   }

@@ -21,8 +21,8 @@ LoopbackCluster::LoopbackCluster(const ClusterConfig& cfg,
   cfg.validate();
 
   dishonest_count_ = static_cast<std::size_t>(
-      static_cast<double>(cfg.num_peers) * cfg.dishonest_fraction);
-  if (cfg.integrity_checks > 0) {
+      static_cast<double>(cfg.num_peers) * cfg.adversary.dishonest_fraction);
+  if (cfg.adversary.integrity_checks > 0) {
     // One shared authority per run — the trusted in-process analogue of
     // a verification key distributed out of band. The key derivation
     // matches p2p::Network's so a sim run and a cluster run at the same
@@ -30,7 +30,7 @@ LoopbackCluster::LoopbackCluster(const ClusterConfig& cfg,
     integrity_ =
         std::make_unique<proto::IntegrityAuthority>(proto::IntegrityParams{
             sim::splitmix64(cfg.seed ^ 0x1A76E9D2B4C05A31ULL),
-            cfg.integrity_checks});
+            cfg.adversary.integrity_checks});
   }
 
   // Endpoints first (ids 0..N-1 peers, N..N+M-1 servers), then nodes
@@ -40,20 +40,18 @@ LoopbackCluster::LoopbackCluster(const ClusterConfig& cfg,
     net_.create_endpoint();
   }
 
+  // Every node shares the cluster's per-node symbols; peers ignore c_s
+  // and the pull policy, servers ignore λ, μ and B.
+  NodeConfig shared;
+  static_cast<proto::NodeParams&>(shared) = cfg;
   for (std::size_t i = 0; i < cfg.num_peers; ++i) {
-    NodeConfig nc;
+    NodeConfig nc = shared;
     nc.node_id = static_cast<std::uint32_t>(i + 1);
-    nc.segment_size = cfg.segment_size;
-    nc.payload_bytes = cfg.payload_bytes;
-    nc.buffer_cap = cfg.buffer_cap;
-    nc.lambda = cfg.lambda;
-    nc.mu = cfg.mu;
-    nc.gamma = cfg.gamma;
     nc.max_segments = cfg.segments_per_peer;
     nc.drop_on_ack = cfg.drop_on_ack;
     nc.retain_own_until_acked = cfg.retain_own_until_acked;
     nc.byzantine = i < dishonest_count_;
-    nc.corruption = cfg.corruption;
+    nc.corruption = cfg.adversary.strategy;
     nc.seed = sim::splitmix64(cfg.seed + 0x1000 + i);
     peers_.push_back(std::make_unique<PeerNode>(
         nc, net_.endpoint(static_cast<net::NodeId>(i)), net_.timers(),
@@ -64,14 +62,8 @@ LoopbackCluster::LoopbackCluster(const ClusterConfig& cfg,
     }
   }
   for (std::size_t i = 0; i < cfg.num_servers; ++i) {
-    NodeConfig nc;
+    NodeConfig nc = shared;
     nc.node_id = kServerIdBase + static_cast<std::uint32_t>(i);
-    nc.segment_size = cfg.segment_size;
-    nc.payload_bytes = cfg.payload_bytes;
-    nc.buffer_cap = cfg.segment_size;  // unused by servers; keep valid
-    nc.gamma = cfg.gamma;
-    nc.pull_rate = cfg.server_rate;
-    nc.pull_policy = cfg.pull_policy;
     nc.seed = sim::splitmix64(cfg.seed + 0x2000 + i);
     servers_.push_back(std::make_unique<ServerNode>(
         nc,

@@ -18,8 +18,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
-#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -29,22 +27,30 @@
 #include "node/peer_node.h"
 #include "node/server_node.h"
 #include "obs/metrics_registry.h"
-#include "proto/adversary.h"
 #include "proto/integrity.h"
+#include "proto/operating_point.h"
 #include "workload/generators.h"
 
 namespace icollect::node {
 
-struct ClusterConfig {
-  std::size_t num_peers = 16;
-  std::size_t num_servers = 2;
-  std::size_t segment_size = 4;   ///< s
-  std::size_t buffer_cap = 32;    ///< B
-  std::size_t payload_bytes = 0;
-  double lambda = 8.0;            ///< per-peer block rate λ
-  double mu = 4.0;                ///< per-peer gossip rate μ
-  double gamma = 1.0;             ///< per-block TTL rate γ
-  double server_rate = 16.0;      ///< c_s per server
+/// The loopback cluster's configuration: the shared operating point
+/// (proto/operating_point.h — N, N_s, s, B, payload, λ, μ, γ, c_s, pull
+/// policy, adversary, seed) plus the harness's own knobs. Every node's
+/// NodeConfig takes its NodeParams from here; a byzantine population
+/// corrupts per `adversary.strategy`, and `adversary.integrity_checks`
+/// > 0 gives the cluster one shared authority — the trusted in-process
+/// analogue of a key distributed out of band.
+struct ClusterConfig : proto::OperatingPoint {
+  ClusterConfig() {
+    num_peers = 16;
+    num_servers = 2;
+    segment_size = 4;
+    buffer_cap = 32;
+    lambda = 8.0;
+    mu = 4.0;
+    server_rate = 16.0;
+  }
+
   /// Injection budget per peer (0 = unbounded; required for
   /// run_to_completion, which needs a finite finish line).
   std::size_t segments_per_peer = 0;
@@ -55,54 +61,20 @@ struct ClusterConfig {
   /// for finite collections that must reach 100% recovery.
   bool retain_own_until_acked = false;
 
-  // --- adversary (scenario pack) ------------------------------------------
-  /// Fraction of peers that are byzantine (the first ⌊N·fraction⌋ by
-  /// slot — deterministic under a fixed seed). They corrupt every block
-  /// they emit per `corruption`.
-  double dishonest_fraction = 0.0;
-  proto::CorruptionStrategy corruption =
-      proto::CorruptionStrategy::kRandomPayload;
-  /// Homomorphic integrity checks per block (0 = verification off;
-  /// requires payload_bytes > 0 when enabled). The cluster owns one
-  /// shared authority — the trusted in-process analogue of a key
-  /// distributed out of band.
-  std::size_t integrity_checks = 0;
-
   /// Optional time-varying injection shape (block rate λ(t), replacing
   /// the constant `lambda`). Not owned; must outlive the cluster.
   const workload::ArrivalProfile* arrival = nullptr;
 
-  /// Server pull scheduling, copied into every server's NodeConfig
-  /// (docs/PULL_POLICIES.md). Uniform is the paper's rule and the
-  /// byte-identical default.
-  proto::PullPolicyKind pull_policy = proto::PullPolicyKind::kUniform;
-
-  std::uint64_t seed = 1;
   net::LoopbackNet::Options net{};
   /// Virtual-time interval of the occupancy sampler feeding
   /// mean_blocks_per_peer().
   double sample_interval = 0.05;
 
-  /// Normalized server capacity c = c_s · N_s / N (the paper's knob).
-  [[nodiscard]] double normalized_capacity() const noexcept {
-    return server_rate * static_cast<double>(num_servers) /
-           static_cast<double>(num_peers);
-  }
-
-  /// Throw std::invalid_argument on a shape the cluster cannot run.
+  /// Throw std::invalid_argument on a shape the cluster cannot run,
+  /// before any node is built.
   void validate() const {
-    auto fail = [](const std::string& what) {
-      throw std::invalid_argument("ClusterConfig: " + what);
-    };
-    if (num_peers < 2) fail("need at least 2 peers");
-    if (num_servers == 0) fail("need at least one server");
-    if (dishonest_fraction < 0.0 || dishonest_fraction > 1.0) {
-      fail("dishonest fraction must be in [0, 1]");
-    }
-    // Integrity checks are over payload bytes; with none they are vacuous.
-    if (integrity_checks > 0 && payload_bytes == 0) {
-      fail("integrity checks need payload bytes > 0");
-    }
+    OperatingPoint::validate();
+    NodeConfig::validate_live(*this);
   }
 };
 

@@ -1,31 +1,32 @@
 #pragma once
 
 /// \file node_config.h
-/// Configuration of one live node (peer or server). The symbols are the
-/// paper's (Sec. 2), identical to p2p::ProtocolConfig where they
-/// overlap, so a live node and a simulated peer can be parameterized
-/// from the same operating point and compared head-to-head
-/// (tests/node_vs_sim_test.cpp).
+/// Configuration of one live node (peer or server): the shared per-node
+/// symbols (proto::NodeParams — s, B, payload, λ, μ, γ, c_s, pull
+/// policy) plus what only a live node has. ClusterConfig and
+/// p2p::ProtocolConfig share the same base, so a live node and a
+/// simulated peer are parameterized from one operating point and
+/// compared head-to-head (tests/node_vs_sim_test.cpp).
 
 #include <cstdint>
 #include <stdexcept>
 #include <string>
 
 #include "proto/adversary.h"
-#include "proto/pull_policy.h"
+#include "proto/operating_point.h"
 
 namespace icollect::node {
 
-struct NodeConfig {
-  std::uint32_t node_id = 1;      ///< stable identity sent in HELLO
-  std::size_t segment_size = 4;   ///< s blocks per segment
-  std::size_t payload_bytes = 0;  ///< 0 = coefficients-only blocks
-  std::size_t buffer_cap = 32;    ///< B, max buffered blocks (peers)
+struct NodeConfig : proto::NodeParams {
+  NodeConfig() {
+    segment_size = 4;
+    buffer_cap = 32;
+    lambda = 0.0;
+    mu = 0.0;
+    server_rate = 0.0;  // pulls per second (servers)
+  }
 
-  double lambda = 0.0;     ///< per-peer original-block rate λ (segments at λ/s)
-  double mu = 0.0;         ///< per-peer gossip rate μ
-  double gamma = 1.0;      ///< per-block TTL expiry rate γ
-  double pull_rate = 0.0;  ///< c_s, pulls per second (servers)
+  std::uint32_t node_id = 1;  ///< stable identity sent in HELLO
 
   /// Stop injecting after this many segments (0 = unbounded). The
   /// collection harness uses a finite budget so "all injected segments
@@ -63,36 +64,31 @@ struct NodeConfig {
   proto::CorruptionStrategy corruption =
       proto::CorruptionStrategy::kRandomPayload;
 
-  /// Server pull scheduling (docs/PULL_POLICIES.md). kUniform is the
-  /// paper's rule and keeps the wire traffic and RNG draw sequence
-  /// byte-identical to pre-scheduling builds; rarest/deficit stand up a
-  /// sched::RankTracker and the BUFFER_SUMMARY feedback loop. Ignored
-  /// by peers.
-  proto::PullPolicyKind pull_policy = proto::PullPolicyKind::kUniform;
-
   std::uint64_t seed = 1;
 
+  /// The rules every live node adds to NodeParams: s rides in a 16-bit
+  /// wire field, and kUniformAll (blind probing) is simulator-only.
+  static void validate_live(const proto::NodeParams& p) {
+    if (p.segment_size > 0xFFFF) {
+      throw std::invalid_argument(
+          "live node: segment size must fit in 16 bits");
+    }
+    if (p.pull_policy == proto::PullPolicyKind::kUniformAll) {
+      throw std::invalid_argument(
+          "live node: pull policy uniform-all is simulator-only (live "
+          "servers pull by reported occupancy)");
+    }
+  }
+
   void validate() const {
+    NodeParams::validate();
+    validate_live(*this);
     auto fail = [](const std::string& what) {
       throw std::invalid_argument("NodeConfig: " + what);
     };
     if (node_id == 0) fail("node id must be nonzero");
-    if (segment_size == 0) fail("segment size must be >= 1");
-    if (segment_size > 0xFFFF) fail("segment size must fit in 16 bits");
-    if (buffer_cap < segment_size) {
-      fail("buffer cap must hold at least one segment (B >= s)");
-    }
-    if (lambda < 0.0) fail("lambda must be >= 0");
-    if (mu < 0.0) fail("mu must be >= 0");
-    if (gamma <= 0.0) fail("gamma must be > 0");
-    if (pull_rate < 0.0) fail("pull rate must be >= 0");
     if (listen_backlog < 0) fail("listen backlog must be >= 0");
-    if (byzantine && payload_bytes == 0 &&
-        corruption == proto::CorruptionStrategy::kRandomPayload) {
-      fail(
-          "random-payload corruption needs payload_bytes > 0 (there is "
-          "no payload to corrupt)");
-    }
+    if (byzantine) validate_corruption(corruption);
   }
 };
 

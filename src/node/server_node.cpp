@@ -64,23 +64,23 @@ ServerNode::ServerNode(const NodeConfig& cfg, net::Transport& transport,
 }
 
 void ServerNode::start() {
-  if (config().pull_rate > 0.0) schedule_pull();
+  if (config().server_rate > 0.0) schedule_pull();
 }
 
 void ServerNode::schedule_pull() {
   // Exponential inter-arrival times make demanded pulls a Poisson
   // process, but the wheel rounds every delay up to a whole tick — one
   // arrival per callback would cap the server at 1/tick pulls per
-  // second (~1k/s at the default 1 ms tick) no matter what pull_rate
+  // second (~1k/s at the default 1 ms tick) no matter what server_rate
   // asks for. Arrivals whose gaps land inside one tick are therefore
   // batched: keep drawing until the cumulative delay crosses a tick
   // boundary, then fire the whole batch on that tick. The per-tick
-  // pull count stays Poisson(pull_rate * tick).
-  double delay = rng_.exponential(config().pull_rate);
+  // pull count stays Poisson(server_rate * tick).
+  double delay = rng_.exponential(config().server_rate);
   std::uint32_t burst = 1;
   const double tick = wheel_.tick_seconds();
   while (delay < tick && burst < kMaxPullBurst) {
-    delay += rng_.exponential(config().pull_rate);
+    delay += rng_.exponential(config().server_rate);
     ++burst;
   }
   wheel_.schedule_after(delay, [this, burst] {

@@ -19,17 +19,21 @@ constexpr int kTargetSampleTries = 12;
 /// Same, for finding a holder of the wanted segment among non-empty
 /// peers under a scheduling pull policy.
 constexpr int kHolderSampleTries = 16;
+
+/// The config, checked before any member (the topology first) uses it.
+ProtocolConfig validated(ProtocolConfig cfg) {
+  cfg.validate();
+  return cfg;
+}
 }  // namespace
 
 Network::Network(ProtocolConfig cfg)
-    : cfg_{std::move(cfg)},
+    : cfg_{validated(std::move(cfg))},
       rng_{cfg_.seed},
       topology_{Topology::build(cfg_, rng_)},
       sim_clock_{[this] { return sim_.now(); }},
       server_core_{/*keep_payloads=*/cfg_.payload_bytes > 0, sim_clock_},
-      pull_policy_{
-          sched::make_pull_policy(pull_policy_kind(cfg_.pull_policy))} {
-  cfg_.validate();
+      pull_policy_{sched::make_pull_policy(cfg_.pull_policy)} {
   if (pull_policy_->wants_feedback()) {
     tracker_ = std::make_unique<sched::RankTracker>();
   }
@@ -331,7 +335,7 @@ void Network::do_server_pull() {
     }
   }
   if (slot == proto::kNoSelection) {
-    if (cfg_.pull_policy == PullPolicy::kUniformAll) {
+    if (cfg_.pull_policy == proto::PullPolicyKind::kUniformAll) {
       // Blind probing: the pull is spent even if the probed peer has
       // nothing to offer.
       slot = pull_policy_->pick(rng_, peers_.size());

@@ -24,6 +24,7 @@
 /// Lives in proto/ (pure layer) so the simulator config, the live
 /// NodeConfig and the scenario parser all name the same enum.
 
+#include <cstddef>
 #include <cstdint>
 
 namespace icollect::proto {
@@ -43,5 +44,22 @@ enum class CorruptionStrategy : std::uint8_t {
   }
   return "?";
 }
+
+/// A byzantine population: a fixed fraction of the peers corrupts every
+/// block it emits, gossip and pull replies alike, per `strategy`, and
+/// per-block integrity verification quarantines what it can
+/// (proto/integrity.h). Part of proto::OperatingPoint, which validates
+/// it, and of the `--scenario byzantine:` spec.
+struct AdversaryConfig {
+  /// Fraction of peers that are dishonest, in [0, 1]. The first
+  /// ⌊N·fraction⌋ slots are chosen — deterministic under a fixed seed,
+  /// and unbiased under the complete topology where slots are
+  /// exchangeable.
+  double dishonest_fraction = 0.0;
+  CorruptionStrategy strategy = CorruptionStrategy::kRandomPayload;
+  /// Homomorphic integrity checks per block (0 = verification off).
+  /// Escape probability for a forged block is 256^-checks.
+  std::size_t integrity_checks = 0;
+};
 
 }  // namespace icollect::proto

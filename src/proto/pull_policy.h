@@ -38,13 +38,23 @@
 
 namespace icollect::proto {
 
-/// Driver-facing names for the concrete policies. The enum lives in
-/// proto (not sched) so node/ and p2p/ configs can name a policy
-/// without depending on the scheduling subsystem.
+/// Driver-facing names for the concrete policies: the one enum both
+/// drivers and every tool name a pull policy by. It lives in proto (not
+/// sched) so node/ and p2p/ configs can name a policy without depending
+/// on the scheduling subsystem.
+///
+/// kUniform is the paper's rule, uniform over peers with non-null
+/// buffers (Sec. 2), which presumes the servers track buffer occupancy.
+/// kUniformAll drops that assumption: servers probe blindly and waste
+/// the pull when they hit an empty peer, an ablation that matters
+/// exactly when z_0 is non-negligible. Only the simulator can run it
+/// (live servers always steer by reported occupancy), so live
+/// validation rejects it.
 enum class PullPolicyKind : std::uint8_t {
   kUniform = 0,
   kRarestFirst = 1,
   kDeficitWeighted = 2,
+  kUniformAll = 3,
 };
 
 [[nodiscard]] constexpr const char* to_string(PullPolicyKind k) noexcept {
@@ -52,14 +62,23 @@ enum class PullPolicyKind : std::uint8_t {
     case PullPolicyKind::kUniform: return "uniform";
     case PullPolicyKind::kRarestFirst: return "rarest";
     case PullPolicyKind::kDeficitWeighted: return "deficit";
+    case PullPolicyKind::kUniformAll: return "uniform-all";
   }
   return "?";
 }
 
-/// Parse a CLI policy name; nullopt on unknown names.
+/// Parse a policy name: the to_string() names plus the aliases
+/// "non-empty", "all", "rarest-first" and "deficit-weighted". The one
+/// name table behind the `pull=` key and every --pull-policy flag;
+/// nullopt on unknown names.
 [[nodiscard]] inline std::optional<PullPolicyKind> parse_pull_policy_kind(
     std::string_view name) noexcept {
-  if (name == "uniform") return PullPolicyKind::kUniform;
+  if (name == "uniform" || name == "non-empty") {
+    return PullPolicyKind::kUniform;
+  }
+  if (name == "uniform-all" || name == "all") {
+    return PullPolicyKind::kUniformAll;
+  }
   if (name == "rarest" || name == "rarest-first") {
     return PullPolicyKind::kRarestFirst;
   }

@@ -51,6 +51,7 @@ std::unique_ptr<proto::PullPolicy> make_pull_policy(
     case proto::PullPolicyKind::kDeficitWeighted:
       return std::make_unique<DeficitWeightedPullPolicy>();
     case proto::PullPolicyKind::kUniform:
+    case proto::PullPolicyKind::kUniformAll:
       break;
   }
   return std::make_unique<proto::UniformPullPolicy>();

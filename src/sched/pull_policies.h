@@ -59,7 +59,8 @@ class DeficitWeightedPullPolicy final : public proto::PullPolicy {
   [[nodiscard]] bool wants_feedback() const noexcept override { return true; }
 };
 
-/// Instantiate the policy for a CLI-selected kind.
+/// Instantiate the policy for a kind. Both uniform kinds get
+/// proto::UniformPullPolicy; the driver owns the candidate set.
 [[nodiscard]] std::unique_ptr<proto::PullPolicy> make_pull_policy(
     proto::PullPolicyKind kind);
 

@@ -53,13 +53,13 @@ ScenarioSpec ScenarioSpec::parse(std::string_view text) {
   cli::Flags keys;
   if (cls == "byzantine") {
     spec.kind = Kind::kByzantine;
-    keys.add("fraction", "F", "", spec.dishonest_fraction)
-        .choice("strategy", "", spec.strategy,
+    keys.add("fraction", "F", "", spec.adversary.dishonest_fraction)
+        .choice("strategy", "", spec.adversary.strategy,
                 {{"random-payload", CorruptionStrategy::kRandomPayload},
                  {"garbage-coefficients",
                   CorruptionStrategy::kGarbageCoefficients},
                  {"replay", CorruptionStrategy::kReplay}})
-        .add("checks", "K", "", spec.integrity_checks);
+        .add("checks", "K", "", spec.adversary.integrity_checks);
   } else if (cls == "faults") {
     spec.kind = Kind::kFaults;
     keys.add("fraction", "F", "", spec.partition_fraction)
@@ -104,7 +104,8 @@ ScenarioSpec ScenarioSpec::parse(std::string_view text) {
   };
   switch (spec.kind) {
     case Kind::kByzantine:
-      if (spec.dishonest_fraction < 0.0 || spec.dishonest_fraction > 1.0) {
+      if (spec.adversary.dishonest_fraction < 0.0 ||
+          spec.adversary.dishonest_fraction > 1.0) {
         fail("fraction must be in [0, 1]");
       }
       break;
@@ -146,8 +147,9 @@ std::string ScenarioSpec::to_json() const {
       std::snprintf(buf, sizeof(buf),
                     "{\"scenario\":\"byzantine\",\"fraction\":%g,"
                     "\"strategy\":\"%s\",\"checks\":%zu}",
-                    dishonest_fraction, proto::to_string(strategy),
-                    integrity_checks);
+                    adversary.dishonest_fraction,
+                    proto::to_string(adversary.strategy),
+                    adversary.integrity_checks);
       break;
     case Kind::kFaults:
       std::snprintf(buf, sizeof(buf),

@@ -69,10 +69,8 @@ struct ScenarioSpec {
   Kind kind = Kind::kByzantine;
 
   // --- byzantine: fraction=, strategy=, checks= ---------------------------
-  double dishonest_fraction = 0.25;
-  proto::CorruptionStrategy strategy =
-      proto::CorruptionStrategy::kRandomPayload;
-  std::size_t integrity_checks = 2;
+  proto::AdversaryConfig adversary{
+      0.25, proto::CorruptionStrategy::kRandomPayload, 2};
 
   // --- faults: fraction=, at=, heal=, drain= ------------------------------
   /// Fraction of peers isolated during the partition window.

@@ -128,12 +128,12 @@ TEST(PullPolicy, BlindProbingWastesPullsWhenPeersAreEmpty) {
   cfg.fidelity = CollectionFidelity::kStateCounter;
   cfg.seed = 10;
 
-  cfg.pull_policy = PullPolicy::kUniformNonEmpty;
+  cfg.pull_policy = proto::PullPolicyKind::kUniform;
   Network aware{cfg};
   aware.warm_up(10.0);
   aware.run_until(aware.now() + 40.0);
 
-  cfg.pull_policy = PullPolicy::kUniformAll;
+  cfg.pull_policy = proto::PullPolicyKind::kUniformAll;
   Network blind{cfg};
   blind.warm_up(10.0);
   blind.run_until(blind.now() + 40.0);
@@ -158,12 +158,12 @@ TEST(PullPolicy, PoliciesAgreeWhenNoPeerIsEmpty) {
   cfg.fidelity = CollectionFidelity::kStateCounter;
   cfg.seed = 11;
 
-  cfg.pull_policy = PullPolicy::kUniformNonEmpty;
+  cfg.pull_policy = proto::PullPolicyKind::kUniform;
   Network aware{cfg};
   aware.warm_up(8.0);
   aware.run_until(aware.now() + 20.0);
 
-  cfg.pull_policy = PullPolicy::kUniformAll;
+  cfg.pull_policy = proto::PullPolicyKind::kUniformAll;
   Network blind{cfg};
   blind.warm_up(8.0);
   blind.run_until(blind.now() + 20.0);

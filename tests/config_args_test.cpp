@@ -203,14 +203,16 @@ TEST(ConfigArgs, HelpNamesEveryKey) {
 }
 
 TEST(ConfigArgs, PullKeyAcceptsEveryPolicyName) {
-  const std::pair<const char*, p2p::PullPolicy> cases[] = {
-      {"pull=non-empty", p2p::PullPolicy::kUniformNonEmpty},
-      {"pull=uniform", p2p::PullPolicy::kUniformNonEmpty},
-      {"pull=all", p2p::PullPolicy::kUniformAll},
-      {"pull=rarest", p2p::PullPolicy::kRarestFirst},
-      {"pull=rarest-first", p2p::PullPolicy::kRarestFirst},
-      {"pull=deficit", p2p::PullPolicy::kDeficitWeighted},
-      {"pull=deficit-weighted", p2p::PullPolicy::kDeficitWeighted}};
+  using proto::PullPolicyKind;
+  const std::pair<const char*, PullPolicyKind> cases[] = {
+      {"pull=non-empty", PullPolicyKind::kUniform},
+      {"pull=uniform", PullPolicyKind::kUniform},
+      {"pull=all", PullPolicyKind::kUniformAll},
+      {"pull=uniform-all", PullPolicyKind::kUniformAll},
+      {"pull=rarest", PullPolicyKind::kRarestFirst},
+      {"pull=rarest-first", PullPolicyKind::kRarestFirst},
+      {"pull=deficit", PullPolicyKind::kDeficitWeighted},
+      {"pull=deficit-weighted", PullPolicyKind::kDeficitWeighted}};
   for (const auto& [token, policy] : cases) {
     p2p::ProtocolConfig cfg;
     const auto a = args({token});

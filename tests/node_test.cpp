@@ -69,10 +69,10 @@ TEST(NodeCluster, RejectsShapesItCannotRun) {
   const ClusterConfig bad[] = {
       shape([](ClusterConfig& c) { c.num_peers = 1; }),
       shape([](ClusterConfig& c) { c.num_servers = 0; }),
-      shape([](ClusterConfig& c) { c.dishonest_fraction = 1.5; }),
-      shape([](ClusterConfig& c) { c.dishonest_fraction = -0.1; }),
+      shape([](ClusterConfig& c) { c.adversary.dishonest_fraction = 1.5; }),
+      shape([](ClusterConfig& c) { c.adversary.dishonest_fraction = -0.1; }),
       shape([](ClusterConfig& c) {
-        c.integrity_checks = 2;
+        c.adversary.integrity_checks = 2;
         c.payload_bytes = 0;
       }),
   };
@@ -437,7 +437,7 @@ TEST(NodeProtocol, PullOnEmptyBufferAnswersWithoutBlock) {
   ServerNode server{[] {
     auto cfg = peer_config(0x80000001U);
     cfg.buffer_cap = 4;
-    cfg.pull_rate = 50.0;
+    cfg.server_rate = 50.0;
     return cfg;
   }(), t.b, t.net.timers()};
   t.net.connect(t.a.id(), t.b.id());
@@ -646,7 +646,7 @@ TEST(NodeProtocol, PendingPullsExpireOneByOneAndKeepRttSamples) {
   Star t{1};
   obs::MetricsRegistry reg;
   auto cfg = server_config();
-  cfg.pull_rate = 100000.0;
+  cfg.server_rate = 100000.0;
   ServerNode server{cfg, t.server_end(), t.net.timers(), &reg};
   wire::Hello hello;
   hello.role = wire::NodeRole::kPeer;

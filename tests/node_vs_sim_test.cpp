@@ -30,29 +30,33 @@
 namespace icollect {
 namespace {
 
-constexpr std::size_t kPeers = 16;
-constexpr std::size_t kServers = 2;
-constexpr std::size_t kSegmentSize = 4;
 constexpr std::size_t kBufferCap = 32;
 constexpr double kLambda = 8.0;
-constexpr double kMu = 6.0;
-constexpr double kGamma = 1.0;
 constexpr double kCapacity = 4.0;  // c < lambda: server-limited regime
 
 constexpr double kWarm = 10.0;
 constexpr double kMeasure = 40.0;
 constexpr std::size_t kReplicas = 8;
 
+/// The one operating point both drivers run: coefficients-only, the
+/// paper's uniform pull, no adversary.
+proto::OperatingPoint operating_point() {
+  proto::OperatingPoint point;
+  point.num_peers = 16;
+  point.num_servers = 2;
+  point.segment_size = 4;
+  point.buffer_cap = kBufferCap;
+  point.lambda = kLambda;
+  point.mu = 6.0;
+  point.gamma = 1.0;
+  point.payload_bytes = 0;
+  point.set_normalized_capacity(kCapacity);
+  return point;
+}
+
 runner::AggregateReport simulator_band() {
   p2p::ProtocolConfig cfg;
-  cfg.num_peers = kPeers;
-  cfg.num_servers = kServers;
-  cfg.segment_size = kSegmentSize;
-  cfg.buffer_cap = kBufferCap;
-  cfg.lambda = kLambda;
-  cfg.mu = kMu;
-  cfg.gamma = kGamma;
-  cfg.set_normalized_capacity(kCapacity);
+  static_cast<proto::OperatingPoint&>(cfg) = operating_point();
   cfg.fidelity = p2p::CollectionFidelity::kRealCoding;
 
   runner::ReplicaPlan plan;
@@ -73,17 +77,8 @@ struct ClusterPoint {
 
 ClusterPoint run_cluster(std::uint64_t seed) {
   node::ClusterConfig cfg;
-  cfg.num_peers = kPeers;
-  cfg.num_servers = kServers;
-  cfg.segment_size = kSegmentSize;
-  cfg.buffer_cap = kBufferCap;
-  cfg.lambda = kLambda;
-  cfg.mu = kMu;
-  cfg.gamma = kGamma;
-  cfg.server_rate = kCapacity * static_cast<double>(kPeers) /
-                    static_cast<double>(kServers);
+  static_cast<proto::OperatingPoint&>(cfg) = operating_point();
   cfg.segments_per_peer = 0;  // unbounded: steady state, like the sim
-  cfg.payload_bytes = 0;      // coefficients-only, like the sim
   cfg.seed = seed;
   cfg.net.seed = seed;
   node::LoopbackCluster cluster{cfg};

@@ -37,9 +37,10 @@ using workload::TraceReplayProfile;
 TEST(ScenarioSpec, ClassDefaults) {
   const ScenarioSpec byz = ScenarioSpec::parse("byzantine");
   EXPECT_EQ(byz.kind, ScenarioSpec::Kind::kByzantine);
-  EXPECT_DOUBLE_EQ(byz.dishonest_fraction, 0.25);
-  EXPECT_EQ(byz.strategy, proto::CorruptionStrategy::kRandomPayload);
-  EXPECT_EQ(byz.integrity_checks, 2U);
+  EXPECT_DOUBLE_EQ(byz.adversary.dishonest_fraction, 0.25);
+  EXPECT_EQ(byz.adversary.strategy,
+            proto::CorruptionStrategy::kRandomPayload);
+  EXPECT_EQ(byz.adversary.integrity_checks, 2U);
   EXPECT_STREQ(byz.kind_name(), "byzantine");
 
   const ScenarioSpec faults = ScenarioSpec::parse("faults");
@@ -59,9 +60,10 @@ TEST(ScenarioSpec, ClassDefaults) {
 TEST(ScenarioSpec, FullKeyParseInAnyOrder) {
   const ScenarioSpec byz = ScenarioSpec::parse(
       "byzantine:checks=4,strategy=garbage-coefficients,fraction=0.5");
-  EXPECT_DOUBLE_EQ(byz.dishonest_fraction, 0.5);
-  EXPECT_EQ(byz.strategy, proto::CorruptionStrategy::kGarbageCoefficients);
-  EXPECT_EQ(byz.integrity_checks, 4U);
+  EXPECT_DOUBLE_EQ(byz.adversary.dishonest_fraction, 0.5);
+  EXPECT_EQ(byz.adversary.strategy,
+            proto::CorruptionStrategy::kGarbageCoefficients);
+  EXPECT_EQ(byz.adversary.integrity_checks, 4U);
 
   const ScenarioSpec faults =
       ScenarioSpec::parse("faults:drain=512,heal=9,at=3,fraction=0.1");
@@ -313,9 +315,9 @@ node::ClusterConfig cluster_base() {
 
 TEST(ClusterScenario, ByzantineHonestMajorityCompletes) {
   node::ClusterConfig cfg = cluster_base();
-  cfg.dishonest_fraction = 0.25;
-  cfg.corruption = proto::CorruptionStrategy::kRandomPayload;
-  cfg.integrity_checks = 2;
+  cfg.adversary.dishonest_fraction = 0.25;
+  cfg.adversary.strategy = proto::CorruptionStrategy::kRandomPayload;
+  cfg.adversary.integrity_checks = 2;
   node::LoopbackCluster cluster{cfg};
   EXPECT_EQ(cluster.dishonest_count(), 2U);
   EXPECT_TRUE(cluster.is_byzantine(0));
@@ -371,9 +373,9 @@ TEST(ClusterScenario, TraceProfileDrivesLiveInjection) {
 TEST(ClusterScenario, SeededRunsAreDeterministic) {
   const auto run = [] {
     node::ClusterConfig cfg = cluster_base();
-    cfg.dishonest_fraction = 0.25;
-    cfg.corruption = proto::CorruptionStrategy::kGarbageCoefficients;
-    cfg.integrity_checks = 2;
+    cfg.adversary.dishonest_fraction = 0.25;
+    cfg.adversary.strategy = proto::CorruptionStrategy::kGarbageCoefficients;
+    cfg.adversary.integrity_checks = 2;
     node::LoopbackCluster cluster{cfg};
     cluster.net().schedule_partition(1.0, 2.0, {2});
     const bool done = cluster.run_to_completion(600.0);

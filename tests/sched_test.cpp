@@ -23,6 +23,7 @@ namespace icollect {
 namespace {
 
 using coding::SegmentId;
+using proto::PullPolicyKind;
 using sched::RankTracker;
 using sched::RankTrackerOptions;
 
@@ -251,9 +252,14 @@ TEST(PullPolicy, PoliciesAreDeterministicUnderAFixedSeed) {
 }
 
 TEST(PullPolicy, FactoryAndNameParsingRoundTrip) {
-  using proto::PullPolicyKind;
   EXPECT_EQ(proto::parse_pull_policy_kind("uniform"),
             PullPolicyKind::kUniform);
+  EXPECT_EQ(proto::parse_pull_policy_kind("non-empty"),
+            PullPolicyKind::kUniform);
+  EXPECT_EQ(proto::parse_pull_policy_kind("uniform-all"),
+            PullPolicyKind::kUniformAll);
+  EXPECT_EQ(proto::parse_pull_policy_kind("all"),
+            PullPolicyKind::kUniformAll);
   EXPECT_EQ(proto::parse_pull_policy_kind("rarest"),
             PullPolicyKind::kRarestFirst);
   EXPECT_EQ(proto::parse_pull_policy_kind("rarest-first"),
@@ -264,9 +270,17 @@ TEST(PullPolicy, FactoryAndNameParsingRoundTrip) {
             PullPolicyKind::kDeficitWeighted);
   EXPECT_FALSE(proto::parse_pull_policy_kind("round-robin").has_value());
   EXPECT_FALSE(proto::parse_pull_policy_kind("").has_value());
+  // Every kind's printed name parses back to it.
+  for (const PullPolicyKind kind :
+       {PullPolicyKind::kUniform, PullPolicyKind::kUniformAll,
+        PullPolicyKind::kRarestFirst, PullPolicyKind::kDeficitWeighted}) {
+    EXPECT_EQ(proto::parse_pull_policy_kind(proto::to_string(kind)), kind);
+  }
 
   EXPECT_FALSE(
       sched::make_pull_policy(PullPolicyKind::kUniform)->wants_feedback());
+  EXPECT_FALSE(
+      sched::make_pull_policy(PullPolicyKind::kUniformAll)->wants_feedback());
   EXPECT_TRUE(sched::make_pull_policy(PullPolicyKind::kRarestFirst)
                   ->wants_feedback());
   EXPECT_TRUE(sched::make_pull_policy(PullPolicyKind::kDeficitWeighted)
@@ -279,7 +293,7 @@ TEST(PullPolicy, FactoryAndNameParsingRoundTrip) {
 /// in miniature): inject for a fixed window under the paper's
 /// state-counter collection process, stop injection, drain until every
 /// segment resolves, count pulls.
-std::uint64_t sim_pulls_to_completion(p2p::PullPolicy policy,
+std::uint64_t sim_pulls_to_completion(proto::PullPolicyKind policy,
                                       std::uint64_t seed) {
   p2p::ProtocolConfig cfg;
   cfg.num_peers = 30;
@@ -316,11 +330,9 @@ TEST(PullPolicy, SimulatorRarestNeedsNoMorePullsThanUniform) {
   std::uint64_t rarest = 0;
   std::uint64_t deficit = 0;
   for (const std::uint64_t seed : {101U, 202U, 303U}) {
-    uniform += sim_pulls_to_completion(p2p::PullPolicy::kUniformNonEmpty,
-                                       seed);
-    rarest += sim_pulls_to_completion(p2p::PullPolicy::kRarestFirst, seed);
-    deficit +=
-        sim_pulls_to_completion(p2p::PullPolicy::kDeficitWeighted, seed);
+    uniform += sim_pulls_to_completion(PullPolicyKind::kUniform, seed);
+    rarest += sim_pulls_to_completion(PullPolicyKind::kRarestFirst, seed);
+    deficit += sim_pulls_to_completion(PullPolicyKind::kDeficitWeighted, seed);
   }
   EXPECT_LE(rarest, uniform);
   EXPECT_LE(deficit, uniform);

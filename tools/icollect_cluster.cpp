@@ -124,10 +124,7 @@ int main(int argc, char** argv) {
   if (metrics_interval <= 0.0) {
     flags.usage_error("--metrics-interval must be > 0");
   }
-  if (capacity >= 0.0) {
-    cfg.server_rate = capacity * static_cast<double>(cfg.num_peers) /
-                      static_cast<double>(cfg.num_servers);
-  }
+  if (capacity >= 0.0) cfg.set_normalized_capacity(capacity);
 
   // A scenario adjusts the config before the cluster is built (nodes
   // start inside the constructor); fault windows attach right after.
@@ -143,9 +140,7 @@ int main(int argc, char** argv) {
     using Kind = workload::ScenarioSpec::Kind;
     switch (scenario->kind) {
       case Kind::kByzantine:
-        cfg.dishonest_fraction = scenario->dishonest_fraction;
-        cfg.corruption = scenario->strategy;
-        cfg.integrity_checks = scenario->integrity_checks;
+        cfg.adversary = scenario->adversary;
         if (cfg.payload_bytes == 0) cfg.payload_bytes = 32;
         break;
       case Kind::kFaults:

@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
   cfg.lambda = 8.0;
   cfg.mu = 4.0;
   cfg.gamma = 0.05;
-  cfg.pull_rate = 20.0;
+  cfg.server_rate = 20.0;
   cfg.retain_own_until_acked = true;  // a live peer guarantees delivery
   std::size_t expect_segments = 0;
   double duration = 60.0;
@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
       .add("--mu", "x", "peer gossip rate (default 4)", cfg.mu)
       .add("--gamma", "x", "per-block TTL rate (default 0.05)", cfg.gamma)
       .add("--pull-rate", "x", "server pulls/sec (default 20)",
-           cfg.pull_rate)
+           cfg.server_rate)
       .parsed("--pull-policy", "P",
               "server pull scheduling: uniform|rarest|\n"
               "deficit (default uniform)",

@@ -50,7 +50,7 @@ struct SimPointSpec {
 };
 
 p2p::ProtocolConfig sim_config(const SimPointSpec& point,
-                               p2p::PullPolicy policy) {
+                               proto::PullPolicyKind policy) {
   p2p::ProtocolConfig cfg;
   cfg.num_peers = point.num_peers;
   cfg.segment_size = point.segment_size;
@@ -72,7 +72,8 @@ p2p::ProtocolConfig sim_config(const SimPointSpec& point,
   return cfg;
 }
 
-std::string run_sim_arm(const SimPointSpec& point, p2p::PullPolicy policy,
+std::string run_sim_arm(const SimPointSpec& point,
+                        proto::PullPolicyKind policy,
                         std::uint64_t base_seed, std::uint64_t replicas,
                         double inject_time, double max_time) {
   runner::MetricTable table;
@@ -120,7 +121,7 @@ std::string run_sim_arm(const SimPointSpec& point, p2p::PullPolicy policy,
   }
 
   obs::JsonObject o;
-  o.field_str("policy", to_string(policy))
+  o.field_str("policy", proto::to_string(policy))
       .field_raw("metrics", table.to_json());
   return o.str();
 }
@@ -205,12 +206,8 @@ int main(int argc, char** argv) {
   if (quick) replicas = 2;
   if (replicas == 0) flags.usage_error("--replicas must be >= 1");
 
-  constexpr p2p::PullPolicy kSimArms[] = {
-      p2p::PullPolicy::kUniformNonEmpty,
-      p2p::PullPolicy::kRarestFirst,
-      p2p::PullPolicy::kDeficitWeighted,
-  };
-  constexpr proto::PullPolicyKind kClusterArms[] = {
+  // The same three arms in both tables.
+  constexpr proto::PullPolicyKind kArms[] = {
       proto::PullPolicyKind::kUniform,
       proto::PullPolicyKind::kRarestFirst,
       proto::PullPolicyKind::kDeficitWeighted,
@@ -226,7 +223,7 @@ int main(int argc, char** argv) {
   {
     const double inject_time = 2.0;
     const double max_time = quick ? 120.0 : 400.0;
-    const p2p::ProtocolConfig base = sim_config({4, 30}, kSimArms[0]);
+    const p2p::ProtocolConfig base = sim_config({4, 30}, kArms[0]);
     obs::JsonObject cfg_json;
     cfg_json.field("lambda", base.lambda)
         .field("mu", base.mu)
@@ -242,9 +239,10 @@ int main(int argc, char** argv) {
     if (quick) grid = {{4, 30}};
     bool first = true;
     for (const SimPointSpec& point : grid) {
-      for (const p2p::PullPolicy policy : kSimArms) {
+      for (const proto::PullPolicyKind policy : kArms) {
         std::fprintf(stderr, "sim: s=%zu N=%zu policy=%s ...\n",
-                     point.segment_size, point.num_peers, to_string(policy));
+                     point.segment_size, point.num_peers,
+                     proto::to_string(policy));
         obs::JsonObject o;
         o.field("s", static_cast<std::uint64_t>(point.segment_size))
             .field("peers", static_cast<std::uint64_t>(point.num_peers));
@@ -265,7 +263,7 @@ int main(int argc, char** argv) {
   {
     const double max_time = 600.0;
     const node::ClusterConfig base =
-        cluster_config({4, 12, 3}, kClusterArms[0]);
+        cluster_config({4, 12, 3}, kArms[0]);
     obs::JsonObject cfg_json;
     cfg_json.field("lambda", base.lambda)
         .field("mu", base.mu)
@@ -282,7 +280,7 @@ int main(int argc, char** argv) {
     if (quick) grid = {{4, 12, 2}};
     bool first = true;
     for (const ClusterPointSpec& point : grid) {
-      for (const proto::PullPolicyKind policy : kClusterArms) {
+      for (const proto::PullPolicyKind policy : kArms) {
         std::fprintf(stderr, "cluster: s=%zu N=%zu policy=%s ...\n",
                      point.segment_size, point.num_peers,
                      proto::to_string(policy));

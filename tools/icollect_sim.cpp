@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   std::string scenario_arg;
   obs::TelemetryOptions topts;
   std::optional<std::string> trace_out;
-  std::optional<p2p::PullPolicy> pull_policy_override;
+  std::optional<proto::PullPolicyKind> pull_policy_override;
   std::string gf_kernel;
 
   p2p::ProtocolConfig cfg;
@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
       .add("trace", "FILE.csv", "CSV protocol event trace", trace_path)
       .parsed("--pull-policy", "uniform|all|rarest|deficit",
               "server pull scheduling; overrides pull=",
-              pull_policy_override, p2p::parse_pull_policy)
+              pull_policy_override, proto::parse_pull_policy_kind)
       .section("telemetry flags:")
       .add("--metrics-out", "DIR",
            "write a telemetry bundle (config.json,\n"
@@ -125,9 +125,7 @@ int main(int argc, char** argv) {
     using Kind = workload::ScenarioSpec::Kind;
     switch (scenario->kind) {
       case Kind::kByzantine:
-        cfg.adversary.dishonest_fraction = scenario->dishonest_fraction;
-        cfg.adversary.strategy = scenario->strategy;
-        cfg.adversary.integrity_checks = scenario->integrity_checks;
+        cfg.adversary = scenario->adversary;
         // Pollution needs bytes to pollute; give the blocks a payload
         // when the base config runs coefficients-only.
         if (cfg.payload_bytes == 0) cfg.payload_bytes = 32;
@@ -142,6 +140,13 @@ int main(int argc, char** argv) {
           cfg.churn.lognormal_sigma = scenario->lognormal_sigma;
         }
         break;
+    }
+    // A scenario can make a valid point inconsistent (byzantine peers
+    // under state-counter fidelity): a usage error like a bad key.
+    try {
+      cfg.validate();
+    } catch (const std::exception& e) {
+      flags.usage_error(e.what());
     }
   }
 
@@ -246,8 +251,8 @@ int main(int argc, char** argv) {
     std::printf("\n-- scenario --\n%s\n", sj.str().c_str());
   }
 
-  if (cfg.pull_policy != p2p::PullPolicy::kUniformNonEmpty &&
-      cfg.pull_policy != p2p::PullPolicy::kUniformAll) {
+  if (cfg.pull_policy != proto::PullPolicyKind::kUniform &&
+      cfg.pull_policy != proto::PullPolicyKind::kUniformAll) {
     // Machine-readable scheduling summary (only for the feedback-driven
     // policies, so default output — and its golden pins — is untouched).
     obs::JsonObject pj;
