@@ -165,7 +165,6 @@ bool LoopbackCluster::honest_complete() const {
   if (cfg_.segments_per_peer == 0) return false;
   bool any = false;
   for (std::size_t i = dishonest_count_; i < peers_.size(); ++i) {
-    if (!peers_[i]->injection_done()) return false;
     if (!peers_[i]->all_injected_acked()) return false;
     any = true;
   }

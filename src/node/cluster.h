@@ -55,8 +55,8 @@ struct ClusterConfig : proto::OperatingPoint {
   /// run_to_completion, which needs a finite finish line).
   std::size_t segments_per_peer = 0;
   bool drop_on_ack = false;
-  /// Peers keep their own segments' originals until ACKed and re-seed
-  /// them after TTL losses (see NodeConfig::retain_own_until_acked).
+  /// Peers pin their own segments' originals until the first ACK (see
+  /// NodeConfig::retain_own_until_acked).
   /// Leave off for simulator-fidelity runs (node_vs_sim_test); turn on
   /// for finite collections that must reach 100% recovery.
   bool retain_own_until_acked = false;

@@ -45,11 +45,11 @@ struct NodeConfig : proto::NodeParams {
   /// simulator-comparable storage dynamics.
   bool drop_on_ack = false;
 
-  /// When true, a peer guarantees delivery of its *own* segments: it
-  /// keeps the originals until ACKed, and whenever TTL expiry lowers an
-  /// own unACKed segment's local rank below s it re-seeds fresh coded
-  /// blocks (evicting relayed blocks if the buffer is full). The
-  /// paper's model has no such retention — every block decays at γ and
+  /// When true, a peer guarantees delivery of its *own* segments: their
+  /// s systematic blocks carry no TTL until the first ACK, so each own
+  /// un-ACKed segment stays at rank s in the buffer; at the ACK they
+  /// start to age at rate γ like any other block. The paper's model
+  /// has no such retention — every block decays at γ and
   /// a segment whose rank dies before collection is lost — so this is
   /// off by default and node_vs_sim_test keeps it off; the collection
   /// harness turns it on to make "all injected segments recovered" a

@@ -50,11 +50,8 @@ PeerNode::PeerNode(const NodeConfig& cfg, net::Transport& transport,
     gauge("own_segments_acked", &own_acked_);
     gauge("blocks_quarantined", &blocks_quarantined_);
     gauge("blocks_corrupted", &blocks_corrupted_);
-    metrics_->gauge(metric_prefix_ + "reseeds", [this] {
-      return static_cast<double>(core_.reseeds());
-    });
-    metrics_->gauge(metric_prefix_ + "reseed_evictions", [this] {
-      return static_cast<double>(core_.reseed_evictions());
+    metrics_->gauge(metric_prefix_ + "retained_segments", [this] {
+      return static_cast<double>(core_.retained_segments());
     });
     metrics_->gauge(metric_prefix_ + "buffer_blocks", [this] {
       return static_cast<double>(core_.buffer().size());
@@ -121,10 +118,9 @@ void PeerNode::do_inject() {
 
 void PeerNode::on_ttl_expire(coding::BlockHandle handle) {
   const auto seg = core_.on_ttl_expired(handle);
-  if (!seg) return;  // already evicted / dropped on ack
+  if (!seg) return;  // already dropped on ack
   ++ttl_expirations_;
   trace(proto::TraceEventKind::kTtlExpired, config().node_id, *seg, 0);
-  core_.reseed_own(*seg);
 }
 
 void PeerNode::schedule_gossip() {

@@ -5,7 +5,7 @@
 /// driven by wire frames and the shared TimerWheel. The core owns every
 /// protocol decision — injection payloads and systematic seeding, gossip
 /// segment choice, the receiver-side acceptance rule, Exp(γ) TTLs, pull
-/// answers, ACK handling, source-side retention/re-seeding; this class
+/// answers, ACK handling, source-side retention; this class
 /// owns what only a live node has — sessions, frames, timers, metrics.
 ///
 /// All timing flows through the shared TimerWheel and all randomness
@@ -83,10 +83,11 @@ class PeerNode final : public NodeBase {
   [[nodiscard]] std::uint64_t own_segments_acked() const noexcept {
     return own_acked_;
   }
-  /// True when every segment this peer ever injected has been ACKed
-  /// (and at least one was injected).
+  /// True once injection is done and every segment this peer injected
+  /// has been ACKed (and at least one was injected).
   [[nodiscard]] bool all_injected_acked() const noexcept {
-    return segments_injected_ > 0 && own_acked_ == segments_injected_;
+    return injection_done() && segments_injected_ > 0 &&
+           own_acked_ == segments_injected_;
   }
   /// True once the finite injection budget (max_segments) is spent.
   [[nodiscard]] bool injection_done() const noexcept;
@@ -149,11 +150,12 @@ class PeerNode final : public NodeBase {
   [[nodiscard]] std::uint64_t blocks_corrupted() const noexcept {
     return blocks_corrupted_;
   }
-  [[nodiscard]] std::uint64_t reseeds() const noexcept {
-    return core_.reseeds();
+  [[nodiscard]] bool is_acked(const coding::SegmentId& id) const {
+    return core_.is_acked(id);
   }
-  [[nodiscard]] std::uint64_t reseed_evictions() const noexcept {
-    return core_.reseed_evictions();
+  /// Own segments pinned at full rank until their first ACK.
+  [[nodiscard]] std::size_t retained_segments() const noexcept {
+    return core_.retained_segments();
   }
 
  protected:

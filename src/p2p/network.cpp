@@ -118,7 +118,7 @@ Network::Network(ProtocolConfig cfg)
 
 void Network::wire_core(std::size_t slot) {
   proto::PeerCore& core = peers_[slot].core;
-  // Every block landing in a peer buffer — injection, gossip, re-seed —
+  // Every block landing in a peer buffer — injection or gossip —
   // funnels through this hook: the driver maintains what only the global
   // view knows (registry degree, occupancy lists, time-weighted totals).
   core.set_stored_hook(

@@ -54,20 +54,24 @@ PeerCore::Injected PeerCore::inject() {
 
   // The source seeds its own buffer with the s systematic blocks —
   // "s new edges are added to each peer ... together with a new segment
-  // incident to these s edges" (Sec. 3).
-  if (params_.retain_own_until_acked) {
-    const auto [it, inserted] = own_encoders_.emplace(
-        id, coding::SegmentEncoder{id, std::move(originals)});
-    ICOLLECT_ENSURES(inserted);
-    for (std::size_t k = 0; k < s; ++k) {
-      store(it->second.systematic_block(k));
+  // incident to these s edges" (Sec. 3). Under retention they are
+  // pinned until the first ACK: the segment keeps rank s, so the buffer
+  // itself is its encoder (a recode of s independent blocks is uniform
+  // over GF(2^8)^s \ {0}, like a fresh encode) and accept() refuses
+  // relayed copies of it.
+  const bool pin = params_.retain_own_until_acked;
+  for (std::size_t k = 0; k < s; ++k) {
+    auto block =
+        coding::CodedBlock::systematic(id, s, k, std::move(originals[k]));
+    if (!pin) {
+      store(std::move(block));
+      continue;
     }
-  } else {
-    for (std::size_t k = 0; k < s; ++k) {
-      store(coding::CodedBlock::systematic(id, s, k,
-                                           std::move(originals[k])));
-    }
+    const std::size_t before = buffer_.size();
+    buffer_.insert(std::move(block));
+    if (stored_) stored_(id, before);
   }
+  if (pin) ++retained_;
   return Injected{id, std::move(crcs)};
 }
 
@@ -151,44 +155,21 @@ std::optional<coding::SegmentId> PeerCore::on_ttl_expired(
   return buffer_.erase(handle);
 }
 
-void PeerCore::reseed_own(const coding::SegmentId& id) {
-  if (!params_.retain_own_until_acked) return;
-  const auto it = own_encoders_.find(id);
-  if (it == own_encoders_.end()) return;  // not ours, or already ACKed
-  const std::size_t s = params_.segment_size;
-  // Top the segment's local rank back up to s with fresh coded blocks,
-  // evicting relayed (other-segment) blocks if the buffer is full. The
-  // loop is bounded: a fresh coded block fails to raise rank only on a
-  // 256^-rank coefficient collision, so 4·s attempts is ample.
-  for (std::size_t attempts = 0; attempts < 4 * s; ++attempts) {
-    const coding::SegmentBuffer* sb = buffer_.find(id);
-    if (sb != nullptr && sb->rank() >= s) return;
-    if (!buffer_.has_room(1)) {
-      bool evicted = false;
-      for (const coding::SegmentId& other : buffer_.segments()) {
-        if (other == id) continue;
-        coding::SegmentBuffer* osb = buffer_.find(other);
-        if (osb == nullptr || osb->empty()) continue;
-        buffer_.erase(osb->handles().front());
-        ++reseed_evictions_;
-        evicted = true;
-        break;
-      }
-      if (!evicted) return;  // buffer full of this segment alone
-    }
-    store(it->second.encode(rng_));
-    ++reseeds_;
-  }
-}
-
 PeerCore::AckResult PeerCore::on_ack(const coding::SegmentId& id) {
   const bool own = own_segments_.contains(id);
   if (!own && !params_.drop_on_ack) return AckResult::kOtherSegment;
   if (!acked_.insert(id).second) return AckResult::kDuplicate;
-  own_encoders_.erase(id);  // delivery guaranteed; release the originals
-  if (params_.drop_on_ack) {
-    if (coding::SegmentBuffer* sb = buffer_.find(id); sb != nullptr) {
+  const bool pinned = own && params_.retain_own_until_acked;
+  if (pinned) --retained_;  // delivery guaranteed; release the originals
+  if (coding::SegmentBuffer* sb = buffer_.find(id); sb != nullptr) {
+    if (params_.drop_on_ack) {
       for (const coding::BlockHandle h : sb->handles()) buffer_.erase(h);
+    } else if (pinned) {
+      // Arming fresh Exp(γ) lifetimes now is exact in distribution: a
+      // block's residual lifetime is memoryless.
+      for (const coding::BlockHandle h : sb->handles()) {
+        arm_ttl_(h, rng_.exponential(params_.gamma));
+      }
     }
   }
   return own ? AckResult::kOwnSegment : AckResult::kOtherSegment;
@@ -201,7 +182,7 @@ void PeerCore::rebirth(coding::OriginId new_origin) {
   own_segments_.clear();
   acked_.clear();
   own_crcs_.clear();
-  own_encoders_.clear();
+  retained_ = 0;
 }
 
 const std::vector<std::uint32_t>* PeerCore::original_crcs(

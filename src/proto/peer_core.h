@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "coding/coded_block.h"
-#include "coding/encoder.h"
 #include "coding/segment_buffer.h"
 #include "coding/segment_id.h"
 #include "common/assert.h"
@@ -52,8 +51,9 @@ class PeerCore {
     /// Drop/refuse blocks of segments a server already ACKed decoded
     /// (live-runtime option; the simulator has no peer-visible ACKs).
     bool drop_on_ack = false;
-    /// Keep source-side encoders for own segments until first ACK so
-    /// TTL-thinned segments can be re-seeded (live-runtime option).
+    /// Pin an own segment's s systematic blocks (no TTL) until its
+    /// first ACK, then let them age at rate γ like any other block, so
+    /// a finite collection always completes (live-runtime option).
     bool retain_own_until_acked = false;
     /// Record per-block CRC-32s of own injected payloads for end-to-end
     /// verification (live tests); the simulator keeps them in its
@@ -114,7 +114,9 @@ class PeerCore {
     std::vector<std::uint32_t> crcs;
   };
   /// Inject one fresh segment: draw payloads, seed the buffer with its s
-  /// systematic blocks (arming one TTL each). Precondition: can_inject().
+  /// systematic blocks, arming one TTL each — or none under
+  /// retain_own_until_acked, which pins them until the first ACK.
+  /// Precondition: can_inject().
   Injected inject();
 
   // --- gossip -------------------------------------------------------------
@@ -170,14 +172,8 @@ class PeerCore {
 
   // --- TTL ----------------------------------------------------------------
   /// The armed expiry for `handle` fired. Returns the segment the block
-  /// belonged to, or nullopt if it was already gone (drop_on_ack,
-  /// reseed eviction). Callers needing re-seeding invoke reseed_own()
-  /// afterwards (kept separate so drivers can trace in between).
+  /// belonged to, or nullopt if it was already gone (drop_on_ack, churn).
   std::optional<coding::SegmentId> on_ttl_expired(coding::BlockHandle handle);
-  /// Source-side retention: top an own un-ACKed segment's local rank
-  /// back up to s with fresh coded blocks, evicting relayed blocks if
-  /// needed. No-op unless retain_own_until_acked.
-  void reseed_own(const coding::SegmentId& id);
 
   // --- ACKs ---------------------------------------------------------------
   enum class AckResult : std::uint8_t {
@@ -185,8 +181,9 @@ class PeerCore {
     kOwnSegment,    ///< first ACK of a segment this peer injected
     kOtherSegment,  ///< a relayed segment (first ACK under drop_on_ack)
   };
-  /// A server announced the segment decoded: release retained encoders
-  /// and (under drop_on_ack) evict its buffered blocks. Only own
+  /// A server announced the segment decoded: release a pinned own
+  /// segment — arm one Exp(γ) TTL per block, or under drop_on_ack evict
+  /// them, as it does any ACKed segment's blocks. Only own
   /// segments, and foreign ones under drop_on_ack, are remembered as
   /// ACKed: without drop_on_ack a foreign ACK changes nothing, so it
   /// must not grow state (a forged stream of them would otherwise grow
@@ -218,9 +215,9 @@ class PeerCore {
   /// when record_own_crcs and payload_bytes > 0).
   [[nodiscard]] const std::vector<std::uint32_t>* original_crcs(
       const coding::SegmentId& id) const;
-  [[nodiscard]] std::uint64_t reseeds() const noexcept { return reseeds_; }
-  [[nodiscard]] std::uint64_t reseed_evictions() const noexcept {
-    return reseed_evictions_;
+  /// Own segments pinned and not yet ACKed (0 without retention).
+  [[nodiscard]] std::size_t retained_segments() const noexcept {
+    return retained_;
   }
 
  private:
@@ -239,13 +236,7 @@ class PeerCore {
   std::unordered_set<coding::SegmentId> acked_;
   std::unordered_map<coding::SegmentId, std::vector<std::uint32_t>>
       own_crcs_;
-  /// Source-side encoders for own unACKed segments (only populated when
-  /// retain_own_until_acked; released on ACK).
-  std::unordered_map<coding::SegmentId, coding::SegmentEncoder>
-      own_encoders_;
-
-  std::uint64_t reseeds_ = 0;
-  std::uint64_t reseed_evictions_ = 0;
+  std::size_t retained_ = 0;
 };
 
 }  // namespace icollect::proto

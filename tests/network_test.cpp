@@ -344,7 +344,9 @@ TEST(Network, ReplayPinKeepsDecoderAndTagsUntilItsSlotDeparts) {
         ASSERT_EQ(info.degree, 0u) << id.to_string();
         ASSERT_EQ(info.replay_pins, 0u) << id.to_string();
         ASSERT_FALSE(tags.known(id)) << id.to_string();
-        if (!info.decoded) ASSERT_EQ(net.servers().state(id), 0u);
+        if (!info.decoded) {
+          ASSERT_EQ(net.servers().state(id), 0u);
+        }
         if (pit != pinned_dead.end()) {
           // Only a departure empties a replay cache.
           ASSERT_TRUE(someone_departed) << id.to_string();

@@ -142,19 +142,38 @@ TEST(NodeCluster, FixedSeedReproducesBitForBit) {
 
 TEST(NodeCluster, SurvivesTtlChurnViaSourceRetention) {
   // Aggressive TTL: blocks decay fast enough that without source
-  // retention segments die before collection. With it, the collection
-  // still finishes — and the re-seed path demonstrably fired.
+  // retention segments die before collection. With it, every peer's
+  // un-ACKed own segment holds rank s at every sample, and the
+  // collection finishes.
   auto cfg = small_cluster_config();
   cfg.gamma = 3.0;
   LoopbackCluster cluster{cfg};
-  ASSERT_TRUE(cluster.run_to_completion(600.0))
+  std::size_t pinned_samples = 0;
+  while (!cluster.complete() && cluster.now() < 600.0) {
+    cluster.run_for(0.25);
+    for (std::size_t p = 0; p < cfg.num_peers; ++p) {
+      const PeerNode& peer = cluster.peer(p);
+      std::size_t retained = 0;
+      for (std::uint32_t seq = 0; seq < peer.segments_injected(); ++seq) {
+        const coding::SegmentId id{peer.config().node_id, seq};
+        if (peer.is_acked(id)) continue;
+        ++retained;
+        const coding::SegmentBuffer* sb = peer.buffer().find(id);
+        ASSERT_NE(sb, nullptr) << id.to_string() << " t=" << cluster.now();
+        ASSERT_TRUE(sb->full_rank())
+            << id.to_string() << " t=" << cluster.now();
+      }
+      EXPECT_EQ(peer.retained_segments(), retained);
+      pinned_samples += retained;
+    }
+  }
+  ASSERT_TRUE(cluster.complete())
       << "decoded " << cluster.segments_decoded() << "/"
       << cluster.segments_injected();
-  std::uint64_t reseeds = 0;
+  EXPECT_GT(pinned_samples, 0U);
   for (std::size_t p = 0; p < cfg.num_peers; ++p) {
-    reseeds += cluster.peer(p).reseeds();
+    EXPECT_EQ(cluster.peer(p).retained_segments(), 0U);
   }
-  EXPECT_GT(reseeds, 0U);
 }
 
 TEST(NodeCluster, UnionRecoveryUnderLinkFaults) {
@@ -678,6 +697,38 @@ TEST(NodeProtocol, PendingPullsExpireOneByOneAndKeepRttSamples) {
   t.net.run_for(0.01);
   EXPECT_EQ(server.pull_empty_replies(), 3U);
   EXPECT_EQ(server.pull_rtt().count(), 2U);
+}
+
+TEST(NodeProtocol, PeerIsNotDoneUntilItsLastSegmentIsInjected) {
+  // A server ACKs a --segments 2 peer's first segment before the second
+  // is injected: the peer must not report every injected segment ACKed.
+  Star t{1};
+  wire::Hello hello;
+  hello.role = wire::NodeRole::kServer;
+  hello.node_id = 0x80000001U;
+  hello.segment_size = 4;
+  ScriptedNode server{t.server_end(), hello};
+  auto cfg = peer_config(1);
+  cfg.lambda = 4.0;  // one segment per second on average
+  cfg.max_segments = 2;
+  cfg.retain_own_until_acked = true;
+  PeerNode peer{cfg, t.peer_end(0), t.net.timers()};
+  t.link(0);
+  peer.start();
+  while (peer.segments_injected() == 0) t.net.run_for(0.001);
+  server.send(1, wire::Message{wire::SegmentDecodedAck{{1, 0}}});
+  t.net.run_for(0.005);
+  ASSERT_EQ(peer.segments_injected(), 1U);  // the ACK beat injection 2
+  ASSERT_EQ(peer.own_segments_acked(), 1U);
+  EXPECT_FALSE(peer.injection_done());
+  EXPECT_FALSE(peer.all_injected_acked());
+
+  while (peer.segments_injected() < 2) t.net.run_for(0.01);
+  EXPECT_FALSE(peer.all_injected_acked());
+  server.send(1, wire::Message{wire::SegmentDecodedAck{{1, 1}}});
+  t.net.run_for(0.005);
+  EXPECT_TRUE(peer.all_injected_acked());
+  EXPECT_EQ(peer.retained_segments(), 0U);
 }
 
 TEST(NodeProtocol, PeersAskForEveryAckOnlyUnderDropOnAck) {

@@ -19,7 +19,7 @@ using icollect::obs::ProfScope;
 void spin() {
   // A little real work so elapsed time is strictly positive on any clock.
   volatile unsigned x = 0;
-  for (unsigned i = 0; i < 50000; ++i) x += i;
+  for (unsigned i = 0; i < 50000; ++i) x = x + i;
 }
 
 TEST(Profiler, TimerFindOrCreateIsStable) {

@@ -180,27 +180,42 @@ TEST(ProtoCore, TtlExpiryRemovesBlockOnceAndGoesStale) {
   EXPECT_EQ(t.core.buffer().size(), 2u);
 }
 
-TEST(ProtoCore, ReseedOwnRestoresFullRankUntilAcked) {
+TEST(ProtoCore, RetainedSegmentIsPinnedUntilAckedThenAges) {
   auto params = small_params();
   params.retain_own_until_acked = true;
   TestPeer t{params};
   const auto injected = t.core.inject();
-  // Thin the own segment by one block via TTL expiry.
-  const auto seg = t.core.on_ttl_expired(t.armed.front().first);
-  ASSERT_TRUE(seg.has_value());
-  t.core.reseed_own(*seg);
-  EXPECT_GE(t.core.reseeds(), 1u);
+  // Pinned: the s systematic blocks carry no TTL and hold rank s, so
+  // the segment refuses relayed copies of itself.
+  EXPECT_TRUE(t.armed.empty());
+  EXPECT_EQ(t.core.retained_segments(), 1u);
   const coding::SegmentBuffer* sb = t.core.buffer().find(injected.id);
   ASSERT_NE(sb, nullptr);
   EXPECT_TRUE(sb->full_rank());
-  // After the ACK the retained encoder is released: a later expiry is
-  // not re-seeded.
+  EXPECT_EQ(t.core.accept(foreign_block(injected.id, 3, t.rng)),
+            PeerCore::AcceptResult::kSegmentFullRank);
+
+  // The first own ACK releases the pin: one TTL per block, and a
+  // duplicate ACK arms nothing more.
   EXPECT_EQ(t.core.on_ack(injected.id), PeerCore::AckResult::kOwnSegment);
-  const auto again = t.core.on_ttl_expired(t.armed[1].first);
-  ASSERT_TRUE(again.has_value());
-  const std::uint64_t reseeds_before = t.core.reseeds();
-  t.core.reseed_own(*again);
-  EXPECT_EQ(t.core.reseeds(), reseeds_before);
+  EXPECT_EQ(t.armed.size(), 3u);
+  EXPECT_EQ(t.core.retained_segments(), 0u);
+  EXPECT_EQ(t.core.on_ack(injected.id), PeerCore::AckResult::kDuplicate);
+  EXPECT_EQ(t.armed.size(), 3u);
+
+  // Once those TTLs fire the segment is gone.
+  for (const auto& [handle, delay] : t.armed) {
+    EXPECT_GT(delay, 0.0);
+    EXPECT_EQ(t.core.on_ttl_expired(handle), injected.id);
+  }
+  EXPECT_EQ(t.core.buffer().find(injected.id), nullptr);
+  EXPECT_TRUE(t.core.buffer().empty());
+
+  // Without retention the same inject arms its s TTLs at once.
+  TestPeer plain{small_params()};
+  (void)plain.core.inject();
+  EXPECT_EQ(plain.armed.size(), 3u);
+  EXPECT_EQ(plain.core.retained_segments(), 0u);
 }
 
 TEST(ProtoCore, RecodeStaysInsideTheSegment) {

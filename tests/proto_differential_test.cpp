@@ -181,7 +181,6 @@ std::vector<std::string> run_schedule(const FuzzConfig& cfg) {
           return;
         }
         trace.push_back("ttl " + name + " " + fmt_seg(*seg));
-        core->reseed_own(*seg);
       });
     });
   }

@@ -342,8 +342,9 @@ TEST(ClusterScenario, PartitionHealsAndRecoversWithinCaps) {
   ASSERT_TRUE(cluster.run_to_completion(600.0));
   EXPECT_TRUE(cluster.complete());
   EXPECT_GT(cluster.net().fault_drops(), 0U);
-  // Recovery must come from protocol retransmission (retained originals
-  // re-seeded after the heal), not from overrunning the transport: the
+  // Recovery must come from the protocol (originals pinned at their
+  // source until ACKed, re-gossiped after the heal), not from
+  // overrunning the transport: the
   // send-queue cap is never violated or even hit in this regime.
   EXPECT_EQ(cluster.net().backpressure_refusals(), 0U);
   EXPECT_EQ(cluster.segments_decoded(), 8U * 2U);

@@ -89,8 +89,8 @@ int main(int argc, char** argv) {
            cfg.drop_on_ack)
       .add("--no-retain", "",
            "disable source retention of own segments\n"
-           "(on by default: a peer re-seeds its own\n"
-           "unACKed segments after TTL losses)",
+           "(on by default: a peer pins its own\n"
+           "segments' blocks until the first ACK)",
            no_retain)
       .parsed("--pull-policy", "P",
               "server pull scheduling: uniform|rarest|\n"

@@ -23,8 +23,10 @@
 /// flow continues indefinitely, which is what the measurement window
 /// meters.
 ///
-///   icollect_loadgen --target 127.0.0.1:9100 --peers 10000 \
+///   icollect_loadgen --target 127.0.0.1:9100 --peers 10000
 ///       --backend epoll --segments 64 --duration 30 --measure 10
+///
+/// (one command line, wrapped here for width).
 ///
 /// Exit 0 iff every peer established+handshook and (when --segments > 0)
 /// every segment in the space was ACKed decoded. The one-line JSON

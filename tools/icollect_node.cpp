@@ -4,17 +4,19 @@
 /// other icollect_node processes.
 ///
 ///   # terminal 1 — server listening on 9100, expecting 8 segments
-///   icollect_node --role server --listen 127.0.0.1:9100 \
+///   icollect_node --role server --listen 127.0.0.1:9100
 ///                 --expect-segments 8 --pull-rate 50
 ///   # terminal 2 — peer: listen for other peers, feed the server
-///   icollect_node --role peer --listen 127.0.0.1:9101 \
+///   icollect_node --role peer --listen 127.0.0.1:9101
 ///                 --connect 127.0.0.1:9100 --segments 4
 ///   # terminal 3 — second peer, meshing with both
-///   icollect_node --role peer --connect 127.0.0.1:9100 \
+///   icollect_node --role peer --connect 127.0.0.1:9100
 ///                 --connect 127.0.0.1:9101 --segments 4
 ///
-/// A peer exits 0 once every segment it injected has been ACKed
-/// decoded; a server exits 0 once --expect-segments segments decoded.
+/// (Each command is one line, wrapped here for width.) A peer exits 0
+/// once it has injected all its --segments and every one of them has
+/// been ACKed decoded; a server exits 0 once --expect-segments segments
+/// decoded.
 /// --duration caps the wall-clock wait (exit 1 on timeout).
 
 #include <csignal>
