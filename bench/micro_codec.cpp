@@ -4,7 +4,9 @@
 /// ≈ O(s) operations per input block [8]; BM_DecodeSegment reports
 /// per-block time so the linear trend in s is directly visible, and
 /// BM_Encode / BM_Recode cover the source and relay costs that motivate
-/// keeping s in the 20–40 range.
+/// keeping s in the 20–40 range. The source encoder is a recode over
+/// the origin's s systematic blocks, as proto::PeerCore::inject buffers
+/// them; the relay recodes s blocks that are themselves coded.
 ///
 /// The codec paths are registered once per GF(2^8) kernel the CPU
 /// supports ("BM_DecodeSegment<avx2>/20" vs "<scalar>"), so one run
@@ -17,7 +19,6 @@
 #include <vector>
 
 #include "coding/decoder.h"
-#include "coding/encoder.h"
 #include "coding/segment_buffer.h"
 #include "gf/kernels.h"
 #include "sim/random.h"
@@ -38,6 +39,17 @@ std::vector<std::vector<std::uint8_t>> make_originals(std::size_t s,
   return blocks;
 }
 
+/// The origin's buffer for segment {1, 0}: its s originals as s
+/// systematic blocks. A recode over it is the source encoder.
+coding::SegmentBuffer make_source(std::size_t s, sim::Rng& rng) {
+  const auto originals = make_originals(s, rng);
+  coding::SegmentBuffer buf{{1, 0}, s};
+  for (std::size_t k = 0; k < s; ++k) {
+    buf.add(k + 1, coding::CodedBlock::systematic({1, 0}, s, k, originals[k]));
+  }
+  return buf;
+}
+
 /// Run the benchmark body with `kind` active; restore auto-dispatch.
 class KernelGuard {
  public:
@@ -51,10 +63,10 @@ void BM_Encode(benchmark::State& state, Kernels::Kind kind) {
   const KernelGuard guard{kind};
   const auto s = static_cast<std::size_t>(state.range(0));
   sim::Rng rng{11};
-  const coding::SegmentEncoder enc{{1, 0}, make_originals(s, rng)};
+  const coding::SegmentBuffer source = make_source(s, rng);
   coding::CodedBlock out;
   for (auto _ : state) {
-    enc.encode_into(out, rng);
+    source.recode_into(out, rng);
     benchmark::DoNotOptimize(out.payload.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -65,9 +77,9 @@ void BM_Recode(benchmark::State& state, Kernels::Kind kind) {
   const KernelGuard guard{kind};
   const auto s = static_cast<std::size_t>(state.range(0));
   sim::Rng rng{12};
-  const coding::SegmentEncoder enc{{1, 0}, make_originals(s, rng)};
+  const coding::SegmentBuffer source = make_source(s, rng);
   coding::SegmentBuffer buf{{1, 0}, s};
-  for (std::size_t k = 0; k < s; ++k) buf.add(k + 1, enc.encode(rng));
+  for (std::size_t k = 0; k < s; ++k) buf.add(k + 1, source.recode(rng));
   coding::CodedBlock out;
   for (auto _ : state) {
     buf.recode_into(out, rng);
@@ -81,10 +93,10 @@ void BM_DecodeSegment(benchmark::State& state, Kernels::Kind kind) {
   const KernelGuard guard{kind};
   const auto s = static_cast<std::size_t>(state.range(0));
   sim::Rng rng{13};
-  const coding::SegmentEncoder enc{{1, 0}, make_originals(s, rng)};
+  const coding::SegmentBuffer source = make_source(s, rng);
   // Pre-generate enough coded blocks to complete the decode.
   std::vector<coding::CodedBlock> blocks;
-  for (std::size_t k = 0; k < s + 8; ++k) blocks.push_back(enc.encode(rng));
+  for (std::size_t k = 0; k < s + 8; ++k) blocks.push_back(source.recode(rng));
   for (auto _ : state) {
     coding::Decoder dec{{1, 0}, s, kBlockBytes};
     std::size_t k = 0;
@@ -102,14 +114,14 @@ void BM_DecodeSegment(benchmark::State& state, Kernels::Kind kind) {
 void BM_InnovationCheck(benchmark::State& state) {
   const auto s = static_cast<std::size_t>(state.range(0));
   sim::Rng rng{14};
-  const coding::SegmentEncoder enc{{1, 0}, make_originals(s, rng)};
+  const coding::SegmentBuffer source = make_source(s, rng);
   coding::Decoder dec{{1, 0}, s, 0};
   for (std::size_t k = 0; k + 1 < s; ++k) {
-    coding::CodedBlock b = enc.encode(rng);
+    coding::CodedBlock b = source.recode(rng);
     b.payload.clear();
     dec.add(b);
   }
-  coding::CodedBlock probe = enc.encode(rng);
+  coding::CodedBlock probe = source.recode(rng);
   probe.payload.clear();
   for (auto _ : state) {
     benchmark::DoNotOptimize(dec.is_innovative(probe));
@@ -119,8 +131,7 @@ BENCHMARK(BM_InnovationCheck)->Arg(5)->Arg(20)->Arg(40);
 
 void BM_WireSerialize(benchmark::State& state) {
   sim::Rng rng{15};
-  const coding::SegmentEncoder enc{{1, 0}, make_originals(20, rng)};
-  const coding::CodedBlock b = enc.encode(rng);
+  const coding::CodedBlock b = make_source(20, rng).recode(rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(coding::wire::serialize(b));
   }

@@ -6,7 +6,7 @@
 ///
 /// Layering (each layer usable on its own):
 ///   gf/        GF(2^8) arithmetic, vectors, matrices
-///   coding/    RLNC encoder / recoder / progressive decoder
+///   coding/    RLNC coded blocks, recoding buffers, progressive decoder
 ///   sim/       discrete-event kernel (clock, events, RNG, processes)
 ///   stats/     summaries, histograms, time-weighted signals
 ///   workload/  vital-statistics records, packers, traffic profiles
@@ -17,7 +17,6 @@
 #include "coding/batch_decoder.h"
 #include "coding/coded_block.h"
 #include "coding/decoder.h"
-#include "coding/encoder.h"
 #include "coding/segment_buffer.h"
 #include "coding/segment_id.h"
 #include "core/collection_system.h"

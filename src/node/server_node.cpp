@@ -15,9 +15,8 @@ ServerNode::ServerNode(const NodeConfig& cfg, net::Transport& transport,
     : NodeBase{cfg, transport, wheel, metrics, metric_prefix},
       rng_{cfg.seed},
       wheel_clock_{[this] { return wheel_.now(); }},
-      core_{/*keep_payloads=*/cfg.payload_bytes > 0, wheel_clock_},
-      pull_policy_{sched::make_pull_policy(cfg.pull_policy)} {
-  if (pull_policy_->wants_feedback()) {
+      core_{/*keep_payloads=*/cfg.payload_bytes > 0, wheel_clock_} {
+  if (proto::wants_feedback(cfg.pull_policy)) {
     tracker_ = std::make_unique<sched::RankTracker>();
   }
   core_.set_decode_callback(
@@ -105,11 +104,11 @@ void ServerNode::do_pull() {
     return it == occupancy_.end() || it->second.blocks != 0 ||
            t - it->second.reported_at >= kOccupancyRefresh;
   };
-  // Uniform-over-eligible selection through the shared policy seam:
-  // rejection sampling over roster indices, with the exhaustive-scan
-  // fallback when every probe rejects (proto/selection.h). Conditioning
-  // a uniform draw on eligibility IS the uniform distribution over
-  // eligible peers, at O(1) expected cost instead of O(n) per pull.
+  // Uniform-over-eligible selection: rejection sampling over roster
+  // indices, with the exhaustive-scan fallback when every probe rejects
+  // (proto/selection.h). Conditioning a uniform draw on eligibility IS
+  // the uniform distribution over eligible peers, at O(1) expected cost
+  // instead of O(n) per pull.
   const auto eligible_index = [&](std::size_t i) { return eligible(conns[i]); };
   // Scheduling policies first ask for a wanted segment, then bias peer
   // selection toward eligible peers whose last BUFFER_SUMMARY (within
@@ -120,23 +119,20 @@ void ServerNode::do_pull() {
   std::optional<coding::SegmentId> want;
   std::size_t pick = proto::kNoSelection;
   if (tracker_ != nullptr) {
-    if (tracker_->open_count() == 0 && tracker_->suspended_count() > 0) {
-      tracker_->reactivate_all();
-    }
-    want = pull_policy_->want_segment(rng_, *tracker_);
-    if (want) {
-      const auto advertises = [&](std::size_t i) {
-        return eligible(conns[i]) && tracker_->peer_has(conns[i], *want, t) &&
-               !tracker_->is_exhausted(conns[i], *want);
-      };
-      pick = pull_policy_->pick_filtered(rng_, conns.size(), kPullProbes,
-                                         proto::EligibleRef{advertises});
-      if (pick == proto::kNoSelection) want.reset();
-    }
+    want = sched::next_want(config().pull_policy, rng_, *tracker_);
+  }
+  if (want) {
+    const auto advertises = [&](std::size_t i) {
+      return eligible(conns[i]) && tracker_->peer_has(conns[i], *want, t) &&
+             !tracker_->is_exhausted(conns[i], *want);
+    };
+    pick = proto::uniform_over_eligible(rng_, conns.size(), kPullProbes,
+                                        proto::EligibleRef{advertises});
+    if (pick == proto::kNoSelection) want.reset();
   }
   if (pick == proto::kNoSelection) {
-    pick = pull_policy_->pick_filtered(
-        rng_, conns.size(), kPullProbes, proto::EligibleRef{eligible_index});
+    pick = proto::uniform_over_eligible(rng_, conns.size(), kPullProbes,
+                                        proto::EligibleRef{eligible_index});
   }
   if (pick == proto::kNoSelection) {
     ++pulls_starved_;
@@ -205,20 +201,10 @@ void ServerNode::offer_to_bank(const coding::CodedBlock& block,
     return;
   }
   if (tracker_ != nullptr) {
-    // Deficit feed: innovative advances (pulled or forwarded) update
-    // the open set; redundant pulls build the suspension streak that
-    // keeps rarest-first off segments whose holders are exhausted.
-    if (result == proto::ServerBank::PullResult::kInnovative) {
-      tracker_->on_state(block.segment, core_.bank().state(block.segment),
-                         config().segment_size);
-    } else if (from_pull &&
-               result == proto::ServerBank::PullResult::kRedundant) {
-      // A redundant recode means the answering peer's whole span for
-      // this segment is already known — stop targeting it for this
-      // segment until the suspension cycle resets the evidence.
-      tracker_->mark_exhausted(from_conn, block.segment);
-      tracker_->on_redundant(block.segment);
-    }
+    sched::feed_outcome(*tracker_, core_.bank(), block.segment,
+                        config().segment_size, result,
+                        from_pull ? std::optional<std::uint64_t>{from_conn}
+                                  : std::nullopt);
   }
   if (!from_pull) return;  // forwarded blocks don't count as pulls
   trace(proto::TraceEventKind::kServerPull, from_conn, block.segment,
@@ -253,7 +239,6 @@ void ServerNode::on_bank_decode(const proto::ServerBank::DecodeEvent& event) {
   // The bank fires this callback before recording the segment as
   // decoded, so count the event rather than reading bank state.
   ++segments_decoded_metric_;
-  if (tracker_ != nullptr) tracker_->on_decoded(event.id);
   if (const auto it = first_seen_.find(event.id); it != first_seen_.end()) {
     decode_latency_->record_seconds(event.when - it->second);
     first_seen_.erase(it);

@@ -27,22 +27,22 @@
 /// the occupancy each PULL_BLOCK piggybacks: peers whose last reported
 /// occupancy is zero are skipped (they re-enter the candidate set
 /// optimistically after occupancy_refresh seconds, since a live server
-/// cannot observe refills remotely). The selection itself flows through
-/// the shared proto::PullPolicy seam (uniform rejection sampling over
-/// eligible roster indices; see proto/selection.h).
+/// cannot observe refills remotely). The selection is uniform rejection
+/// sampling over eligible roster indices (proto/selection.h). Under a
+/// feedback pull policy the want and feed rules of sched/pull_policies.h
+/// name the wanted segment, and the server targets peers whose last
+/// BUFFER_SUMMARY advertises it.
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <unordered_map>
 #include <vector>
-
-#include <memory>
 
 #include "coding/segment_id.h"
 #include "common/rng.h"
 #include "node/node_base.h"
 #include "obs/clock.h"
-#include "proto/pull_policy.h"
 #include "proto/server_core.h"
 #include "sched/rank_tracker.h"
 #include "stats/latency_histogram.h"
@@ -71,20 +71,8 @@ class ServerNode final : public NodeBase {
       std::function<void(const coding::SegmentId&, double when)>;
   void set_decode_hook(DecodeHook hook) { decode_hook_ = std::move(hook); }
 
-  /// Replace the pull-scheduling strategy (call before start()). The
-  /// default follows NodeConfig::pull_policy; uniform reproduces the
-  /// paper's pull over (believed-)non-empty peers. A policy that wants
-  /// deficit feedback gets a RankTracker stood up for it.
-  void set_pull_policy(std::unique_ptr<proto::PullPolicy> policy) {
-    ICOLLECT_EXPECTS(policy != nullptr);
-    pull_policy_ = std::move(policy);
-    if (pull_policy_->wants_feedback() && tracker_ == nullptr) {
-      tracker_ = std::make_unique<sched::RankTracker>();
-    }
-  }
-
   /// The scheduling state backing rarest/deficit policies; nullptr
-  /// under the default uniform policy.
+  /// under the uniform policy (NodeConfig::pull_policy).
   [[nodiscard]] const sched::RankTracker* tracker() const noexcept {
     return tracker_.get();
   }
@@ -207,7 +195,6 @@ class ServerNode final : public NodeBase {
   /// through it (virtual seconds over loopback, wall seconds over TCP).
   obs::CallbackClock wheel_clock_;
   proto::ServerCore core_;
-  std::unique_ptr<proto::PullPolicy> pull_policy_;
   /// Deficit + availability state for feedback policies; nullptr under
   /// uniform so the default hot path carries zero scheduling overhead.
   std::unique_ptr<sched::RankTracker> tracker_;

@@ -32,9 +32,8 @@ Network::Network(ProtocolConfig cfg)
       rng_{cfg_.seed},
       topology_{Topology::build(cfg_, rng_)},
       sim_clock_{[this] { return sim_.now(); }},
-      server_core_{/*keep_payloads=*/cfg_.payload_bytes > 0, sim_clock_},
-      pull_policy_{sched::make_pull_policy(cfg_.pull_policy)} {
-  if (pull_policy_->wants_feedback()) {
+      server_core_{/*keep_payloads=*/cfg_.payload_bytes > 0, sim_clock_} {
+  if (proto::wants_feedback(cfg_.pull_policy)) {
     tracker_ = std::make_unique<sched::RankTracker>();
   }
   proto::PeerCore::Params core_params;
@@ -311,42 +310,35 @@ void Network::do_server_pull() {
   // the paper's uniform rule, which doubles as discovery.
   std::optional<coding::SegmentId> want;
   if (tracker_ != nullptr) {
-    if (tracker_->open_count() == 0 && tracker_->suspended_count() > 0) {
-      tracker_->reactivate_all();
+    want = sched::next_want(cfg_.pull_policy, rng_, *tracker_);
+  }
+  if (want) {
+    if (!non_empty_slots_.empty()) {
+      const auto by_slot = [&](std::size_t i) { return non_empty_slots_[i]; };
+      const auto holds = [&](std::size_t s) {
+        return peers_[s].core.buffer().find(*want) != nullptr &&
+               !tracker_->is_exhausted(s, *want);
+      };
+      slot = proto::uniform_over_eligible(rng_, non_empty_slots_.size(),
+                                          kHolderSampleTries, by_slot, holds);
     }
-    want = pull_policy_->want_segment(rng_, *tracker_);
-    if (want) {
-      if (!non_empty_slots_.empty()) {
-        const auto by_slot = [&](std::size_t i) {
-          return non_empty_slots_[i];
-        };
-        const auto holds = [&](std::size_t s) {
-          return peers_[s].core.buffer().find(*want) != nullptr &&
-                 !tracker_->is_exhausted(s, *want);
-        };
-        slot = proto::uniform_over_eligible(rng_, non_empty_slots_.size(),
-                                            kHolderSampleTries, by_slot,
-                                            holds);
-      }
-      if (slot == proto::kNoSelection) {
-        tracker_->suspend(*want);
-        want.reset();
-      }
+    if (slot == proto::kNoSelection) {
+      tracker_->suspend(*want);
+      want.reset();
     }
   }
   if (slot == proto::kNoSelection) {
     if (cfg_.pull_policy == proto::PullPolicyKind::kUniformAll) {
       // Blind probing: the pull is spent even if the probed peer has
       // nothing to offer.
-      slot = pull_policy_->pick(rng_, peers_.size());
+      slot = rng_.uniform_index(peers_.size());
       if (!peers_[slot].core.has_blocks()) {
         ++metrics_.server_empty_probes;
         return;
       }
     } else {
       if (non_empty_slots_.empty()) return;
-      slot =
-          non_empty_slots_[pull_policy_->pick(rng_, non_empty_slots_.size())];
+      slot = non_empty_slots_[rng_.uniform_index(non_empty_slots_.size())];
     }
   }
   Peer& d = peers_[slot];
@@ -393,26 +385,14 @@ void Network::do_server_pull() {
     ++info->collected;
   }
   if (tracker_ != nullptr) {
-    // Deficit feed, straight from the bank outcome. Decodes already
-    // left the tracker via on_segment_decoded; redundant pulls build
-    // the suspension streak that keeps rarest-first off segments whose
-    // live span is exhausted.
-    if (result == proto::ServerBank::PullResult::kInnovative) {
-      tracker_->on_state(offered, server_core_.bank().state(offered),
-                         cfg_.segment_size);
-    } else if (result == proto::ServerBank::PullResult::kRedundant) {
-      // The answering slot's whole span for this segment is already
-      // known; stop re-targeting it until the suspension cycle resets.
-      tracker_->mark_exhausted(slot, offered);
-      tracker_->on_redundant(offered);
-    }
+    sched::feed_outcome(*tracker_, server_core_.bank(), offered,
+                        cfg_.segment_size, result, slot);
   }
   emit(TraceEventKind::kServerPull, slot, offered,
        result == proto::ServerBank::PullResult::kInnovative ? 1 : 0);
 }
 
 void Network::on_segment_decoded(const proto::ServerBank::DecodeEvent& event) {
-  if (tracker_ != nullptr) tracker_->on_decoded(event.id);
   const auto it = registry_.find(event.id);
   ICOLLECT_ENSURES(it != registry_.end());
   SegmentInfo& info = it->second;

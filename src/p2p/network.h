@@ -15,7 +15,10 @@
 ///  - TTL: every block is deleted after an Exp(γ) lifetime.
 ///  - Server collection: at rate c_s each server asks a uniformly random
 ///    non-empty peer for a re-coded block of a uniformly random segment
-///    in that peer's buffer (coupon-collector pull).
+///    in that peer's buffer (coupon-collector pull). Under a feedback
+///    pull policy the server first asks the want rule of
+///    sched/pull_policies.h for a segment and targets a peer holding
+///    it; every bank outcome goes back through the same file's feed.
 ///  - Churn (optional): exponential peer lifetimes with replacement.
 ///
 /// Every Sec. 2 *decision* (what to inject, which segment to gossip or
@@ -43,7 +46,6 @@
 #include "p2p/topology.h"
 #include "proto/integrity.h"
 #include "proto/peer_core.h"
-#include "proto/pull_policy.h"
 #include "proto/server_core.h"
 #include "proto/trace.h"
 #include "sched/rank_tracker.h"
@@ -137,17 +139,6 @@ class Network {
 
   /// Replace the payload source (call before running).
   void set_payload_source(PayloadSource source);
-
-  /// Replace the server peer-selection strategy (call before running).
-  /// The default proto::UniformPullPolicy reproduces the paper's uniform
-  /// pull; the policy draws from the shared simulation RNG stream.
-  void set_server_pull_policy(std::unique_ptr<proto::PullPolicy> policy) {
-    ICOLLECT_EXPECTS(policy != nullptr);
-    pull_policy_ = std::move(policy);
-    if (pull_policy_->wants_feedback() && tracker_ == nullptr) {
-      tracker_ = std::make_unique<sched::RankTracker>();
-    }
-  }
 
   /// The scheduling state behind rarest/deficit pulls; nullptr under
   /// the uniform policies (ProtocolConfig::pull_policy).
@@ -327,7 +318,6 @@ class Network {
   /// The server half of the protocol, on the simulator's virtual clock.
   obs::CallbackClock sim_clock_;
   proto::ServerCore server_core_;
-  std::unique_ptr<proto::PullPolicy> pull_policy_;
   /// Deficit state for feedback policies, fed straight from ServerBank
   /// outcomes (the simulator needs no BUFFER_SUMMARY — availability is
   /// the global view itself). nullptr under uniform policies.

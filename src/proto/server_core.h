@@ -9,10 +9,10 @@
 /// Time is injected as an obs::ClockSource so decode events carry the
 /// driver's time base without the core knowing whether "now" is the
 /// simulator's virtual clock, a loopback hub, or the wall clock. The
-/// *choice* of which peer to pull from stays with the driver (it owns
-/// the candidate set — exact non-empty slots in the simulator, an
-/// occupancy heuristic over the live roster) but flows through the
-/// shared proto::PullPolicy seam.
+/// *choice* of which peer to pull from stays with the driver: it owns
+/// the candidate set (exact non-empty slots in the simulator, an
+/// occupancy heuristic over the live roster) and draws from it with
+/// proto::uniform_over_eligible or a plain uniform index.
 ///
 /// When an IntegrityAuthority is attached, every incoming block is
 /// verified BEFORE it reaches the bank's Gaussian elimination: a

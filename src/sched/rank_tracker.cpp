@@ -35,9 +35,14 @@ void RankTracker::reactivate(const coding::SegmentId& id) {
 
 void RankTracker::on_state(const coding::SegmentId& id, std::size_t collected,
                            std::size_t segment_size) {
-  if (decoded_.contains(id)) return;
   if (collected >= segment_size) {
-    on_decoded(id);
+    if (const auto it = open_pos_.find(id); it != open_pos_.end()) {
+      total_deficit_ -= open_[it->second].deficit;
+      take_at(open_, open_pos_, it->second);
+    } else if (const auto sit = susp_pos_.find(id); sit != susp_pos_.end()) {
+      take_at(suspended_, susp_pos_, sit->second);
+    }
+    exhausted_.erase(id);
     return;
   }
   const std::size_t new_deficit = segment_size - collected;
@@ -55,17 +60,6 @@ void RankTracker::on_state(const coding::SegmentId& id, std::size_t collected,
     return;
   }
   open_slot(Slot{id, new_deficit, 0});
-}
-
-void RankTracker::on_decoded(const coding::SegmentId& id) {
-  if (const auto it = open_pos_.find(id); it != open_pos_.end()) {
-    total_deficit_ -= open_[it->second].deficit;
-    take_at(open_, open_pos_, it->second);
-  } else if (const auto sit = susp_pos_.find(id); sit != susp_pos_.end()) {
-    take_at(suspended_, susp_pos_, sit->second);
-  }
-  exhausted_.erase(id);
-  decoded_.insert(id);
 }
 
 void RankTracker::on_redundant(const coding::SegmentId& id) {

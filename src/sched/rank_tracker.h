@@ -2,16 +2,16 @@
 
 /// \file rank_tracker.h
 /// Server-side scheduling state: per-segment rank deficit plus per-peer
-/// availability estimates, behind the proto::DeficitView face the pull
-/// policies consume.
+/// availability estimates, read by the want rule of the pull policies
+/// (sched/pull_policies.h).
 ///
 /// The tracker closes the feedback loop between what a server still
 /// needs and what it pulls. It is fed from two sides:
 ///  - deficit side: every bank outcome the driver sees (innovative
-///    advance, decode, redundant pull) lands here via on_state /
-///    on_decoded / on_redundant. In the simulator the feed is exact
-///    (straight from ServerBank results); the live ServerNode feeds the
-///    same calls from its own bank.
+///    advance, decode, redundant pull) lands here through one call,
+///    sched::feed_outcome, which reads the bank's collection state. A
+///    decoded segment reports state s from then on, so it leaves the
+///    open set for good and nothing reopens it.
 ///  - availability side: merge_summary() ingests a peer's BUFFER_SUMMARY
 ///    (the live wire message, or exact buffer contents in tests). Each
 ///    report replaces the peer's previous one wholesale and is trusted
@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "coding/segment_id.h"
-#include "proto/pull_policy.h"
 
 namespace icollect::sched {
 
@@ -53,7 +52,7 @@ struct RankTrackerOptions {
   std::uint32_t redundant_suspend_streak = 2;
 };
 
-class RankTracker final : public proto::DeficitView {
+class RankTracker final {
  public:
   explicit RankTracker(RankTrackerOptions opts = {}) : opts_(opts) {}
 
@@ -61,12 +60,10 @@ class RankTracker final : public proto::DeficitView {
   /// The server's collection state for `id` advanced to `collected` of
   /// `segment_size` blocks. Opens the segment if unseen, reactivates it
   /// if suspended, and resets its redundancy streak. `collected >=
-  /// segment_size` is treated as on_decoded().
+  /// segment_size` means decoded: the segment and its exhaustion
+  /// evidence leave the tracker.
   void on_state(const coding::SegmentId& id, std::size_t collected,
                 std::size_t segment_size);
-
-  /// The segment decoded: it leaves the tracker for good.
-  void on_decoded(const coding::SegmentId& id);
 
   /// A pull of `id` came back redundant. Streaks of these suspend the
   /// segment (see file comment); any innovative advance resets the
@@ -102,18 +99,21 @@ class RankTracker final : public proto::DeficitView {
     return suspended_.size();
   }
 
-  // --- proto::DeficitView ------------------------------------------------
-  [[nodiscard]] std::size_t open_count() const noexcept override {
+  // --- the open set, in its deterministic order ---------------------------
+  /// Segments known to the server, not decoded and not suspended.
+  [[nodiscard]] std::size_t open_count() const noexcept {
     return open_.size();
   }
-  [[nodiscard]] const coding::SegmentId& open_segment(
-      std::size_t i) const override {
+  /// The i-th open segment (i < open_count()), stable between mutations.
+  [[nodiscard]] const coding::SegmentId& open_segment(std::size_t i) const {
     return open_[i].id;
   }
-  [[nodiscard]] std::size_t open_deficit(std::size_t i) const override {
+  /// Remaining rank deficit of the i-th open segment (>= 1).
+  [[nodiscard]] std::size_t open_deficit(std::size_t i) const {
     return open_[i].deficit;
   }
-  [[nodiscard]] std::size_t total_deficit() const noexcept override {
+  /// Sum of open_deficit over all open segments.
+  [[nodiscard]] std::size_t total_deficit() const noexcept {
     return total_deficit_;
   }
 
@@ -165,7 +165,6 @@ class RankTracker final : public proto::DeficitView {
   PosMap open_pos_;              ///< id -> index into open_
   std::vector<Slot> suspended_;  ///< same discipline as open_
   PosMap susp_pos_;
-  std::unordered_set<coding::SegmentId> decoded_;
   std::unordered_map<std::uint64_t, PeerReport> peers_;
   /// Per-segment set of peers whose span went redundant for it; cleared
   /// when the segment reactivates from suspension or decodes.

@@ -8,22 +8,15 @@
 
 #include "coding/batch_decoder.h"
 #include "coding/decoder.h"
-#include "coding/encoder.h"
+#include "coding/segment_buffer.h"
 #include "sim/random.h"
+#include "source_segment.h"
 
 namespace icollect::coding {
 namespace {
 
-std::vector<std::vector<std::uint8_t>> originals(std::size_t s,
-                                                 std::size_t bytes,
-                                                 sim::Rng& rng) {
-  std::vector<std::vector<std::uint8_t>> v(s);
-  for (auto& b : v) {
-    b.resize(bytes);
-    for (auto& x : b) x = static_cast<std::uint8_t>(rng.gf_element());
-  }
-  return v;
-}
+using fixtures::random_originals;
+using fixtures::source_buffer;
 
 TEST(BatchDecoder, EmptyBatch) {
   EXPECT_EQ(BatchDecoder::rank({}), 0u);
@@ -33,10 +26,10 @@ TEST(BatchDecoder, EmptyBatch) {
 
 TEST(BatchDecoder, FullRankBatchDecodes) {
   sim::Rng rng{201};
-  const auto orig = originals(6, 20, rng);
-  const SegmentEncoder enc{{1, 0}, orig};
+  const auto orig = random_originals(6, 20, rng);
+  const SegmentBuffer src = source_buffer({1, 0}, orig);
   std::vector<CodedBlock> blocks;
-  for (int i = 0; i < 9; ++i) blocks.push_back(enc.encode(rng));
+  for (int i = 0; i < 9; ++i) blocks.push_back(src.recode(rng));
   EXPECT_TRUE(BatchDecoder::decodable(blocks));
   const auto decoded = BatchDecoder::decode(blocks);
   ASSERT_TRUE(decoded.has_value());
@@ -45,10 +38,10 @@ TEST(BatchDecoder, FullRankBatchDecodes) {
 
 TEST(BatchDecoder, RankDeficientBatchFails) {
   sim::Rng rng{202};
-  const auto orig = originals(5, 8, rng);
-  const SegmentEncoder enc{{1, 0}, orig};
+  const auto orig = random_originals(5, 8, rng);
+  const SegmentBuffer src = source_buffer({1, 0}, orig);
   std::vector<CodedBlock> blocks;
-  for (int i = 0; i < 3; ++i) blocks.push_back(enc.encode(rng));
+  for (int i = 0; i < 3; ++i) blocks.push_back(src.recode(rng));
   EXPECT_FALSE(BatchDecoder::decodable(blocks));
   EXPECT_FALSE(BatchDecoder::decode(blocks).has_value());
   // Duplicating existing blocks must not unlock it.
@@ -59,17 +52,17 @@ TEST(BatchDecoder, RankDeficientBatchFails) {
 
 TEST(BatchDecoder, MixedSegmentsRejected) {
   sim::Rng rng{203};
-  const SegmentEncoder a{{1, 0}, originals(3, 4, rng)};
-  const SegmentEncoder b{{2, 0}, originals(3, 4, rng)};
-  std::vector<CodedBlock> blocks{a.encode(rng), b.encode(rng)};
+  const SegmentBuffer a = source_buffer({1, 0}, random_originals(3, 4, rng));
+  const SegmentBuffer b = source_buffer({2, 0}, random_originals(3, 4, rng));
+  std::vector<CodedBlock> blocks{a.recode(rng), b.recode(rng)};
   EXPECT_THROW((void)BatchDecoder::rank(blocks), std::invalid_argument);
 }
 
 TEST(BatchDecoder, InconsistentPayloadsRejected) {
   sim::Rng rng{204};
-  const SegmentEncoder enc{{1, 0}, originals(3, 4, rng)};
-  std::vector<CodedBlock> blocks{enc.encode(rng), enc.encode(rng),
-                                 enc.encode(rng)};
+  const SegmentBuffer src = source_buffer({1, 0}, random_originals(3, 4, rng));
+  std::vector<CodedBlock> blocks{src.recode(rng), src.recode(rng),
+                                 src.recode(rng)};
   blocks[1].payload.resize(2);
   EXPECT_THROW((void)BatchDecoder::decode(blocks), std::invalid_argument);
 }
@@ -78,7 +71,8 @@ TEST(BatchDecoder, AgreesWithProgressiveDecoderOnRank) {
   sim::Rng rng{205};
   for (int trial = 0; trial < 20; ++trial) {
     const std::size_t s = 2 + rng.uniform_index(10);
-    const SegmentEncoder enc{{7, 7}, originals(s, 8, rng)};
+    const SegmentBuffer src =
+        source_buffer({7, 7}, random_originals(s, 8, rng));
     std::vector<CodedBlock> blocks;
     const std::size_t n = 1 + rng.uniform_index(2 * s);
     // A mix of fresh and duplicated blocks to create rank deficiencies.
@@ -86,7 +80,7 @@ TEST(BatchDecoder, AgreesWithProgressiveDecoderOnRank) {
       if (!blocks.empty() && rng.bernoulli(0.3)) {
         blocks.push_back(blocks[rng.uniform_index(blocks.size())]);
       } else {
-        blocks.push_back(enc.encode(rng));
+        blocks.push_back(src.recode(rng));
       }
     }
     Decoder progressive{{7, 7}, s, 8};
@@ -104,10 +98,11 @@ TEST(BatchDecoder, AgreesWithProgressiveDecoderOnRank) {
 
 TEST(BatchDecoder, SystematicSubsetSuffices) {
   sim::Rng rng{206};
-  const auto orig = originals(4, 12, rng);
-  const SegmentEncoder enc{{3, 1}, orig};
+  const auto orig = random_originals(4, 12, rng);
   std::vector<CodedBlock> blocks;
-  for (std::size_t k = 0; k < 4; ++k) blocks.push_back(enc.systematic_block(k));
+  for (std::size_t k = 0; k < 4; ++k) {
+    blocks.push_back(CodedBlock::systematic({3, 1}, 4, k, orig[k]));
+  }
   EXPECT_EQ(BatchDecoder::rank(blocks), 4u);
   EXPECT_EQ(*BatchDecoder::decode(blocks), orig);
 }

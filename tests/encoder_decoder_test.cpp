@@ -5,27 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-
 #include <vector>
 
 #include "coding/decoder.h"
-#include "coding/encoder.h"
 #include "coding/segment_buffer.h"
 #include "sim/random.h"
+#include "source_segment.h"
 
 namespace icollect::coding {
 namespace {
 
-std::vector<std::vector<std::uint8_t>> random_originals(std::size_t s,
-                                                        std::size_t bytes,
-                                                        sim::Rng& rng) {
-  std::vector<std::vector<std::uint8_t>> blocks(s);
-  for (auto& b : blocks) {
-    b.resize(bytes);
-    for (auto& x : b) x = static_cast<std::uint8_t>(rng.gf_element());
-  }
-  return blocks;
-}
+using fixtures::random_originals;
+using fixtures::source_buffer;
 
 class CodecRoundTripTest : public ::testing::TestWithParam<std::size_t> {};
 
@@ -34,12 +25,12 @@ TEST_P(CodecRoundTripTest, RandomCodedBlocksDecode) {
   sim::Rng rng{1000 + s};
   const SegmentId id{3, 7};
   const auto originals = random_originals(s, 32, rng);
-  const SegmentEncoder enc{id, originals};
+  const SegmentBuffer src = source_buffer(id, originals);
   Decoder dec{id, s, 32};
 
   std::size_t offered = 0;
   while (!dec.complete()) {
-    dec.add(enc.encode(rng));
+    dec.add(src.recode(rng));
     ++offered;
     ASSERT_LE(offered, s + 20) << "decoder failed to complete";
   }
@@ -58,11 +49,10 @@ TEST_P(CodecRoundTripTest, SystematicBlocksDecodeExactlyAtRankS) {
   sim::Rng rng{2000 + s};
   const SegmentId id{1, 1};
   const auto originals = random_originals(s, 16, rng);
-  const SegmentEncoder enc{id, originals};
   Decoder dec{id, s, 16};
   for (std::size_t k = 0; k < s; ++k) {
     EXPECT_FALSE(dec.complete());
-    EXPECT_TRUE(dec.add(enc.systematic_block(k)));
+    EXPECT_TRUE(dec.add(CodedBlock::systematic(id, s, k, originals[k])));
     EXPECT_EQ(dec.rank(), k + 1);
   }
   EXPECT_TRUE(dec.complete());
@@ -76,11 +66,11 @@ TEST_P(CodecRoundTripTest, RecodedChainStillDecodes) {
   sim::Rng rng{3000 + s};
   const SegmentId id{9, 4};
   const auto originals = random_originals(s, 24, rng);
-  const SegmentEncoder enc{id, originals};
+  const SegmentBuffer src = source_buffer(id, originals);
 
   SegmentBuffer a{id, s};
   for (std::size_t k = 0; k < 2 * s; ++k) {
-    a.add(k + 1, enc.encode(rng));
+    a.add(k + 1, src.recode(rng));
   }
   SegmentBuffer b{id, s};
   for (std::size_t k = 0; k < 2 * s; ++k) {
@@ -99,38 +89,12 @@ TEST_P(CodecRoundTripTest, RecodedChainStillDecodes) {
 INSTANTIATE_TEST_SUITE_P(SegmentSizes, CodecRoundTripTest,
                          ::testing::Values(1, 2, 3, 4, 8, 16, 32, 64));
 
-TEST(SegmentEncoderTest, RejectsEmptyAndRagged) {
-  EXPECT_THROW((SegmentEncoder{SegmentId{}, {}}), ContractViolation);
-  std::vector<std::vector<std::uint8_t>> ragged{{1, 2}, {3}};
-  EXPECT_THROW((SegmentEncoder{SegmentId{}, ragged}), ContractViolation);
-}
-
-TEST(SegmentEncoderTest, EncodedBlockNeverDegenerate) {
-  sim::Rng rng{5};
-  const SegmentEncoder enc{SegmentId{2, 2}, random_originals(4, 8, rng)};
-  for (int t = 0; t < 200; ++t) {
-    EXPECT_FALSE(enc.encode(rng).is_degenerate());
-  }
-}
-
-TEST(SegmentEncoderTest, EncodedPayloadIsTheStatedCombination) {
-  sim::Rng rng{6};
-  const auto originals = random_originals(3, 10, rng);
-  const SegmentEncoder enc{SegmentId{1, 0}, originals};
-  const CodedBlock b = enc.encode(rng);
-  std::vector<std::uint8_t> expect(10, 0);
-  for (std::size_t j = 0; j < 3; ++j) {
-    gf::add_scaled(expect, originals[j], b.coefficients[j]);
-  }
-  EXPECT_EQ(b.payload, expect);
-}
-
 TEST(DecoderTest, DuplicateBlockIsRedundant) {
   sim::Rng rng{7};
   const auto originals = random_originals(4, 8, rng);
-  const SegmentEncoder enc{SegmentId{1, 0}, originals};
+  const SegmentBuffer src = source_buffer(SegmentId{1, 0}, originals);
   Decoder dec{SegmentId{1, 0}, 4, 8};
-  const CodedBlock b = enc.encode(rng);
+  const CodedBlock b = src.recode(rng);
   EXPECT_TRUE(dec.add(b));
   EXPECT_FALSE(dec.add(b));
   EXPECT_EQ(dec.redundant_count(), 1u);
@@ -140,10 +104,10 @@ TEST(DecoderTest, DuplicateBlockIsRedundant) {
 TEST(DecoderTest, LinearCombinationOfKnownRowsIsRedundant) {
   sim::Rng rng{8};
   const auto originals = random_originals(5, 8, rng);
-  const SegmentEncoder enc{SegmentId{1, 0}, originals};
+  const SegmentBuffer src = source_buffer(SegmentId{1, 0}, originals);
   Decoder dec{SegmentId{1, 0}, 5, 8};
-  const CodedBlock b1 = enc.encode(rng);
-  const CodedBlock b2 = enc.encode(rng);
+  const CodedBlock b1 = src.recode(rng);
+  const CodedBlock b2 = src.recode(rng);
   ASSERT_TRUE(dec.add(b1));
   ASSERT_TRUE(dec.add(b2));
   // 3*b1 + 5*b2 is in the decoder's span.
@@ -162,9 +126,9 @@ TEST(DecoderTest, LinearCombinationOfKnownRowsIsRedundant) {
 TEST(DecoderTest, IsInnovativeDoesNotMutate) {
   sim::Rng rng{9};
   const auto originals = random_originals(4, 4, rng);
-  const SegmentEncoder enc{SegmentId{1, 0}, originals};
+  const SegmentBuffer src = source_buffer(SegmentId{1, 0}, originals);
   Decoder dec{SegmentId{1, 0}, 4, 4};
-  const CodedBlock b = enc.encode(rng);
+  const CodedBlock b = src.recode(rng);
   EXPECT_TRUE(dec.is_innovative(b));
   EXPECT_EQ(dec.rank(), 0u);
   EXPECT_TRUE(dec.is_innovative(b));  // still, since nothing was added
@@ -194,13 +158,13 @@ TEST(DecoderTest, OriginalBeforeCompleteViolatesContract) {
 TEST(DecoderTest, AfterCompleteEverythingIsRedundant) {
   sim::Rng rng{10};
   const auto originals = random_originals(3, 4, rng);
-  const SegmentEncoder enc{SegmentId{1, 0}, originals};
+  const SegmentBuffer src = source_buffer(SegmentId{1, 0}, originals);
   Decoder dec{SegmentId{1, 0}, 3, 4};
-  while (!dec.complete()) dec.add(enc.encode(rng));
+  while (!dec.complete()) dec.add(src.recode(rng));
   const auto redundant_before = dec.redundant_count();
-  EXPECT_FALSE(dec.add(enc.encode(rng)));
+  EXPECT_FALSE(dec.add(src.recode(rng)));
   EXPECT_EQ(dec.redundant_count(), redundant_before + 1);
-  EXPECT_FALSE(dec.is_innovative(enc.encode(rng)));
+  EXPECT_FALSE(dec.is_innovative(src.recode(rng)));
 }
 
 TEST(DecoderTest, ZeroPayloadSizeTracksCoefficientsOnly) {

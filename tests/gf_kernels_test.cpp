@@ -13,13 +13,13 @@
 #include <vector>
 
 #include "coding/decoder.h"
-#include "coding/encoder.h"
 #include "coding/segment_buffer.h"
 #include "common/rng.h"
 #include "gf/gf256.h"
 #include "gf/kernels.h"
 #include "kernel_kinds.h"
 #include "sim/random.h"
+#include "source_segment.h"
 
 // --- global allocation counter (for the zero-allocation tests) ----------
 //
@@ -347,13 +347,14 @@ TEST(GfKernels, DecoderAddIsAllocationFreeInSteadyState) {
     blk.resize(payload);
     rng.fill_gf(blk);
   }
-  coding::SegmentEncoder enc{coding::SegmentId{1, 1}, originals};
+  const coding::SegmentBuffer src =
+      fixtures::source_buffer(coding::SegmentId{1, 1}, originals);
   coding::Decoder dec{coding::SegmentId{1, 1}, s, payload};
 
   // Pre-generate every block outside the measured region; the decoder's
   // own buffers are pre-sized at construction.
   std::vector<coding::CodedBlock> blocks;
-  for (std::size_t i = 0; i < s + 8; ++i) blocks.push_back(enc.encode(rng));
+  for (std::size_t i = 0; i < s + 8; ++i) blocks.push_back(src.recode(rng));
 
   g_alloc_count.store(0);
   g_counting.store(true);
@@ -379,9 +380,10 @@ TEST(GfKernels, RecodeIntoIsAllocationFreeOnceWarm) {
     blk.resize(payload);
     rng.fill_gf(blk);
   }
-  coding::SegmentEncoder enc{coding::SegmentId{2, 2}, originals};
+  const coding::SegmentBuffer src =
+      fixtures::source_buffer(coding::SegmentId{2, 2}, originals);
   coding::SegmentBuffer buf{coding::SegmentId{2, 2}, s};
-  for (std::size_t i = 0; i < s; ++i) buf.add(i + 1, enc.encode(rng));
+  for (std::size_t i = 0; i < s; ++i) buf.add(i + 1, src.recode(rng));
 
   coding::CodedBlock scratch;
   buf.recode_into(scratch, rng);  // warm: buffers grow to full size here

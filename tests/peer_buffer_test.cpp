@@ -9,7 +9,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "coding/encoder.h"
 #include "proto/peer_buffer.h"
 
 namespace icollect::proto {

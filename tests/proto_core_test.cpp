@@ -14,7 +14,6 @@
 #include "common/rng.h"
 #include "obs/clock.h"
 #include "proto/peer_core.h"
-#include "proto/pull_policy.h"
 #include "proto/selection.h"
 #include "proto/server_bank.h"
 #include "proto/server_core.h"
@@ -383,17 +382,6 @@ TEST(ProtoCore, UniformOverEligibleHonorsPredicate) {
   const auto all = [](std::size_t) { return true; };
   EXPECT_EQ(uniform_over_eligible(untouched, 0, 4, EligibleRef{all}),
             kNoSelection);
-}
-
-TEST(ProtoCore, UniformPullPolicyMatchesRawDraws) {
-  // pick() must be exactly one uniform_index draw — the determinism
-  // contract both drivers' goldens rest on.
-  common::Rng a{13};
-  common::Rng b{13};
-  const UniformPullPolicy policy;
-  for (int trial = 0; trial < 100; ++trial) {
-    EXPECT_EQ(policy.pick(a, 17), b.uniform_index(17));
-  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 /// Negative-path and edge-case tests for the shared selection idiom
-/// (proto/selection.h) and the server pull-target seam
-/// (proto/pull_policy.h): empty candidate sets, single candidates,
+/// (proto/selection.h) that both drivers' pull-target choice runs on:
+/// empty candidate sets, single candidates,
 /// all-ineligible rosters, the exhaustive-scan fallback, the documented
 /// RNG draw sequence, and uniformity over the eligible subset.
 
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "proto/pull_policy.h"
 #include "proto/selection.h"
 
 namespace icollect::proto {
@@ -117,39 +116,6 @@ TEST(Selection, UniformOverTheEligibleSubset) {
     } else {
       EXPECT_NEAR(counts[i], expected, 0.15 * expected) << i;
     }
-  }
-}
-
-TEST(PullPolicy, UniformPickDrawsExactlyOnce) {
-  UniformPullPolicy policy;
-  common::Rng rng{10};
-  common::Rng twin{10};
-  const std::size_t got = policy.pick(rng, 17);
-  EXPECT_EQ(got, twin.uniform_index(17));
-  EXPECT_EQ(rng.uniform_index(1000), twin.uniform_index(1000));
-}
-
-TEST(PullPolicy, PickFilteredEmptyEligibleSet) {
-  UniformPullPolicy policy;
-  common::Rng rng{11};
-  EXPECT_EQ(policy.pick_filtered(rng, 32, 16, kNeverEligible),
-            kNoSelection);
-  EXPECT_EQ(policy.pick_filtered(rng, 0, 16, kAlwaysEligible),
-            kNoSelection);
-}
-
-TEST(PullPolicy, PickFilteredSingleCandidate) {
-  UniformPullPolicy policy;
-  common::Rng rng{12};
-  EXPECT_EQ(policy.pick_filtered(rng, 1, 16, kAlwaysEligible), 0U);
-}
-
-TEST(PullPolicy, PickFilteredHonorsEligibility) {
-  UniformPullPolicy policy;
-  common::Rng rng{13};
-  const auto last_only = [](std::size_t i) { return i == 31; };
-  for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(policy.pick_filtered(rng, 32, 4, last_only), 31U);
   }
 }
 

@@ -1,6 +1,7 @@
 /// Pull-scheduling subsystem tests (src/sched/): RankTracker deficit
-/// bookkeeping, suspension and staleness semantics, the documented RNG
-/// draw contracts of the rarest-first and deficit-weighted policies,
+/// bookkeeping, suspension and staleness semantics, the bank-outcome
+/// feed, the want rule and the documented RNG draw contracts of the
+/// rarest-first and deficit-weighted policies,
 /// and end-to-end pins — at fixed seeds the feedback policies must not
 /// need more pulls than the uniform control, in both the event-driven
 /// simulator and the live loopback cluster.
@@ -10,12 +11,15 @@
 #include <array>
 #include <cstddef>
 #include <map>
+#include <optional>
 #include <vector>
 
+#include "coding/coded_block.h"
 #include "common/rng.h"
 #include "node/cluster.h"
 #include "p2p/network.h"
 #include "proto/pull_policy.h"
+#include "proto/server_bank.h"
 #include "sched/pull_policies.h"
 #include "sched/rank_tracker.h"
 
@@ -59,16 +63,61 @@ TEST(Sched, FullStateCountsAsDecoded) {
   EXPECT_EQ(t.total_deficit(), 0U);
 }
 
+// --- the bank-outcome feed -------------------------------------------------
+
+/// A bank over a segment of s = 4 coefficient-only blocks, plus the
+/// feed of one offered block into a tracker.
+struct FeedRig {
+  static constexpr std::size_t kS = 4;
+  proto::ServerBank bank{/*keep_payloads=*/false};
+  RankTracker tracker{RankTrackerOptions{.redundant_suspend_streak = 8}};
+
+  proto::ServerBank::PullResult offer(const coding::CodedBlock& block,
+                                      std::optional<std::uint64_t> puller) {
+    const auto result = bank.offer(block, 0.0);
+    sched::feed_outcome(tracker, bank, block.segment, kS, result, puller);
+    return result;
+  }
+  static coding::CodedBlock unit(const SegmentId& id, std::size_t k) {
+    return coding::CodedBlock::systematic(id, kS, k, {});
+  }
+};
+
 TEST(Sched, DecodedSegmentNeverReenters) {
-  RankTracker t;
-  t.on_state(kA, 1, 4);
-  t.on_decoded(kA);
-  EXPECT_EQ(t.open_count(), 0U);
-  // A late state report for a decoded segment must not reopen it (bank
-  // callbacks can interleave with offer processing).
-  t.on_state(kA, 2, 4);
-  EXPECT_EQ(t.open_count(), 0U);
-  EXPECT_EQ(t.total_deficit(), 0U);
+  FeedRig rig;
+  for (std::size_t k = 0; k + 1 < FeedRig::kS; ++k) {
+    rig.offer(FeedRig::unit(kA, k), 7);
+  }
+  EXPECT_EQ(rig.tracker.deficit(kA), 1U);
+  // The decoding block takes the segment out of the open set.
+  EXPECT_EQ(rig.offer(FeedRig::unit(kA, FeedRig::kS - 1), 7),
+            proto::ServerBank::PullResult::kInnovative);
+  EXPECT_EQ(rig.tracker.open_count(), 0U);
+  // A late forwarded block and a late pulled one for the decoded
+  // segment must not reopen it: the bank reports state s for good.
+  rig.offer(FeedRig::unit(kA, 0), std::nullopt);
+  rig.offer(FeedRig::unit(kA, 1), 7);
+  EXPECT_EQ(rig.tracker.open_count(), 0U);
+  EXPECT_EQ(rig.tracker.suspended_count(), 0U);
+  EXPECT_EQ(rig.tracker.deficit(kA), 0U);
+  EXPECT_EQ(rig.tracker.total_deficit(), 0U);
+  EXPECT_FALSE(rig.tracker.is_exhausted(7, kA));
+}
+
+TEST(Sched, RedundantForwardedBlockMarksNoPeerExhausted) {
+  FeedRig rig;
+  rig.offer(FeedRig::unit(kA, 0), 7);
+  // The same block again, forwarded by a sibling server: redundant, but
+  // it says nothing about any peer's span and builds no streak.
+  EXPECT_EQ(rig.offer(FeedRig::unit(kA, 0), std::nullopt),
+            proto::ServerBank::PullResult::kRedundant);
+  EXPECT_FALSE(rig.tracker.is_exhausted(7, kA));
+  // Pulled from peer 7, it marks exactly that peer.
+  EXPECT_EQ(rig.offer(FeedRig::unit(kA, 0), 7),
+            proto::ServerBank::PullResult::kRedundant);
+  EXPECT_TRUE(rig.tracker.is_exhausted(7, kA));
+  EXPECT_FALSE(rig.tracker.is_exhausted(8, kA));
+  EXPECT_EQ(rig.tracker.deficit(kA), 3U);
 }
 
 TEST(Sched, RedundantStreakSuspendsAndEvidenceReactivates) {
@@ -242,13 +291,41 @@ TEST(PullPolicy, PoliciesAreDeterministicUnderAFixedSeed) {
   for (const proto::PullPolicyKind kind :
        {proto::PullPolicyKind::kRarestFirst,
         proto::PullPolicyKind::kDeficitWeighted}) {
-    const auto policy = sched::make_pull_policy(kind);
     common::Rng a{123};
     common::Rng b{123};
     for (int i = 0; i < 64; ++i) {
-      EXPECT_EQ(policy->want_segment(a, t), policy->want_segment(b, t));
+      EXPECT_EQ(sched::next_want(kind, a, t), sched::next_want(kind, b, t));
     }
   }
+}
+
+TEST(PullPolicy, UniformKindsWantNothingAndDrawNothing) {
+  RankTracker t;
+  t.on_state(kA, 1, 4);
+  for (const proto::PullPolicyKind kind :
+       {proto::PullPolicyKind::kUniform, proto::PullPolicyKind::kUniformAll}) {
+    common::Rng rng{11};
+    common::Rng twin{11};
+    EXPECT_FALSE(sched::next_want(kind, rng, t).has_value());
+    EXPECT_EQ(rng.uniform_index(1U << 20), twin.uniform_index(1U << 20));
+  }
+}
+
+TEST(PullPolicy, WantReactivatesSuspendedSegmentsOnceTheOpenSetDrains) {
+  RankTracker t{RankTrackerOptions{.redundant_suspend_streak = 1}};
+  t.on_state(kA, 1, 4);
+  t.on_state(kB, 3, 4);
+  t.on_redundant(kB);
+  common::Rng rng{11};
+  // kA is still open: kB stays parked.
+  EXPECT_EQ(sched::next_want(PullPolicyKind::kRarestFirst, rng, t), kA);
+  EXPECT_TRUE(t.is_suspended(kB));
+  t.on_redundant(kA);
+  ASSERT_EQ(t.open_count(), 0U);
+  // The open set drained: both return and the rarest one is wanted.
+  EXPECT_EQ(sched::next_want(PullPolicyKind::kRarestFirst, rng, t), kB);
+  EXPECT_EQ(t.open_count(), 2U);
+  EXPECT_EQ(t.suspended_count(), 0U);
 }
 
 TEST(PullPolicy, FactoryAndNameParsingRoundTrip) {
@@ -277,14 +354,11 @@ TEST(PullPolicy, FactoryAndNameParsingRoundTrip) {
     EXPECT_EQ(proto::parse_pull_policy_kind(proto::to_string(kind)), kind);
   }
 
-  EXPECT_FALSE(
-      sched::make_pull_policy(PullPolicyKind::kUniform)->wants_feedback());
-  EXPECT_FALSE(
-      sched::make_pull_policy(PullPolicyKind::kUniformAll)->wants_feedback());
-  EXPECT_TRUE(sched::make_pull_policy(PullPolicyKind::kRarestFirst)
-                  ->wants_feedback());
-  EXPECT_TRUE(sched::make_pull_policy(PullPolicyKind::kDeficitWeighted)
-                  ->wants_feedback());
+  // Only the feedback kinds run the rank feedback loop.
+  static_assert(!proto::wants_feedback(PullPolicyKind::kUniform));
+  static_assert(!proto::wants_feedback(PullPolicyKind::kUniformAll));
+  static_assert(proto::wants_feedback(PullPolicyKind::kRarestFirst));
+  static_assert(proto::wants_feedback(PullPolicyKind::kDeficitWeighted));
 }
 
 // --- end-to-end pins: feedback beats uniform at fixed seeds ---------------

@@ -2,29 +2,21 @@
 
 #include <gtest/gtest.h>
 
-#include "coding/encoder.h"
-#include "proto/server_bank.h"
 #include "common/rng.h"
+#include "proto/server_bank.h"
+#include "source_segment.h"
 
 namespace icollect::proto {
 namespace {
 
-std::vector<std::vector<std::uint8_t>> originals(std::size_t s,
-                                                 std::size_t bytes,
-                                                 common::Rng& rng) {
-  std::vector<std::vector<std::uint8_t>> v(s);
-  for (auto& b : v) {
-    b.resize(bytes);
-    for (auto& x : b) x = static_cast<std::uint8_t>(rng.gf_element());
-  }
-  return v;
-}
+using fixtures::random_originals;
+using fixtures::source_buffer;
 
 TEST(ServerBank, RealCodingDecodesSegment) {
   common::Rng rng{81};
   const coding::SegmentId id{1, 0};
-  const auto orig = originals(4, 8, rng);
-  const coding::SegmentEncoder enc{id, orig};
+  const auto orig = random_originals(4, 8, rng);
+  const coding::SegmentBuffer src = source_buffer(id, orig);
   ServerBank bank{/*keep_payloads=*/true};
   std::size_t decodes = 0;
   bank.set_decode_callback([&](const ServerBank::DecodeEvent& ev) {
@@ -36,7 +28,7 @@ TEST(ServerBank, RealCodingDecodesSegment) {
     EXPECT_DOUBLE_EQ(ev.when, 3.5);
   });
   while (!bank.is_decoded(id)) {
-    (void)bank.offer(enc.encode(rng), 3.5);
+    (void)bank.offer(src.recode(rng), 3.5);
   }
   EXPECT_EQ(decodes, 1u);
   EXPECT_EQ(bank.segments_decoded(), 1u);
@@ -49,10 +41,11 @@ TEST(ServerBank, RealCodingDecodesSegment) {
 TEST(ServerBank, RedundantAfterDecode) {
   common::Rng rng{82};
   const coding::SegmentId id{1, 0};
-  const coding::SegmentEncoder enc{id, originals(2, 4, rng)};
+  const coding::SegmentBuffer src =
+      source_buffer(id, random_originals(2, 4, rng));
   ServerBank bank;
-  while (!bank.is_decoded(id)) (void)bank.offer(enc.encode(rng), 0.0);
-  const auto result = bank.offer(enc.encode(rng), 1.0);
+  while (!bank.is_decoded(id)) (void)bank.offer(src.recode(rng), 0.0);
+  const auto result = bank.offer(src.recode(rng), 1.0);
   EXPECT_EQ(result, ServerBank::PullResult::kAlreadyDecoded);
   EXPECT_GE(bank.redundant_pulls(), 1u);
 }
@@ -60,9 +53,10 @@ TEST(ServerBank, RedundantAfterDecode) {
 TEST(ServerBank, DependentBlockIsRedundant) {
   common::Rng rng{83};
   const coding::SegmentId id{2, 0};
-  const coding::SegmentEncoder enc{id, originals(5, 4, rng)};
+  const coding::SegmentBuffer src =
+      source_buffer(id, random_originals(5, 4, rng));
   ServerBank bank;
-  const auto b = enc.encode(rng);
+  const auto b = src.recode(rng);
   EXPECT_EQ(bank.offer(b, 0.0), ServerBank::PullResult::kInnovative);
   EXPECT_EQ(bank.offer(b, 0.0), ServerBank::PullResult::kRedundant);
   EXPECT_EQ(bank.state(id), 1u);
@@ -118,9 +112,10 @@ TEST(ServerBank, TracksManySegmentsIndependently) {
 TEST(ServerBank, ForgetReleasesPartialDecoder) {
   common::Rng rng{86};
   const coding::SegmentId id{6, 0};
-  const coding::SegmentEncoder enc{id, originals(4, 8, rng)};
+  const coding::SegmentBuffer src =
+      source_buffer(id, random_originals(4, 8, rng));
   ServerBank bank;
-  ASSERT_EQ(bank.offer(enc.encode(rng), 0.0),
+  ASSERT_EQ(bank.offer(src.recode(rng), 0.0),
             ServerBank::PullResult::kInnovative);
   ASSERT_EQ(bank.segments_in_progress(), 1u);
   ASSERT_EQ(bank.state(id), 1u);
@@ -147,10 +142,10 @@ TEST(ServerBank, ForgetReleasesStateCounter) {
 TEST(ServerBank, ForgetDecodedOrUnknownChangesNothing) {
   common::Rng rng{87};
   const coding::SegmentId id{8, 0};
-  const auto orig = originals(3, 8, rng);
-  const coding::SegmentEncoder enc{id, orig};
+  const auto orig = random_originals(3, 8, rng);
+  const coding::SegmentBuffer src = source_buffer(id, orig);
   ServerBank bank{/*keep_payloads=*/true};
-  while (!bank.is_decoded(id)) (void)bank.offer(enc.encode(rng), 0.0);
+  while (!bank.is_decoded(id)) (void)bank.offer(src.recode(rng), 0.0);
   (void)bank.offer_counted({9, 0}, 4, 0.0);
   const std::uint64_t pulls = bank.pulls();
 
@@ -169,9 +164,10 @@ TEST(ServerBank, ForgetDecodedOrUnknownChangesNothing) {
 TEST(ServerBank, DiscardPayloadsMode) {
   common::Rng rng{85};
   const coding::SegmentId id{5, 0};
-  const coding::SegmentEncoder enc{id, originals(2, 4, rng)};
+  const coding::SegmentBuffer src =
+      source_buffer(id, random_originals(2, 4, rng));
   ServerBank bank{/*keep_payloads=*/false};
-  while (!bank.is_decoded(id)) (void)bank.offer(enc.encode(rng), 0.0);
+  while (!bank.is_decoded(id)) (void)bank.offer(src.recode(rng), 0.0);
   EXPECT_EQ(bank.originals(id), nullptr);
 }
 
