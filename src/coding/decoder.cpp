@@ -50,7 +50,10 @@ bool Decoder::add(const CodedBlock& block) {
   ICOLLECT_EXPECTS(block.coefficients.size() == s_);
   ICOLLECT_EXPECTS(block.payload.empty() ||
                    block.payload.size() == payload_size_);
-  if (complete()) {
+  // Coefficients alone decide innovation: a redundant block (including
+  // every block after completion) is rejected before any payload byte
+  // is copied or reduced.
+  if (!is_innovative(block)) {
     ++redundant_;
     return false;
   }
@@ -68,10 +71,7 @@ bool Decoder::add(const CodedBlock& block) {
               scratch_payload_.begin());
   }
   const auto pivot = reduce(coeffs, payload);
-  if (!pivot) {
-    ++redundant_;
-    return false;
-  }
+  ICOLLECT_ENSURES(pivot.has_value());  // the same coefficients reduced
   const std::size_t p = *pivot;
   // Normalize so the pivot coefficient is exactly 1.
   const gf::Element lead = coeffs[p];

@@ -25,6 +25,7 @@
 
 #include "coding/coded_block.h"
 #include "coding/segment_id.h"
+#include "common/assert.h"
 #include "gf/gf256.h"
 
 namespace icollect::coding {
@@ -55,10 +56,27 @@ class Decoder {
   /// Would this block raise the rank? (const; does not modify state)
   [[nodiscard]] bool is_innovative(const CodedBlock& block) const;
 
-  /// Absorb a coded block. Returns true if it was innovative.
+  /// Absorb a coded block. Returns true if it was innovative. A
+  /// redundant block is rejected on its coefficients alone, before any
+  /// payload byte is copied or reduced, and changes nothing but
+  /// redundant_count().
   /// Preconditions: matching segment id, coefficient length s, and (when
   /// payloads are in use) matching payload length.
   bool add(const CodedBlock& block);
+
+  /// Row p of the stored reduced row-echelon form — the pivot row for
+  /// column p, all zero while no block has pivoted there: its
+  /// coefficients and its payload.
+  [[nodiscard]] std::span<const gf::Element> row_coefficients(
+      std::size_t p) const {
+    ICOLLECT_EXPECTS(p < s_);
+    return coeff_row(p);
+  }
+  [[nodiscard]] std::span<const std::uint8_t> row_payload(
+      std::size_t p) const {
+    ICOLLECT_EXPECTS(p < s_);
+    return payload_row(p);
+  }
 
   /// The k-th recovered original block, as a view into the decoder's row
   /// arena (valid until the decoder is destroyed). Precondition:

@@ -3,6 +3,7 @@
 #include <string>
 
 #include "common/assert.h"
+#include "common/crc32.h"
 #include "sim/random.h"
 
 namespace icollect::node {
@@ -73,7 +74,7 @@ LoopbackCluster::LoopbackCluster(const ClusterConfig& cfg,
       servers_.back()->set_integrity(integrity_.get());
     }
     servers_.back()->set_decode_hook(
-        [this](const coding::SegmentId& id, double) { on_decode(id); });
+        [this](const proto::ServerBank::DecodeEvent& ev) { on_decode(ev); });
   }
 
   // Complete topology, matching the simulator's default: peer↔peer for
@@ -142,8 +143,21 @@ void LoopbackCluster::schedule_sampler() {
   });
 }
 
-void LoopbackCluster::on_decode(const coding::SegmentId& id) {
-  decoded_union_.insert(id);
+void LoopbackCluster::on_decode(const proto::ServerBank::DecodeEvent& event) {
+  decoded_union_.insert(event.id);
+  // Peers are node ids 1..N; the originals are readable only now.
+  if (event.decoder == nullptr || event.id.origin == 0 ||
+      event.id.origin > peers_.size()) {
+    return;
+  }
+  const auto* crcs = peers_[event.id.origin - 1]->original_crcs(event.id);
+  if (crcs == nullptr) return;
+  for (std::size_t k = 0; k < crcs->size(); ++k) {
+    ++originals_checked_;
+    if (common::crc32(event.decoder->original(k)) != (*crcs)[k]) {
+      ++crc_failures_;
+    }
+  }
 }
 
 bool LoopbackCluster::complete() const {

@@ -149,6 +149,20 @@ class LoopbackCluster {
   /// Polluted pulls quarantined at servers, summed.
   [[nodiscard]] std::uint64_t polluted_pulls() const;
 
+  // --- end-to-end payload integrity ---------------------------------------
+  /// Servers keep no decoded payloads, so every decode is checked as it
+  /// happens: each recovered original is CRC-32-compared with the one
+  /// its origin peer recorded at injection (the rule of the simulator's
+  /// payload_crc_failures). Originals checked so far, summed over
+  /// servers; 0 without payloads.
+  [[nodiscard]] std::uint64_t payload_originals_checked() const noexcept {
+    return originals_checked_;
+  }
+  /// Checked originals whose CRC did not match.
+  [[nodiscard]] std::uint64_t payload_crc_failures() const noexcept {
+    return crc_failures_;
+  }
+
   // --- measurement window -------------------------------------------------
   /// Re-anchor measurement at the current virtual time (post-warm-up).
   void begin_measurement();
@@ -162,7 +176,7 @@ class LoopbackCluster {
 
  private:
   void schedule_sampler();
-  void on_decode(const coding::SegmentId& id);
+  void on_decode(const proto::ServerBank::DecodeEvent& event);
 
   ClusterConfig cfg_;
   net::LoopbackNet net_;
@@ -171,6 +185,8 @@ class LoopbackCluster {
   std::vector<std::unique_ptr<PeerNode>> peers_;
   std::vector<std::unique_ptr<ServerNode>> servers_;
   std::unordered_set<coding::SegmentId> decoded_union_;
+  std::uint64_t originals_checked_ = 0;
+  std::uint64_t crc_failures_ = 0;
 
   double measure_start_ = 0.0;
   std::uint64_t base_innovative_ = 0;

@@ -4,6 +4,7 @@
 #include <optional>
 #include <utility>
 
+#include "common/assert.h"
 #include "proto/selection.h"
 #include "sched/pull_policies.h"
 
@@ -15,7 +16,7 @@ ServerNode::ServerNode(const NodeConfig& cfg, net::Transport& transport,
     : NodeBase{cfg, transport, wheel, metrics, metric_prefix},
       rng_{cfg.seed},
       wheel_clock_{[this] { return wheel_.now(); }},
-      core_{/*keep_payloads=*/cfg.payload_bytes > 0, wheel_clock_} {
+      core_{/*keep_payloads=*/false, wheel_clock_} {
   if (proto::wants_feedback(cfg.pull_policy)) {
     tracker_ = std::make_unique<sched::RankTracker>();
   }
@@ -49,6 +50,11 @@ ServerNode::ServerNode(const NodeConfig& cfg, net::Transport& transport,
     });
     metrics_->gauge(metric_prefix_ + "pending_pulls", [this] {
       return static_cast<double>(pending_pulls_.size());
+    });
+    metrics_->gauge(metric_prefix_ + "advertised_segments", [this] {
+      return tracker_ != nullptr
+                 ? static_cast<double>(tracker_->advertised_segments())
+                 : 0.0;
     });
   }
   // Latency histograms are always recorded; with metrics attached they
@@ -122,12 +128,17 @@ void ServerNode::do_pull() {
     want = sched::next_want(config().pull_policy, rng_, *tracker_);
   }
   if (want) {
-    const auto advertises = [&](std::size_t i) {
-      return eligible(conns[i]) && tracker_->peer_has(conns[i], *want, t) &&
-             !tracker_->is_exhausted(conns[i], *want);
+    const auto roster_index = [&](std::uint64_t peer) {
+      const auto it = roster_pos_.find(static_cast<net::NodeId>(peer));
+      if (it == roster_pos_.end()) return proto::kNoSelection;
+      ICOLLECT_ENSURES(it->second < conns.size() &&
+                       conns[it->second] == peer);
+      return it->second;
     };
-    pick = proto::uniform_over_eligible(rng_, conns.size(), kPullProbes,
-                                        proto::EligibleRef{advertises});
+    pick = sched::pick_advertiser(rng_, *tracker_, *want, t, conns.size(),
+                                  kPullProbes, roster_index,
+                                  proto::EligibleRef{eligible_index},
+                                  candidates_);
     if (pick == proto::kNoSelection) want.reset();
   }
   if (pick == proto::kNoSelection) {
@@ -269,7 +280,7 @@ void ServerNode::on_bank_decode(const proto::ServerBank::DecodeEvent& event) {
       }
     }
   }
-  if (decode_hook_) decode_hook_(event.id, event.when);
+  if (decode_hook_) decode_hook_(event);
 }
 
 void ServerNode::handle_message(Session& session, wire::Message&& message) {
@@ -303,6 +314,9 @@ void ServerNode::handle_message(Session& session, wire::Message&& message) {
 
 void ServerNode::on_session_established(Session& session) {
   if (session.remote.role != wire::NodeRole::kPeer) return;
+  // NodeBase appends a newly established session to its roster.
+  ICOLLECT_ENSURES(peer_conns().back() == session.conn);
+  roster_pos_[session.conn] = peer_conns().size() - 1;
   peer_by_id_[session.remote.node_id] = session.conn;
   if (wire::wants_all_acks(session.remote)) ++all_ack_sessions_;
 }
@@ -311,6 +325,15 @@ void ServerNode::on_session_closed(Session& session) {
   occupancy_.erase(session.conn);
   if (tracker_ != nullptr) tracker_->forget_peer(session.conn);
   if (session.remote.role != wire::NodeRole::kPeer) return;
+  // Only sessions at or after the closed one can have moved.
+  if (const auto it = roster_pos_.find(session.conn);
+      it != roster_pos_.end()) {
+    const std::vector<net::NodeId>& conns = peer_conns();
+    for (std::size_t i = it->second; i < conns.size(); ++i) {
+      roster_pos_[conns[i]] = i;
+    }
+    roster_pos_.erase(it);
+  }
   if (const auto it = peer_by_id_.find(session.remote.node_id);
       it != peer_by_id_.end() && it->second == session.conn) {
     peer_by_id_.erase(it);

@@ -31,7 +31,12 @@
 /// sampling over eligible roster indices (proto/selection.h). Under a
 /// feedback pull policy the want and feed rules of sched/pull_policies.h
 /// name the wanted segment, and the server targets peers whose last
-/// BUFFER_SUMMARY advertises it.
+/// BUFFER_SUMMARY advertises it, found through the tracker's advertiser
+/// index (sched::pick_advertiser) rather than a roster scan.
+///
+/// The bank keeps no decoded payloads: a completed segment's originals
+/// go to the decode hook (set_decode_hook) and are released with the
+/// decoder, leaving one completion record per decoded segment.
 
 #include <cstdint>
 #include <functional>
@@ -66,9 +71,13 @@ class ServerNode final : public NodeBase {
     core_.set_integrity(authority);
   }
 
-  /// Invoked when this server's bank completes a segment.
+  /// Invoked when this server's bank completes a segment. The event's
+  /// decoder holds the recovered originals (nullptr under the
+  /// state-counter process) and is valid only during the call: the bank
+  /// keeps no payloads, so a hook that needs them copies or checks them
+  /// there.
   using DecodeHook =
-      std::function<void(const coding::SegmentId&, double when)>;
+      std::function<void(const proto::ServerBank::DecodeEvent&)>;
   void set_decode_hook(DecodeHook hook) { decode_hook_ = std::move(hook); }
 
   /// The scheduling state backing rarest/deficit policies; nullptr
@@ -206,6 +215,11 @@ class ServerNode final : public NodeBase {
     double reported_at = 0.0;
   };
   std::unordered_map<net::NodeId, OccupancyInfo> occupancy_;
+  /// Roster index of every established peer session (peer_conns()
+  /// order), so advertisers map to the indices the pull draws over.
+  std::unordered_map<net::NodeId, std::size_t> roster_pos_;
+  /// Scratch for sched::pick_advertiser's candidate list.
+  std::vector<std::size_t> candidates_;
 
   /// Peer sessions by HELLO node_id — where a segment's ACK goes. A
   /// reconnect replaces its entry; closing the old conn then leaves the

@@ -20,7 +20,9 @@
 /// sequences — and therefore every seeded golden output — defined in
 /// exactly one place.
 
+#include <algorithm>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -85,6 +87,29 @@ template <typename IndexFn>
                                                        EligibleRef eligible) {
   return uniform_over_eligible(
       rng, n, probes, [](std::size_t i) { return i; }, eligible);
+}
+
+/// The same choice when the eligible set is already known: `candidates`
+/// lists, in ascending order, exactly the indices of [0, n) a predicate
+/// accepts. Draw for draw identical to uniform_over_eligible(rng, n,
+/// probes, predicate): `probes` uniform_index(n) draws — made even when
+/// `candidates` is empty — returning the first that hits a candidate,
+/// then one uniform_index(candidates.size()) when every probe missed
+/// and a candidate exists. A caller that can enumerate its few
+/// candidates directly pays O(probes · log k) instead of one predicate
+/// call per probe plus an O(n) scan.
+[[nodiscard]] inline std::size_t uniform_over_candidates(
+    common::Rng& rng, std::size_t n, int probes,
+    std::span<const std::size_t> candidates) {
+  if (n == 0) return kNoSelection;
+  for (int attempt = 0; attempt < probes; ++attempt) {
+    const std::size_t cand = rng.uniform_index(n);
+    if (std::binary_search(candidates.begin(), candidates.end(), cand)) {
+      return cand;
+    }
+  }
+  if (candidates.empty()) return kNoSelection;
+  return candidates[rng.uniform_index(candidates.size())];
 }
 
 }  // namespace icollect::proto

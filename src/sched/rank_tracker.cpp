@@ -1,5 +1,6 @@
 #include "sched/rank_tracker.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace icollect::sched {
@@ -111,16 +112,61 @@ std::size_t RankTracker::deficit(const coding::SegmentId& id) const {
   return 0;
 }
 
+void RankTracker::unindex_advertiser(const coding::SegmentId& id,
+                                     std::uint64_t peer) {
+  const auto it = advertisers_.find(id);
+  std::vector<std::uint64_t>& list = it->second;
+  *std::find(list.begin(), list.end(), peer) = list.back();
+  list.pop_back();
+  if (list.empty()) advertisers_.erase(it);
+}
+
 void RankTracker::merge_summary(std::uint64_t peer,
                                 std::span<const coding::SegmentId> segments,
                                 double now) {
+  // Suspended segments the summary advertises reactivate in the
+  // summary's order, duplicates included (a repeat finds nothing).
+  for (const coding::SegmentId& id : segments) reactivate(id);
+
+  // Diff the new report against the old one (both sorted, distinct), so
+  // the index only changes where the report did.
+  merge_scratch_.assign(segments.begin(), segments.end());
+  std::sort(merge_scratch_.begin(), merge_scratch_.end());
+  merge_scratch_.erase(
+      std::unique(merge_scratch_.begin(), merge_scratch_.end()),
+      merge_scratch_.end());
   PeerReport& report = peers_[peer];
   report.reported_at = now;
-  report.segments.clear();
-  for (const coding::SegmentId& id : segments) {
-    report.segments.insert(id);
-    reactivate(id);
+  const std::vector<coding::SegmentId>& old_ids = report.segments;
+  auto o = old_ids.begin();
+  auto n = merge_scratch_.begin();
+  while (o != old_ids.end() || n != merge_scratch_.end()) {
+    if (n == merge_scratch_.end() || (o != old_ids.end() && *o < *n)) {
+      unindex_advertiser(*o++, peer);
+    } else if (o == old_ids.end() || *n < *o) {
+      advertisers_[*n++].push_back(peer);
+    } else {
+      ++o;
+      ++n;
+    }
   }
+  report.segments.swap(merge_scratch_);
+}
+
+std::span<const std::uint64_t> RankTracker::advertisers(
+    const coding::SegmentId& id) const {
+  const auto it = advertisers_.find(id);
+  if (it == advertisers_.end()) return {};
+  return it->second;
+}
+
+void RankTracker::forget_peer(std::uint64_t peer) {
+  const auto it = peers_.find(peer);
+  if (it == peers_.end()) return;
+  for (const coding::SegmentId& id : it->second.segments) {
+    unindex_advertiser(id, peer);
+  }
+  peers_.erase(it);
 }
 
 bool RankTracker::peer_has(std::uint64_t peer, const coding::SegmentId& id,
@@ -128,7 +174,8 @@ bool RankTracker::peer_has(std::uint64_t peer, const coding::SegmentId& id,
   const auto it = peers_.find(peer);
   if (it == peers_.end()) return false;
   if (now - it->second.reported_at > opts_.staleness_bound) return false;
-  return it->second.segments.contains(id);
+  return std::binary_search(it->second.segments.begin(),
+                            it->second.segments.end(), id);
 }
 
 bool RankTracker::peer_fresh(std::uint64_t peer, double now) const {

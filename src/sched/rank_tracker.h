@@ -16,7 +16,11 @@
 ///    (the live wire message, or exact buffer contents in tests). Each
 ///    report replaces the peer's previous one wholesale and is trusted
 ///    only for `staleness_bound` seconds — after that peer_has() answers
-///    false and the driver should request a refresh.
+///    false and the driver should request a refresh. An inverted index,
+///    segment -> peers whose last report lists it (advertisers()), lets
+///    a driver find a want's holders without scanning its roster;
+///    merge_summary() and forget_peer() keep it exact, and it holds no
+///    segment nobody advertises.
 ///
 /// Suspension keeps rarest-first from wedging on a stuck segment: a
 /// segment whose pulls go redundant `redundant_suspend_streak` times in
@@ -133,9 +137,21 @@ class RankTracker final {
   /// the driver should piggyback a summary request on its next pull.
   [[nodiscard]] bool peer_fresh(std::uint64_t peer, double now) const;
 
-  void forget_peer(std::uint64_t peer) { peers_.erase(peer); }
+  /// Peers whose last summary lists `id`, fresh or stale, in no fixed
+  /// order; empty when none. Valid until the next merge_summary() or
+  /// forget_peer().
+  [[nodiscard]] std::span<const std::uint64_t> advertisers(
+      const coding::SegmentId& id) const;
+
+  /// Drop `peer`'s report and its advertiser index entries.
+  void forget_peer(std::uint64_t peer);
   [[nodiscard]] std::size_t tracked_peers() const noexcept {
     return peers_.size();
+  }
+  /// Segments at least one tracked report lists: the advertiser index's
+  /// size.
+  [[nodiscard]] std::size_t advertised_segments() const noexcept {
+    return advertisers_.size();
   }
 
   [[nodiscard]] const RankTrackerOptions& options() const noexcept {
@@ -150,7 +166,7 @@ class RankTracker final {
   };
   struct PeerReport {
     double reported_at = 0.0;
-    std::unordered_set<coding::SegmentId> segments;
+    std::vector<coding::SegmentId> segments;  ///< sorted, distinct
   };
   using PosMap = std::unordered_map<coding::SegmentId, std::size_t>;
 
@@ -159,6 +175,7 @@ class RankTracker final {
 
   void open_slot(Slot slot);
   void reactivate(const coding::SegmentId& id);
+  void unindex_advertiser(const coding::SegmentId& id, std::uint64_t peer);
 
   RankTrackerOptions opts_;
   std::vector<Slot> open_;       ///< insertion order, swap-pop removal
@@ -166,6 +183,13 @@ class RankTracker final {
   std::vector<Slot> suspended_;  ///< same discipline as open_
   PosMap susp_pos_;
   std::unordered_map<std::uint64_t, PeerReport> peers_;
+  /// The advertiser index: segment -> peers whose report lists it, as
+  /// an unordered list (swap-pop removal); never holds an empty list.
+  std::unordered_map<coding::SegmentId, std::vector<std::uint64_t>>
+      advertisers_;
+  /// merge_summary's sorted copy of the incoming ids, kept for its
+  /// capacity.
+  std::vector<coding::SegmentId> merge_scratch_;
   /// Per-segment set of peers whose span went redundant for it; cleared
   /// when the segment reactivates from suspension or decodes.
   std::unordered_map<coding::SegmentId, std::unordered_set<std::uint64_t>>

@@ -123,6 +123,59 @@ TEST(DecoderTest, LinearCombinationOfKnownRowsIsRedundant) {
   EXPECT_FALSE(dec.add(mix));
 }
 
+TEST(DecoderTest, RedundantAddLeavesRowsByteIdentical) {
+  constexpr std::size_t kS = 6;
+  constexpr std::size_t kPayload = 40;
+  const SegmentId id{2, 5};
+  sim::Rng rng{10};
+  const auto originals = random_originals(kS, kPayload, rng);
+  const SegmentBuffer src = source_buffer(id, originals);
+  Decoder dec{id, kS, kPayload};
+  std::vector<CodedBlock> held;
+  while (held.size() < 3) {
+    CodedBlock b = src.recode(rng);
+    if (dec.add(b)) held.push_back(std::move(b));
+  }
+  const auto rows = [&dec] {
+    std::vector<std::vector<std::uint8_t>> out;
+    for (std::size_t p = 0; p < kS; ++p) {
+      const auto c = dec.row_coefficients(p);
+      const auto y = dec.row_payload(p);
+      out.emplace_back(c.begin(), c.end());
+      out.emplace_back(y.begin(), y.end());
+    }
+    return out;
+  };
+  // Redundant candidates: a consistent combination of the held blocks,
+  // the same coefficients under a payload no combination carries, and
+  // a copy of a held block.
+  CodedBlock mix{id, std::vector<gf::Element>(kS, 0),
+                 std::vector<std::uint8_t>(kPayload, 0)};
+  for (const CodedBlock& b : held) {
+    const gf::Element f = rng.gf_element();
+    gf::add_scaled(mix.coefficients, b.coefficients, f);
+    gf::add_scaled(mix.payload, b.payload, f);
+  }
+  CodedBlock garbled = mix;
+  for (std::uint8_t& byte : garbled.payload) byte ^= 0xA5;
+  for (const CodedBlock& redundant : {mix, garbled, held.front()}) {
+    const auto before = rows();
+    const std::size_t rank = dec.rank();
+    const std::uint64_t redundant_before = dec.redundant_count();
+    EXPECT_FALSE(dec.add(redundant));
+    EXPECT_EQ(dec.rank(), rank);
+    EXPECT_EQ(rows(), before);
+    EXPECT_EQ(dec.redundant_count(), redundant_before + 1);
+  }
+  // Past completion every block is redundant, and the recovered
+  // originals stay put.
+  while (!dec.complete()) dec.add(src.recode(rng));
+  const auto complete = rows();
+  EXPECT_FALSE(dec.add(src.recode(rng)));
+  EXPECT_EQ(rows(), complete);
+  EXPECT_EQ(dec.originals(), originals);
+}
+
 TEST(DecoderTest, IsInnovativeDoesNotMutate) {
   sim::Rng rng{9};
   const auto originals = random_originals(4, 4, rng);

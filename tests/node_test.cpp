@@ -13,7 +13,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "common/crc32.h"
 #include "net/loopback.h"
 #include "node/cluster.h"
 #include "obs/metrics_registry.h"
@@ -87,30 +86,53 @@ TEST(NodeCluster, PayloadsRecoveredByteExactly) {
   const auto cfg = small_cluster_config();
   LoopbackCluster cluster{cfg};
   ASSERT_TRUE(cluster.run_to_completion(300.0));
-  // Every decoded segment's recovered originals must CRC-match what the
-  // injecting peer generated — the whole pipeline (systematic seeding,
-  // recoding, framing, transport, Gaussian elimination) is lossless.
-  std::size_t checked = 0;
-  for (std::size_t p = 0; p < cfg.num_peers; ++p) {
-    PeerNode& peer = cluster.peer(p);
-    for (std::uint32_t seq = 0; seq < cfg.segments_per_peer; ++seq) {
-      const coding::SegmentId id{peer.config().node_id, seq};
-      const auto* crcs = peer.original_crcs(id);
-      ASSERT_NE(crcs, nullptr);
-      for (std::size_t srv = 0; srv < cfg.num_servers; ++srv) {
-        const auto* originals = cluster.server(srv).bank().originals(id);
-        ASSERT_NE(originals, nullptr) << "server " << srv << " missing "
-                                      << id.origin << "/" << id.seq;
-        ASSERT_EQ(originals->size(), crcs->size());
-        for (std::size_t k = 0; k < crcs->size(); ++k) {
-          EXPECT_EQ(common::crc32((*originals)[k]), (*crcs)[k]);
-          ++checked;
-        }
+  // Every server's every decode CRC-checks the recovered originals
+  // against what the injecting peer generated, as the decode happens —
+  // the whole pipeline (systematic seeding, recoding, framing,
+  // transport, Gaussian elimination) is lossless.
+  EXPECT_EQ(cluster.payload_crc_failures(), 0U);
+  EXPECT_EQ(cluster.payload_originals_checked(),
+            cfg.num_peers * cfg.segments_per_peer * cfg.segment_size *
+                cfg.num_servers);
+}
+
+TEST(NodeCluster, ServerRetainsNoDecodedPayloads) {
+  const auto cfg = small_cluster_config();
+  LoopbackCluster cluster{cfg};
+  ASSERT_TRUE(cluster.run_to_completion(300.0));
+  // A decoded segment leaves its completion record and nothing else:
+  // the originals went to the decode hook and were released with the
+  // decoder.
+  for (std::size_t srv = 0; srv < cfg.num_servers; ++srv) {
+    const proto::ServerBank& bank = cluster.server(srv).bank();
+    EXPECT_EQ(bank.segments_in_progress(), 0U);
+    for (std::size_t p = 0; p < cfg.num_peers; ++p) {
+      for (std::uint32_t seq = 0; seq < cfg.segments_per_peer; ++seq) {
+        const coding::SegmentId id{cluster.peer(p).config().node_id, seq};
+        EXPECT_TRUE(bank.is_decoded(id));
+        EXPECT_EQ(bank.originals(id), nullptr)
+            << "server " << srv << " kept " << id.origin << "/" << id.seq;
       }
     }
   }
-  EXPECT_EQ(checked, cfg.num_peers * cfg.segments_per_peer *
-                         cfg.segment_size * cfg.num_servers);
+}
+
+TEST(NodeCluster, TargetedPullsFollowRosterChanges) {
+  // Sessions closing mid-run shift the server's peer roster. Targeted
+  // pulls map advertisers to roster slots, and ServerNode checks every
+  // lookup against the roster, so a stale slot throws here.
+  auto cfg = small_cluster_config();
+  cfg.pull_policy = proto::PullPolicyKind::kDeficitWeighted;
+  LoopbackCluster cluster{cfg};
+  cluster.run_for(2.0);
+  const auto server_end = static_cast<net::NodeId>(cfg.num_peers);
+  const std::uint64_t targeted_before = cluster.server(0).targeted_pulls();
+  cluster.net().disconnect(server_end, 1);
+  cluster.net().disconnect(server_end, 3);
+  cluster.run_for(0.1);
+  ASSERT_EQ(cluster.server(0).peer_session_count(), cfg.num_peers - 2);
+  ASSERT_TRUE(cluster.run_to_completion(300.0));
+  EXPECT_GT(cluster.server(0).targeted_pulls(), targeted_before);
 }
 
 TEST(NodeCluster, FixedSeedReproducesBitForBit) {

@@ -12,13 +12,18 @@
 #include <cstddef>
 #include <map>
 #include <optional>
+#include <set>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "coding/coded_block.h"
 #include "common/rng.h"
+#include "net/transport.h"
 #include "node/cluster.h"
 #include "p2p/network.h"
 #include "proto/pull_policy.h"
+#include "proto/selection.h"
 #include "proto/server_bank.h"
 #include "sched/pull_policies.h"
 #include "sched/rank_tracker.h"
@@ -219,6 +224,149 @@ TEST(Sched, ForgetPeerDropsItsReport) {
   t.forget_peer(5);
   EXPECT_EQ(t.tracked_peers(), 0U);
   EXPECT_FALSE(t.peer_has(5, kA, 1.0));
+}
+
+TEST(Sched, AdvertiserIndexMatchesTheReports) {
+  // Random merge/forget sequences against a model of the reports: after
+  // every step, advertisers(id) is exactly the set of peers whose last
+  // summary lists id, and the index holds no segment nobody lists.
+  common::Rng gen{2024};
+  constexpr std::uint64_t kPeers = 12;
+  constexpr std::uint32_t kSegments = 9;
+  const auto seg = [](std::uint32_t k) { return SegmentId{1 + k % 3, k}; };
+  // Every report stays fresh, so peer_has() reads the same model.
+  RankTracker t{RankTrackerOptions{.staleness_bound = 1e9}};
+  std::map<std::uint64_t, std::set<std::uint32_t>> model;
+  std::vector<SegmentId> summary;
+  for (int step = 0; step < 3000; ++step) {
+    const std::uint64_t peer = gen.uniform_index(kPeers);
+    if (gen.uniform_index(5) == 0) {
+      t.forget_peer(peer);
+      model.erase(peer);
+    } else {
+      // Up to 8 ids drawn with replacement: duplicates are common.
+      summary.clear();
+      std::set<std::uint32_t>& listed = model[peer];
+      listed.clear();
+      const std::size_t n = gen.uniform_index(9);
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto k = static_cast<std::uint32_t>(gen.uniform_index(kSegments));
+        summary.push_back(seg(k));
+        listed.insert(k);
+      }
+      t.merge_summary(peer, summary, static_cast<double>(step));
+    }
+    std::size_t advertised = 0;
+    for (std::uint32_t k = 0; k < kSegments; ++k) {
+      std::set<std::uint64_t> expected;
+      for (const auto& [p, listed] : model) {
+        if (listed.contains(k)) expected.insert(p);
+      }
+      const auto got = t.advertisers(seg(k));
+      const std::set<std::uint64_t> got_set(got.begin(), got.end());
+      ASSERT_EQ(got_set.size(), got.size()) << "duplicate advertiser";
+      ASSERT_EQ(got_set, expected) << "step " << step << " segment " << k;
+      for (std::uint64_t p = 0; p < kPeers; ++p) {
+        ASSERT_EQ(t.peer_has(p, seg(k), static_cast<double>(step)),
+                  expected.contains(p));
+      }
+      if (!expected.empty()) ++advertised;
+    }
+    ASSERT_EQ(t.advertised_segments(), advertised);
+    ASSERT_EQ(t.tracked_peers(), model.size());
+  }
+  for (std::uint64_t p = 0; p < kPeers; ++p) t.forget_peer(p);
+  EXPECT_EQ(t.tracked_peers(), 0U);
+  EXPECT_EQ(t.advertised_segments(), 0U);
+}
+
+TEST(Sched, IndexedTargetChoiceMatchesTheRosterScan) {
+  // The live server's target rule (sched::pick_advertiser, candidates
+  // from the advertiser index) against the roster scan it replaced:
+  // proto::uniform_over_eligible over eligible && peer_has &&
+  // !is_exhausted. Same pick, same RNG state, on every trial.
+  common::Rng gen{77};
+  common::Rng rng_scan{5};
+  common::Rng rng_index{5};
+  constexpr int kProbes = 16;
+  constexpr double kNow = 10.0;
+  const SegmentId want{1, 0};
+  const std::array<SegmentId, 4> others{SegmentId{1, 1}, SegmentId{2, 0},
+                                        SegmentId{3, 7}, SegmentId{4, 2}};
+  std::vector<std::size_t> scratch;
+  std::size_t probe_hits = 0;
+  std::size_t fallback_picks = 0;
+  std::size_t no_target = 0;
+  for (int trial = 0; trial < 10000; ++trial) {
+    const std::size_t n = gen.uniform_index(201);
+    // Roster order is establishment order, not id order.
+    std::vector<net::NodeId> roster(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      roster[i] = static_cast<net::NodeId>(1000 + i);
+    }
+    for (std::size_t i = n; i > 1; --i) {
+      std::swap(roster[i - 1], roster[gen.uniform_index(i)]);
+    }
+    std::unordered_map<std::uint64_t, std::size_t> pos;
+    for (std::size_t i = 0; i < n; ++i) pos[roster[i]] = i;
+    // Densities from sparse (the scan's fallback) to dense (probe hits).
+    constexpr std::array<std::size_t, 3> kPercent{3, 40, 95};
+    const std::size_t advertise = kPercent[gen.uniform_index(3)];
+    const std::size_t eligible_pct = kPercent[gen.uniform_index(3)];
+    RankTracker t{RankTrackerOptions{.staleness_bound = 1.0}};
+    std::vector<std::uint8_t> eligible(n);
+    std::vector<SegmentId> summary;
+    for (std::size_t i = 0; i < n; ++i) {
+      eligible[i] = gen.uniform_index(100) < eligible_pct ? 1 : 0;
+      if (gen.uniform_index(100) >= advertise + 20) continue;  // no report
+      summary.clear();
+      if (gen.uniform_index(100) < advertise) summary.push_back(want);
+      summary.push_back(others[gen.uniform_index(others.size())]);
+      if (gen.uniform_index(4) == 0) summary.push_back(want);  // duplicate
+      // A quarter of the reports are stale at kNow.
+      const double at = gen.uniform_index(4) == 0 ? kNow - 2.0 : kNow - 0.5;
+      t.merge_summary(roster[i], summary, at);
+      if (gen.uniform_index(5) == 0) t.mark_exhausted(roster[i], want);
+    }
+    // Reports from sessions not on the roster (e.g. a server session).
+    const std::array<SegmentId, 1> stray{want};
+    t.merge_summary(1, stray, kNow);
+    t.merge_summary(999999, stray, kNow);
+
+    const auto pred = [&](std::size_t i) {
+      return eligible[i] != 0 && t.peer_has(roster[i], want, kNow) &&
+             !t.is_exhausted(roster[i], want);
+    };
+    bool probe_hit = false;
+    common::Rng probe = rng_scan;
+    for (int k = 0; k < kProbes && n > 0 && !probe_hit; ++k) {
+      probe_hit = pred(probe.uniform_index(n));
+    }
+    const std::size_t scan = proto::uniform_over_eligible(
+        rng_scan, n, kProbes, proto::EligibleRef{pred});
+    const auto roster_index = [&](std::uint64_t peer) {
+      const auto it = pos.find(peer);
+      return it != pos.end() ? it->second : proto::kNoSelection;
+    };
+    const auto is_eligible = [&](std::size_t i) { return eligible[i] != 0; };
+    const std::size_t indexed = sched::pick_advertiser(
+        rng_index, t, want, kNow, n, kProbes, roster_index,
+        proto::EligibleRef{is_eligible}, scratch);
+    ASSERT_EQ(indexed, scan) << "trial " << trial << " roster " << n;
+    ASSERT_EQ(rng_index.engine()(), rng_scan.engine()())
+        << "draw sequences diverged at trial " << trial;
+    if (scan == proto::kNoSelection) {
+      ++no_target;
+    } else if (probe_hit) {
+      ++probe_hits;
+    } else {
+      ++fallback_picks;
+    }
+  }
+  // Every branch of the draw contract was exercised.
+  EXPECT_GT(no_target, 100U);
+  EXPECT_GT(probe_hits, 100U);
+  EXPECT_GT(fallback_picks, 100U);
 }
 
 // --- policy draw contracts ------------------------------------------------
