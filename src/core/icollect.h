@@ -8,7 +8,7 @@
 ///   gf/        GF(2^8) arithmetic, vectors, matrices
 ///   coding/    RLNC coded blocks, recoding buffers, progressive decoder
 ///   sim/       discrete-event kernel (clock, events, RNG, processes)
-///   stats/     summaries, histograms, time-weighted signals
+///   stats/     summaries, latency histograms, time-weighted signals
 ///   workload/  vital-statistics records, packers, traffic profiles
 ///   p2p/       the protocol engine + the direct-collection baseline
 ///   ode/       the Sec. 3 fluid model and Theorem 1-4 closed forms
@@ -47,7 +47,6 @@
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "stats/csv.h"
-#include "stats/histogram.h"
 #include "stats/summary.h"
 #include "stats/time_series.h"
 #include "workload/generators.h"

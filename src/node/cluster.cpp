@@ -3,7 +3,6 @@
 #include <string>
 
 #include "common/assert.h"
-#include "common/crc32.h"
 #include "sim/random.h"
 
 namespace icollect::node {
@@ -21,18 +20,11 @@ LoopbackCluster::LoopbackCluster(const ClusterConfig& cfg,
     : cfg_{cfg}, net_{cfg.net} {
   cfg.validate();
 
-  dishonest_count_ = static_cast<std::size_t>(
-      static_cast<double>(cfg.num_peers) * cfg.adversary.dishonest_fraction);
-  if (cfg.adversary.integrity_checks > 0) {
-    // One shared authority per run — the trusted in-process analogue of
-    // a verification key distributed out of band. The key derivation
-    // matches p2p::Network's so a sim run and a cluster run at the same
-    // seed agree on the check vectors.
-    integrity_ =
-        std::make_unique<proto::IntegrityAuthority>(proto::IntegrityParams{
-            sim::splitmix64(cfg.seed ^ 0x1A76E9D2B4C05A31ULL),
-            cfg.adversary.integrity_checks});
-  }
+  dishonest_count_ = cfg.adversary.dishonest_count(cfg.num_peers);
+  // One shared authority per run — the trusted in-process analogue of a
+  // verification key distributed out of band.
+  integrity_ =
+      proto::make_run_authority(cfg.seed, cfg.adversary.integrity_checks);
 
   // Endpoints first (ids 0..N-1 peers, N..N+M-1 servers), then nodes
   // (each registers itself as its endpoint's handler), then wiring —
@@ -152,12 +144,8 @@ void LoopbackCluster::on_decode(const proto::ServerBank::DecodeEvent& event) {
   }
   const auto* crcs = peers_[event.id.origin - 1]->original_crcs(event.id);
   if (crcs == nullptr) return;
-  for (std::size_t k = 0; k < crcs->size(); ++k) {
-    ++originals_checked_;
-    if (common::crc32(event.decoder->original(k)) != (*crcs)[k]) {
-      ++crc_failures_;
-    }
-  }
+  originals_checked_ += crcs->size();
+  crc_failures_ += event.crc_mismatches(*crcs);
 }
 
 bool LoopbackCluster::complete() const {

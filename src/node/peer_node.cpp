@@ -4,6 +4,10 @@
 
 namespace icollect::node {
 
+namespace {
+constexpr auto kHonestEgress = proto::PeerCore::EgressResult::kHonest;
+}  // namespace
+
 proto::PeerCore::Params PeerNode::core_params(const NodeConfig& cfg) {
   proto::PeerCore::Params params;
   params.segment_size = cfg.segment_size;
@@ -15,6 +19,8 @@ proto::PeerCore::Params PeerNode::core_params(const NodeConfig& cfg) {
   // The simulator keeps CRCs in its global registry; a live node records
   // them in the core so tests can verify byte-exact recovery end-to-end.
   params.record_own_crcs = true;
+  params.byzantine = cfg.byzantine;
+  params.corruption = cfg.corruption;
   return params;
 }
 
@@ -61,6 +67,9 @@ PeerNode::PeerNode(const NodeConfig& cfg, net::Transport& transport,
     });
     metrics_->gauge(metric_prefix_ + "acked_segments", [this] {
       return static_cast<double>(core_.acked_count());
+    });
+    metrics_->gauge(metric_prefix_ + "own_crc_segments", [this] {
+      return static_cast<double>(core_.own_crc_count());
     });
   }
 }
@@ -143,43 +152,13 @@ void PeerNode::do_gossip() {
   const net::NodeId target =
       peer_conns()[rng_.uniform_index(peer_conns().size())];
   coding::CodedBlock block = core_.recode(seg);
-  if (config().byzantine) corrupt_outgoing(block);
+  if (core_.corrupt_egress(block) != kHonestEgress) ++blocks_corrupted_;
   // Trace the segment actually on the wire: a replaying adversary may
   // substitute a cached block of a different segment.
   const coding::SegmentId sent = block.segment;
   if (send_message(target, wire::Message{wire::GossipBlock{std::move(block)}})) {
     ++gossip_sent_;
     trace(proto::TraceEventKind::kGossipSent, config().node_id, sent, target);
-  }
-}
-
-void PeerNode::corrupt_outgoing(coding::CodedBlock& block) {
-  ++blocks_corrupted_;
-  switch (config().corruption) {
-    case proto::CorruptionStrategy::kRandomPayload:
-      // Honest coding vector, scrambled data — caught by payload-aware
-      // verification w.p. 1 - 256^-checks.
-      rng_.fill_gf(block.payload);
-      break;
-    case proto::CorruptionStrategy::kGarbageCoefficients:
-      // Honest payload, scrambled header: wire CRCs all pass; only the
-      // coupled (c, p) relation exposes it. Kept non-degenerate so the
-      // junk filter honest receivers already run cannot catch it.
-      rng_.fill_gf(block.coefficients);
-      if (block.is_degenerate()) {
-        block.coefficients.front() = rng_.gf_nonzero();
-      }
-      break;
-    case proto::CorruptionStrategy::kReplay:
-      // Resend the first genuine block this peer produced: valid by
-      // construction, so it passes every per-block check and is
-      // measured as redundancy instead.
-      if (replay_cache_.has_value()) {
-        block = *replay_cache_;
-      } else {
-        replay_cache_ = block;
-      }
-      break;
   }
 }
 
@@ -220,7 +199,10 @@ void PeerNode::handle_pull_request(Session& session,
   reply.has_block =
       (req.want && core_.answer_pull_for(*req.want, reply.block)) ||
       core_.answer_pull(reply.block);
-  if (reply.has_block && config().byzantine) corrupt_outgoing(reply.block);
+  if (reply.has_block &&
+      core_.corrupt_egress(reply.block) != kHonestEgress) {
+    ++blocks_corrupted_;
+  }
   if (reply.has_block) {
     ++pull_replies_;
   } else {

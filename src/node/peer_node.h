@@ -22,7 +22,6 @@
 /// confidence interval.
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "coding/coded_block.h"
@@ -178,7 +177,6 @@ class PeerNode final : public NodeBase {
   void do_inject();
   void do_gossip();
   void accept_block(coding::CodedBlock&& block, net::NodeId from);
-  void corrupt_outgoing(coding::CodedBlock& block);
   void on_ttl_expire(coding::BlockHandle handle);
   void handle_pull_request(Session& session, const wire::PullRequest& req);
   void handle_ack(const coding::SegmentId& id);
@@ -187,9 +185,6 @@ class PeerNode final : public NodeBase {
   proto::PeerCore core_;
   proto::IntegrityAuthority* integrity_ = nullptr;
   const workload::ArrivalProfile* arrival_ = nullptr;
-  /// kReplay corruption: the first genuine block this peer would have
-  /// sent, replayed verbatim forever after.
-  std::optional<coding::CodedBlock> replay_cache_;
   bool injection_stopped_ = false;
 
   std::uint64_t segments_injected_ = 0;

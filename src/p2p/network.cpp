@@ -4,7 +4,6 @@
 #include <limits>
 #include <utility>
 
-#include "common/crc32.h"
 #include "p2p/churn.h"
 #include "proto/selection.h"
 #include "sched/pull_policies.h"
@@ -42,32 +41,22 @@ Network::Network(ProtocolConfig cfg)
   core_params.gamma = cfg_.gamma;
   core_params.payload_bytes = cfg_.payload_bytes;
   core_params.gossip_policy = cfg_.gossip_policy;
+  core_params.corruption = cfg_.adversary.strategy;
   peers_.reserve(cfg_.num_peers);
   for (std::size_t slot = 0; slot < cfg_.num_peers; ++slot) {
+    core_params.byzantine = slot < dishonest_count();
     peers_.emplace_back(slot, core_params, next_origin_++, rng_);
     wire_core(slot);
   }
   // Adversary wiring (inert at the defaults: no authority, no dishonest
   // slots, nobody isolated — and none of it draws from the RNG stream).
-  dishonest_.assign(cfg_.num_peers, 0);
   isolated_.assign(cfg_.num_peers, 0);
-  if (cfg_.adversary.integrity_checks > 0) {
-    // The PRF key is seed-derived but domain-separated from every seed
-    // used for an RNG stream.
-    integrity_ = std::make_unique<proto::IntegrityAuthority>(
-        proto::IntegrityParams{
-            common::splitmix64(cfg_.seed ^ 0x1A76E9D2B4C05A31ULL),
-            cfg_.adversary.integrity_checks});
+  integrity_ = proto::make_run_authority(cfg_.seed,
+                                         cfg_.adversary.integrity_checks);
+  if (integrity_ != nullptr) {
     server_core_.set_integrity(integrity_.get());
     for (auto& p : peers_) p.core.set_integrity(integrity_.get());
   }
-  dishonest_count_ = static_cast<std::size_t>(
-      static_cast<double>(cfg_.num_peers) *
-      cfg_.adversary.dishonest_fraction);
-  for (std::size_t slot = 0; slot < dishonest_count_; ++slot) {
-    dishonest_[slot] = 1;
-  }
-  if (dishonest_count_ > 0) replay_cache_.resize(cfg_.num_peers);
 
   non_empty_pos_.assign(cfg_.num_peers, 0);
   empty_count_ = cfg_.num_peers;
@@ -283,7 +272,7 @@ void Network::do_gossip(std::size_t slot) {
     return;
   }
   coding::CodedBlock block = a.core.recode(seg);
-  if (dishonest_[slot] != 0) corrupt_block(slot, block);
+  count_egress(a.core.corrupt_egress(block), block);
   // The receiver's integrity check runs at delivery. The simulator's
   // sender-side can_accept filtering already guaranteed storage room;
   // this is the one acceptance rule a global view cannot pre-apply,
@@ -363,7 +352,7 @@ void Network::do_server_pull() {
       // Recode into a long-lived scratch block so the steady-state pull
       // path performs no heap allocation.
       d.core.recode_into(seg, pull_scratch_);
-      if (dishonest_[slot] != 0) corrupt_block(slot, pull_scratch_);
+      count_egress(d.core.corrupt_egress(pull_scratch_), pull_scratch_);
     }
     // A resolved segment's decoder is gone; offering one of its blocks
     // would silently start a fresh one.
@@ -405,15 +394,7 @@ void Network::on_segment_decoded(const proto::ServerBank::DecodeEvent& event) {
   metrics_.decoded_original_blocks.record(info.segment_size);
   emit(TraceEventKind::kSegmentDecoded, info.origin_slot, event.id,
        info.segment_size);
-  if (event.decoder != nullptr && !info.original_crcs.empty()) {
-    for (std::size_t k = 0; k < info.segment_size; ++k) {
-      const auto& blk = event.decoder->original(k);
-      if (common::crc32({blk.data(), blk.size()}) !=
-          info.original_crcs[k]) {
-        ++metrics_.payload_crc_failures;
-      }
-    }
-  }
+  metrics_.payload_crc_failures += event.crc_mismatches(info.original_crcs);
 }
 
 void Network::do_ttl_expire(std::size_t slot, std::uint64_t incarnation,
@@ -448,57 +429,31 @@ void Network::do_depart(std::size_t slot) {
   update_occupancy(slot, before);
 
   // Replacement model: a fresh peer joins the same slot immediately.
+  // The fresh occupant has sent nothing yet, so rebirth() drops the
+  // predecessor's replay block. That releases its pin, which may
+  // resolve the segment.
+  if (const coding::CodedBlock* replayed = p.core.replay_block()) {
+    const auto it = registry_.find(replayed->segment);
+    ICOLLECT_ENSURES(it != registry_.end() && it->second.replay_pins > 0);
+    --it->second.replay_pins;
+    resolve_if_dead(replayed->segment, it->second);
+  }
   departed_origins_.emplace(p.origin(), sim_.now());
   ++p.incarnation;
   p.core.rebirth(next_origin_++);
-  // The fresh occupant has sent nothing yet; a stale replay of the
-  // predecessor's block would reference the departed origin. Dropping
-  // the cached block releases its pin, which may resolve the segment.
-  if (!replay_cache_.empty() && replay_cache_[slot].has_value()) {
-    const coding::SegmentId pinned = replay_cache_[slot]->segment;
-    replay_cache_[slot].reset();
-    const auto it = registry_.find(pinned);
-    ICOLLECT_ENSURES(it != registry_.end() && it->second.replay_pins > 0);
-    --it->second.replay_pins;
-    resolve_if_dead(pinned, it->second);
-  }
 
   sim_.schedule_after(sample_lifetime(cfg_.churn, rng_),
                       [this, slot] { do_depart(slot); });
 }
 
-void Network::corrupt_block(std::size_t slot, coding::CodedBlock& block) {
+void Network::count_egress(proto::PeerCore::EgressResult result,
+                           const coding::CodedBlock& block) {
+  if (result == proto::PeerCore::EgressResult::kHonest) return;
   ++metrics_.blocks_corrupted;
-  switch (cfg_.adversary.strategy) {
-    case proto::CorruptionStrategy::kRandomPayload:
-      // Honest coding vector, scrambled data: the classic pollution
-      // attack. Undetectable without a payload-aware check; with one,
-      // caught w.p. 1 - 256^-checks.
-      rng_.fill_gf(block.payload);
-      break;
-    case proto::CorruptionStrategy::kGarbageCoefficients:
-      // Honest payload, scrambled header: frames and transport CRCs all
-      // pass; only the coupled (c, p) relation exposes it. Kept
-      // non-degenerate so the junk filter honest peers already run
-      // cannot catch it trivially.
-      rng_.fill_gf(block.coefficients);
-      if (block.is_degenerate()) {
-        block.coefficients.front() = rng_.gf_nonzero();
-      }
-      break;
-    case proto::CorruptionStrategy::kReplay:
-      // Resend the first block this occupant genuinely produced: valid
-      // by construction, so it passes every per-block check and is
-      // measured as redundancy instead.
-      if (replay_cache_[slot].has_value()) {
-        block = *replay_cache_[slot];
-      } else {
-        replay_cache_[slot] = block;
-        const auto it = registry_.find(block.segment);
-        ICOLLECT_ENSURES(it != registry_.end());
-        ++it->second.replay_pins;
-      }
-      break;
+  if (result == proto::PeerCore::EgressResult::kReplayCached) {
+    const auto it = registry_.find(block.segment);
+    ICOLLECT_ENSURES(it != registry_.end());
+    ++it->second.replay_pins;
   }
 }
 

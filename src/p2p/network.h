@@ -207,11 +207,10 @@ class Network {
   /// one of the dishonest ⌊N·fraction⌋, and the shared tag oracle
   /// (nullptr when integrity_checks == 0).
   [[nodiscard]] bool is_dishonest(std::size_t slot) const {
-    ICOLLECT_EXPECTS(slot < dishonest_.size());
-    return dishonest_[slot] != 0;
+    return peer(slot).core.params().byzantine;
   }
   [[nodiscard]] std::size_t dishonest_count() const noexcept {
-    return dishonest_count_;
+    return cfg_.adversary.dishonest_count(cfg_.num_peers);
   }
   [[nodiscard]] const proto::IntegrityAuthority* integrity() const noexcept {
     return integrity_.get();
@@ -296,9 +295,11 @@ class Network {
   [[nodiscard]] std::size_t pick_gossip_target(std::size_t source,
                                                const coding::SegmentId& seg);
 
-  /// Apply the configured corruption strategy to an egress block of a
-  /// dishonest slot (counts metrics_.blocks_corrupted).
-  void corrupt_block(std::size_t slot, coding::CodedBlock& block);
+  /// Account one egress block after the sender core's corrupt_egress():
+  /// count a corruption, and pin the segment of a block that just
+  /// filled a replay cache (SegmentInfo::replay_pins).
+  void count_egress(proto::PeerCore::EgressResult result,
+                    const coding::CodedBlock& block);
 
   void on_segment_decoded(const proto::ServerBank::DecodeEvent& event);
   void note_degree_drop(const coding::SegmentId& id, std::size_t count);
@@ -358,12 +359,6 @@ class Network {
   /// Shared tag oracle (cfg.adversary.integrity_checks > 0); peers
   /// register injected segments, delivery paths verify against it.
   std::unique_ptr<proto::IntegrityAuthority> integrity_;
-  std::vector<std::uint8_t> dishonest_;  ///< 1 = slot corrupts its egress
-  std::size_t dishonest_count_ = 0;
-  /// Per-dishonest-slot cache of the first genuinely sent block, for the
-  /// replay strategy; cleared when the occupant departs. A filled entry
-  /// pins its segment (SegmentInfo::replay_pins).
-  std::vector<std::optional<coding::CodedBlock>> replay_cache_;
   std::vector<std::uint8_t> isolated_;   ///< 1 = currently partitioned away
 
   std::unordered_map<coding::OriginId, sim::Time> departed_origins_;

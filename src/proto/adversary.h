@@ -22,7 +22,11 @@
 ///    filtered.
 ///
 /// Lives in proto/ (pure layer) so the simulator config, the live
-/// NodeConfig and the scenario parser all name the same enum.
+/// NodeConfig and the scenario parser all name the same enum. The
+/// egress rule itself is proto::PeerCore::corrupt_egress, the run's tag
+/// oracle comes from proto::make_run_authority (proto/integrity.h), and
+/// the decode-time CRC check is ServerBank::DecodeEvent::crc_mismatches:
+/// the simulator and the live runtime call the same code for each.
 
 #include <cstddef>
 #include <cstdint>
@@ -60,6 +64,15 @@ struct AdversaryConfig {
   /// Homomorphic integrity checks per block (0 = verification off).
   /// Escape probability for a forged block is 256^-checks.
   std::size_t integrity_checks = 0;
+
+  /// ⌊N·dishonest_fraction⌋: how many of `num_peers` slots, counted
+  /// from slot 0, run a byzantine proto::PeerCore. Both drivers size
+  /// their dishonest population here.
+  [[nodiscard]] std::size_t dishonest_count(
+      std::size_t num_peers) const noexcept {
+    return static_cast<std::size_t>(static_cast<double>(num_peers) *
+                                    dishonest_fraction);
+  }
 };
 
 }  // namespace icollect::proto

@@ -15,6 +15,10 @@ namespace {
 /// every seed-derivation constant elsewhere in the tree).
 constexpr std::uint64_t kCheckDomain = 0xC0EFF1C1E47A65ULL;
 
+/// Domain-separation constant for a run's key, seed-derived in
+/// make_run_authority.
+constexpr std::uint64_t kRunKeyDomain = 0x1A76E9D2B4C05A31ULL;
+
 /// Counter-mode PRF state for the check vector of (key, id, j).
 [[nodiscard]] std::uint64_t check_state(std::uint64_t key,
                                         const coding::SegmentId& id,
@@ -125,6 +129,13 @@ VerifyResult IntegrityAuthority::verify(
     if (lhs != rhs) return VerifyResult::kCheckFailed;
   }
   return VerifyResult::kOk;
+}
+
+std::unique_ptr<IntegrityAuthority> make_run_authority(std::uint64_t seed,
+                                                       std::size_t checks) {
+  if (checks == 0) return nullptr;
+  return std::make_unique<IntegrityAuthority>(IntegrityParams{
+      common::splitmix64(seed ^ kRunKeyDomain), checks});
 }
 
 }  // namespace icollect::proto

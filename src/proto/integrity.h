@@ -54,6 +54,7 @@
 /// `checks` expansions of one payload length, not `checks * s`.
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -138,5 +139,13 @@ class IntegrityAuthority {
   IntegrityParams params_;
   std::unordered_map<coding::SegmentId, SegmentTags> tags_;
 };
+
+/// The one authority of a run seeded `seed`, or nullptr when `checks`
+/// is 0 (verification off). The PRF key is seed-derived but
+/// domain-separated from every seed used for an RNG stream, so a
+/// simulator run and a loopback-cluster run at the same seed agree on
+/// the check vectors.
+[[nodiscard]] std::unique_ptr<IntegrityAuthority> make_run_authority(
+    std::uint64_t seed, std::size_t checks);
 
 }  // namespace icollect::proto

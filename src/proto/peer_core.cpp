@@ -20,7 +20,6 @@ PeerCore::Injected PeerCore::inject() {
   ICOLLECT_EXPECTS(arm_ttl_ != nullptr);
   const std::size_t s = params_.segment_size;
   const coding::SegmentId id{origin_, next_seq_++};
-  own_segments_.insert(id);
 
   // Draw every original payload before any block is stored: both
   // drivers always produced payloads first, TTL draws second, so the
@@ -150,13 +149,46 @@ bool PeerCore::answer_pull_for(const coding::SegmentId& seg,
   return true;
 }
 
+PeerCore::EgressResult PeerCore::corrupt_egress(coding::CodedBlock& block) {
+  if (!params_.byzantine) return EgressResult::kHonest;
+  switch (params_.corruption) {
+    case CorruptionStrategy::kRandomPayload:
+      // Honest coding vector, scrambled data: the classic pollution
+      // attack. Undetectable without a payload-aware check; with one,
+      // caught w.p. 1 - 256^-checks.
+      rng_.fill_gf(block.payload);
+      break;
+    case CorruptionStrategy::kGarbageCoefficients:
+      // Honest payload, scrambled header: frames and transport CRCs all
+      // pass; only the coupled (c, p) relation exposes it. Kept
+      // non-degenerate so the junk filter honest peers already run
+      // cannot catch it trivially.
+      rng_.fill_gf(block.coefficients);
+      if (block.is_degenerate()) {
+        block.coefficients.front() = rng_.gf_nonzero();
+      }
+      break;
+    case CorruptionStrategy::kReplay:
+      // Resend the first block this occupant genuinely produced: valid
+      // by construction, so it passes every per-block check and is
+      // measured as redundancy instead.
+      if (!replay_cache_) {
+        replay_cache_ = block;
+        return EgressResult::kReplayCached;
+      }
+      block = *replay_cache_;
+      break;
+  }
+  return EgressResult::kCorrupted;
+}
+
 std::optional<coding::SegmentId> PeerCore::on_ttl_expired(
     coding::BlockHandle handle) {
   return buffer_.erase(handle);
 }
 
 PeerCore::AckResult PeerCore::on_ack(const coding::SegmentId& id) {
-  const bool own = own_segments_.contains(id);
+  const bool own = is_own(id);
   if (!own && !params_.drop_on_ack) return AckResult::kOtherSegment;
   if (!acked_.insert(id).second) return AckResult::kDuplicate;
   const bool pinned = own && params_.retain_own_until_acked;
@@ -179,10 +211,10 @@ void PeerCore::rebirth(coding::OriginId new_origin) {
   origin_ = new_origin;
   next_seq_ = 0;
   // The fresh occupant shares nothing with its predecessor.
-  own_segments_.clear();
   acked_.clear();
   own_crcs_.clear();
   retained_ = 0;
+  replay_cache_.reset();
 }
 
 const std::vector<std::uint32_t>* PeerCore::original_crcs(

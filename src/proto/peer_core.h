@@ -17,8 +17,9 @@
 ///
 /// Determinism contract: all randomness flows through the injected
 /// common::Rng in a fixed draw order — segment choice, coding
-/// coefficients, payload bytes, TTL lifetimes. The simulator shares one
-/// stream across every core; the live runtime gives each node its own.
+/// coefficients, payload bytes, TTL lifetimes, byzantine corruption.
+/// The simulator shares one stream across every core; the live runtime
+/// gives each node its own.
 /// Seeded outputs of both drivers are byte-identical to the
 /// pre-extraction implementations (tests/golden/, proto-differential).
 
@@ -34,6 +35,7 @@
 #include "coding/segment_id.h"
 #include "common/assert.h"
 #include "common/rng.h"
+#include "proto/adversary.h"
 #include "proto/integrity.h"
 #include "proto/peer_buffer.h"
 #include "proto/policy.h"
@@ -59,6 +61,12 @@ class PeerCore {
     /// verification (live tests); the simulator keeps them in its
     /// registry instead and leaves this off.
     bool record_own_crcs = false;
+    /// Byzantine peer: corrupt_egress() corrupts every block it is
+    /// handed per `corruption` (proto/adversary.h). Filled from
+    /// AdversaryConfig by the simulator and from NodeConfig::byzantine
+    /// by a live peer; honest by default.
+    bool byzantine = false;
+    CorruptionStrategy corruption = CorruptionStrategy::kRandomPayload;
   };
 
   /// Required sink: schedule the Exp(γ) expiry of a stored block after
@@ -170,6 +178,26 @@ class PeerCore {
   /// segment is not buffered or empty, else a re-code of it.
   bool answer_pull_for(const coding::SegmentId& seg, coding::CodedBlock& out);
 
+  // --- byzantine egress ---------------------------------------------------
+  enum class EgressResult : std::uint8_t {
+    kHonest,        ///< honest core: block untouched, nothing drawn
+    kCorrupted,     ///< corrupted per strategy, or swapped for the replay
+    kReplayCached,  ///< kReplay: this genuine block filled the cache and
+                    ///< goes out as is
+  };
+  /// The egress rule, applied by the driver to every block this peer is
+  /// about to send — gossip and pull replies alike. An honest core
+  /// returns kHonest at once. A byzantine one scrambles the payload
+  /// (kRandomPayload), scrambles the coefficients but keeps them
+  /// non-degenerate (kGarbageCoefficients), or resends the first block
+  /// it was ever handed (kReplay), drawing from the core's stream.
+  EgressResult corrupt_egress(coding::CodedBlock& block);
+  /// The block a replaying core resends; nullptr until its first
+  /// egress, and again after rebirth().
+  [[nodiscard]] const coding::CodedBlock* replay_block() const noexcept {
+    return replay_cache_ ? &*replay_cache_ : nullptr;
+  }
+
   // --- TTL ----------------------------------------------------------------
   /// The armed expiry for `handle` fired. Returns the segment the block
   /// belonged to, or nullopt if it was already gone (drop_on_ack, churn).
@@ -194,7 +222,9 @@ class PeerCore {
   /// The occupant departs: drop every buffered block. Returns the number
   /// of blocks lost. Armed TTLs for them become stale no-ops.
   std::size_t clear_all() { return buffer_.clear(); }
-  /// A fresh peer takes the slot under a new origin id.
+  /// A fresh peer takes the slot under a new origin id. It keeps the
+  /// slot's Params (a byzantine slot stays byzantine) but none of the
+  /// predecessor's history, its replay block included.
   void rebirth(coding::OriginId new_origin);
 
   // --- observers ----------------------------------------------------------
@@ -208,13 +238,20 @@ class PeerCore {
   [[nodiscard]] std::size_t acked_count() const noexcept {
     return acked_.size();
   }
-  [[nodiscard]] bool is_own(const coding::SegmentId& id) const {
-    return own_segments_.contains(id);
+  /// A segment this occupant injected: its own segments are exactly
+  /// (origin, 0..next_seq-1), so no set is kept.
+  [[nodiscard]] bool is_own(const coding::SegmentId& id) const noexcept {
+    return id.origin == origin_ && id.seq < next_seq_;
   }
   /// CRC-32 of each original block of an own injected segment (only
   /// when record_own_crcs and payload_bytes > 0).
   [[nodiscard]] const std::vector<std::uint32_t>* original_crcs(
       const coding::SegmentId& id) const;
+  /// Own segments with recorded CRCs (record_own_crcs; never shrinks
+  /// before rebirth()).
+  [[nodiscard]] std::size_t own_crc_count() const noexcept {
+    return own_crcs_.size();
+  }
   /// Own segments pinned and not yet ACKed (0 without retention).
   [[nodiscard]] std::size_t retained_segments() const noexcept {
     return retained_;
@@ -232,11 +269,12 @@ class PeerCore {
   PayloadSourceFn payload_source_;
   IntegrityAuthority* integrity_ = nullptr;
 
-  std::unordered_set<coding::SegmentId> own_segments_;
   std::unordered_set<coding::SegmentId> acked_;
   std::unordered_map<coding::SegmentId, std::vector<std::uint32_t>>
       own_crcs_;
   std::size_t retained_ = 0;
+  /// kReplay: the first block corrupt_egress() was handed.
+  std::optional<coding::CodedBlock> replay_cache_;
 };
 
 }  // namespace icollect::proto

@@ -1,6 +1,19 @@
 #include "proto/server_bank.h"
 
+#include "common/crc32.h"
+
 namespace icollect::proto {
+
+std::size_t ServerBank::DecodeEvent::crc_mismatches(
+    std::span<const std::uint32_t> crcs) const {
+  if (decoder == nullptr) return 0;
+  ICOLLECT_EXPECTS(crcs.size() <= segment_size);
+  std::size_t mismatches = 0;
+  for (std::size_t k = 0; k < crcs.size(); ++k) {
+    if (common::crc32(decoder->original(k)) != crcs[k]) ++mismatches;
+  }
+  return mismatches;
+}
 
 ServerBank::PullResult ServerBank::offer(const coding::CodedBlock& block,
                                          double now) {

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -57,6 +58,13 @@ class ServerBank {
     std::size_t segment_size = 0;
     double when = 0.0;
     const coding::Decoder* decoder = nullptr;
+
+    /// End-to-end payload check: how many recovered originals differ,
+    /// by CRC-32, from `crcs`, the origin's record of them at injection
+    /// (one per original, in order). 0 in state-counter mode, where
+    /// there are no payloads to check.
+    [[nodiscard]] std::size_t crc_mismatches(
+        std::span<const std::uint32_t> crcs) const;
   };
   using DecodeCallback = std::function<void(const DecodeEvent&)>;
   void set_decode_callback(DecodeCallback cb) { on_decode_ = std::move(cb); }

@@ -269,6 +269,102 @@ TEST(ProtoCore, RebirthResetsIdentityAndHistory) {
   EXPECT_EQ(t.core.next_segment_id(), (coding::SegmentId{77, 0}));
 }
 
+/// A core with 16-byte payloads whose egress rule is `strategy`.
+PeerCore::Params egress_params(CorruptionStrategy strategy, bool byzantine,
+                               std::size_t segment_size = 3) {
+  auto p = small_params();
+  p.segment_size = segment_size;
+  p.buffer_cap = 3 * segment_size;
+  p.payload_bytes = 16;
+  p.byzantine = byzantine;
+  p.corruption = strategy;
+  return p;
+}
+
+/// A genuine egress block: a recode of a freshly injected segment.
+coding::CodedBlock genuine_block(TestPeer& t) {
+  return t.core.recode(t.core.inject().id);
+}
+
+void expect_same_block(const coding::CodedBlock& a,
+                       const coding::CodedBlock& b) {
+  EXPECT_EQ(a.segment, b.segment);
+  EXPECT_EQ(a.coefficients, b.coefficients);
+  EXPECT_EQ(a.payload, b.payload);
+}
+
+TEST(ProtoCore, EgressRandomPayloadScramblesOnlyThePayload) {
+  TestPeer t{egress_params(CorruptionStrategy::kRandomPayload, true)};
+  coding::CodedBlock block = genuine_block(t);
+  const coding::CodedBlock genuine = block;
+  EXPECT_EQ(t.core.corrupt_egress(block), PeerCore::EgressResult::kCorrupted);
+  EXPECT_EQ(block.segment, genuine.segment);
+  EXPECT_EQ(block.coefficients, genuine.coefficients);
+  EXPECT_EQ(block.payload.size(), genuine.payload.size());
+  EXPECT_NE(block.payload, genuine.payload);
+  EXPECT_EQ(t.core.replay_block(), nullptr);
+}
+
+TEST(ProtoCore, EgressGarbageCoefficientsKeepPayloadAndStayNonDegenerate) {
+  // s = 1, so 1 in 256 draws is all-zero and exercises the repair.
+  TestPeer t{egress_params(CorruptionStrategy::kGarbageCoefficients, true,
+                           /*segment_size=*/1)};
+  const coding::CodedBlock genuine = genuine_block(t);
+  int changed = 0;
+  for (int i = 0; i < 2048; ++i) {
+    coding::CodedBlock block = genuine;
+    ASSERT_EQ(t.core.corrupt_egress(block),
+              PeerCore::EgressResult::kCorrupted);
+    EXPECT_EQ(block.segment, genuine.segment);
+    EXPECT_EQ(block.payload, genuine.payload);
+    ASSERT_EQ(block.coefficients.size(), 1U);
+    EXPECT_FALSE(block.is_degenerate());
+    if (block.coefficients != genuine.coefficients) ++changed;
+  }
+  EXPECT_GT(changed, 1900);
+}
+
+TEST(ProtoCore, EgressReplayResendsFirstGenuineBlockUntilRebirth) {
+  TestPeer t{egress_params(CorruptionStrategy::kReplay, true)};
+  coding::CodedBlock first = genuine_block(t);
+  const coding::CodedBlock genuine = first;
+  EXPECT_EQ(t.core.corrupt_egress(first),
+            PeerCore::EgressResult::kReplayCached);
+  expect_same_block(first, genuine);  // the cached block goes out as is
+  ASSERT_NE(t.core.replay_block(), nullptr);
+
+  coding::CodedBlock later = genuine_block(t);  // another segment
+  ASSERT_NE(later.segment, genuine.segment);
+  EXPECT_EQ(t.core.corrupt_egress(later), PeerCore::EgressResult::kCorrupted);
+  expect_same_block(later, genuine);
+
+  (void)t.core.clear_all();
+  t.core.rebirth(9);
+  EXPECT_EQ(t.core.replay_block(), nullptr);
+  coding::CodedBlock fresh = genuine_block(t);
+  EXPECT_EQ(fresh.segment.origin, 9U);
+  EXPECT_EQ(t.core.corrupt_egress(fresh),
+            PeerCore::EgressResult::kReplayCached);
+  expect_same_block(*t.core.replay_block(), fresh);
+}
+
+TEST(ProtoCore, HonestEgressLeavesBlockAloneAndDrawsNothing) {
+  for (const auto strategy : {CorruptionStrategy::kRandomPayload,
+                              CorruptionStrategy::kGarbageCoefficients,
+                              CorruptionStrategy::kReplay}) {
+    SCOPED_TRACE(to_string(strategy));
+    TestPeer honest{egress_params(strategy, false)};
+    TestPeer twin{egress_params(strategy, false)};
+    coding::CodedBlock block = genuine_block(honest);
+    const coding::CodedBlock twin_block = genuine_block(twin);
+    EXPECT_EQ(honest.core.corrupt_egress(block),
+              PeerCore::EgressResult::kHonest);
+    expect_same_block(block, twin_block);
+    EXPECT_EQ(honest.core.replay_block(), nullptr);
+    EXPECT_EQ(honest.rng.uniform(), twin.rng.uniform());
+  }
+}
+
 TEST(ProtoCore, PayloadInjectionRecordsCrcs) {
   auto params = small_params();
   params.payload_bytes = 16;

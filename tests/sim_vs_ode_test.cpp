@@ -17,6 +17,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <string>
 
 #include "core/collection_system.h"
 #include "ode/closed_form.h"
@@ -66,6 +68,16 @@ p2p::ProtocolConfig scenario_config(const Scenario& sc) {
   cfg.set_normalized_capacity(sc.c);
   cfg.fidelity = p2p::CollectionFidelity::kStateCounter;
   return cfg;
+}
+
+/// "lambda20_mu10_c5_s1": the scenario's symbols, so each case has a
+/// readable test name (the symbols are whole numbers here).
+std::string scenario_name(const ::testing::TestParamInfo<Scenario>& info) {
+  const Scenario& sc = info.param;
+  char buf[96];
+  std::snprintf(buf, sizeof buf, "lambda%g_mu%g_c%g_s%zu", sc.lambda, sc.mu,
+                sc.c, sc.s);
+  return buf;
 }
 
 class SimVsOdeTest : public ::testing::TestWithParam<Scenario> {};
@@ -120,7 +132,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Scenario{20.0, 10.0, 5.0, 1},
                       Scenario{20.0, 10.0, 5.0, 10},
                       Scenario{20.0, 10.0, 2.0, 5},
-                      Scenario{8.0, 4.0, 2.0, 4}));
+                      Scenario{8.0, 4.0, 2.0, 4}),
+    scenario_name);
 
 TEST(SimVsOde, ThroughputOrderingInSIsSignificant) {
   // Both worlds must agree that throughput grows with s (Fig. 3 shape) —

@@ -33,7 +33,6 @@ int main(int argc, char** argv) {
   double measure = 30.0;
   bool run_ode = true;
   bool run_direct = false;
-  std::string trace_path;
   std::string scenario_arg;
   obs::TelemetryOptions topts;
   std::optional<std::string> trace_out;
@@ -51,7 +50,6 @@ int main(int argc, char** argv) {
            run_ode)
       .add("direct", "0|1", "also run the direct baseline (default 0)",
            run_direct)
-      .add("trace", "FILE.csv", "CSV protocol event trace", trace_path)
       .parsed("--pull-policy", "uniform|all|rarest|deficit",
               "server pull scheduling; overrides pull=",
               pull_policy_override, proto::parse_pull_policy_kind)
@@ -176,32 +174,8 @@ int main(int argc, char** argv) {
     }
     system.attach_telemetry(*telemetry);
   }
-  std::unique_ptr<stats::CsvWriter> trace_csv;
-  if (!trace_path.empty()) {
-    trace_csv = std::make_unique<stats::CsvWriter>(trace_path);
-    trace_csv->write_row(
-        {"t", "event", "slot", "segment_origin", "segment_seq", "aux"});
-    // The legacy CSV trace chains in front of the telemetry ring so both
-    // sinks see every event.
-    system.network().set_trace_sink([&](const proto::TraceEvent& ev) {
-      trace_csv->row()
-          .add(ev.at)
-          .add(proto::to_string(ev.kind))
-          .add(ev.slot)
-          .add(static_cast<std::uint64_t>(ev.segment.origin))
-          .add(static_cast<std::uint64_t>(ev.segment.seq))
-          .add(ev.aux)
-          .end();
-      if (telemetry) telemetry->trace().record(ev);
-    });
-  }
   system.warm_up(warm);
   system.run(measure);
-  if (trace_csv) {
-    trace_csv->flush();
-    std::printf("trace: %zu events written to %s\n",
-                trace_csv->rows_written() - 1, trace_path.c_str());
-  }
   const CollectionReport r = system.report();
 
   std::printf("-- indirect collection --\n");
