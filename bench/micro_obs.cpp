@@ -92,7 +92,9 @@ void BM_SnapshotSample(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   double source = 1.0;
   for (std::size_t i = 0; i < n; ++i) {
-    reg.gauge("g" + std::to_string(i), [&source] { return source; });
+    std::string name{"g"};
+    name += std::to_string(i);
+    reg.gauge(name, [&source] { return source; });
   }
   obs::Snapshotter snap{reg, 1.0};
   double t = 0.0;

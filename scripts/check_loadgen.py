@@ -2,19 +2,19 @@
 """End-to-end validation of the socket transport under loadgen fan-in.
 
 One icollect_node server faces ~200 synthetic peers multiplexed by
-icollect_loadgen over a single transport, once with the poll(2) poller
-and once with "auto" (epoll where the build has it). Checks, per run:
+icollect_loadgen over a single epoll transport. Checks:
 
   1. The run reaches its goal: every synthetic segment ACKed back to
      the loadgen, all handshakes completed, loadgen exits 0.
   2. The loadgen's JSON report conforms to the icollect-node-bench/1
      schema and its counters are self-consistent (nonzero frames both
      ways, nonzero pull round-trips, no decode errors, no refusals).
-  3. The transport's gauges agree: poller wakeups and ready events were
-     counted, and every established connection is still open.
+  3. The transport's tcp.* gauges agree: epoll wakeups and ready events
+     were counted, and every established connection is still open.
 
 Finally, the CLI contract: malformed loadgen invocations exit 2 with a
-diagnostic, not a hang or a crash.
+diagnostic, not a hang or a crash; that includes the retired
+poller-choice flag.
 
 Usage: check_loadgen.py /path/to/icollect_node /path/to/icollect_loadgen
 Exits nonzero with a message on the first failed check.
@@ -30,7 +30,7 @@ from checklib import fail, free_port, require, usage, usage_error
 SCHEMA = "icollect-node-bench/1"
 
 REQUIRED_FIELDS = [
-    "schema", "backend", "conns_target", "conns_established",
+    "schema", "conns_target", "conns_established",
     "handshakes_ok", "frames_sent", "frames_received", "pulls_answered",
     "acks_received", "send_refusals", "decode_errors", "segments_total",
     "segments_acked", "goal_reached", "measure_window_s", "frames_per_s",
@@ -38,12 +38,11 @@ REQUIRED_FIELDS = [
 ]
 
 
-def run_loadgen(node_bin, loadgen_bin, backend):
+def run_loadgen(node_bin, loadgen_bin):
     port = free_port()
     peers = 200
     server = subprocess.Popen(
-        [node_bin, "--role", "server", "--backend", backend,
-         "--listen", f"127.0.0.1:{port}",
+        [node_bin, "--role", "server", "--listen", f"127.0.0.1:{port}",
          "--pull-rate", "2000", "--segment-size", "4",
          "--duration", "120", "--seed", "3"],
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
@@ -52,8 +51,7 @@ def run_loadgen(node_bin, loadgen_bin, backend):
             [loadgen_bin, "--target", f"127.0.0.1:{port}",
              "--peers", str(peers), "--segments", "32",
              "--segment-size", "4", "--ramp", "1000",
-             "--duration", "60", "--measure", "3", "--seed", "2",
-             "--backend", backend],
+             "--duration", "60", "--measure", "3", "--seed", "2"],
             capture_output=True, text=True, timeout=180)
     finally:
         server.kill()
@@ -86,18 +84,16 @@ def check_report(report, peers):
     require(report["send_refusals"] == 0, "loadgen hit its own send cap")
     require(report["pull_round_trips_per_s"] > 0,
             "measurement window recorded no pull round-trips")
-    print(f"check_loadgen: goal reached with {peers} peers over "
-          f"{report['backend']} "
+    print(f"check_loadgen: goal reached with {peers} peers "
           f"(rt/s={report['pull_round_trips_per_s']:.0f}, "
           f"frames/s={report['frames_per_s']:.0f})")
 
 
 def check_transport_counters(report):
-    backend = report["backend"]
     t = report["transport"]
 
     def counter(name):
-        key = f"{backend}.{name}"
+        key = f"tcp.{name}"
         require(key in t, f"transport counters missing {key}")
         return t[key]
 
@@ -108,9 +104,9 @@ def check_transport_counters(report):
             f"expected {report['conns_established']}")
     require(counter("bytes_in") > 0 and counter("bytes_out") > 0,
             "transport byte counters are zero")
-    require(counter("wakeups") > 0, "no poller wakeups recorded")
+    require(counter("wakeups") > 0, "no epoll wakeups recorded")
     require(counter("events") > 0, "no ready events recorded")
-    print(f"check_loadgen: {backend} transport counters OK")
+    print("check_loadgen: tcp transport counters OK")
 
 
 def check_cli_errors(loadgen_bin):
@@ -122,12 +118,17 @@ def check_cli_errors(loadgen_bin):
          "zero peers"),
         ([loadgen_bin, "--target", "127.0.0.1:1", "--bogus"],
          "unknown flag"),
-        ([loadgen_bin, "--target", "127.0.0.1:1", "--backend", "carrier"],
-         "unknown backend"),
     ]
     for cmd, what in cases:
         usage_error(cmd, what)
-    print(f"check_loadgen: CLI rejects {len(cases)} malformed invocations")
+    # One poller, no choice: the old poller-choice flag is gone, not
+    # ignored.
+    err = usage_error([loadgen_bin, "--target", "127.0.0.1:1",
+                       "--backend", "epoll"], "retired poller flag")
+    require("unknown flag" in err,
+            f"poller flag: expected an unknown-flag diagnostic, got {err!r}")
+    print(f"check_loadgen: CLI rejects {len(cases) + 1} malformed "
+          "invocations")
 
 
 def main():
@@ -136,10 +137,9 @@ def main():
     node_bin, loadgen_bin = sys.argv[1], sys.argv[2]
     require(os.path.exists(node_bin), f"no such binary: {node_bin}")
     require(os.path.exists(loadgen_bin), f"no such binary: {loadgen_bin}")
-    for backend in ("poll", "auto"):
-        report, peers = run_loadgen(node_bin, loadgen_bin, backend)
-        check_report(report, peers)
-        check_transport_counters(report)
+    report, peers = run_loadgen(node_bin, loadgen_bin)
+    check_report(report, peers)
+    check_transport_counters(report)
     check_cli_errors(loadgen_bin)
     print("check_loadgen: all checks passed")
 

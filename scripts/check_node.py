@@ -11,8 +11,9 @@ Three layers of checks:
      127.0.0.1 must finish a collection — every peer exits 0 once all
      its segments are ACKed, the server exits 0 once it decoded them.
   3. CLI contract: malformed invocations (unknown flag, missing role,
-     no endpoints, malformed numbers, impossible cluster shapes) must
-     exit 2 with a diagnostic, not start or abort.
+     no endpoints, malformed numbers, impossible cluster shapes, the
+     retired poller-choice flag) must exit 2 with a diagnostic, not start
+     or abort.
 
 Usage: check_node.py /path/to/icollect_cluster /path/to/icollect_node
 Exits nonzero with a message on the first failed check.
@@ -128,7 +129,14 @@ def check_cli_errors(cluster_bin, node_bin):
     ]
     for cmd, what in cases:
         usage_error(cmd, what)
-    print(f"check_node: CLI rejects {len(cases)} malformed invocations")
+    # One poller, no choice: the old poller-choice flag is gone, not
+    # ignored.
+    err = usage_error([node_bin, "--role", "server", "--listen",
+                       "127.0.0.1:1", "--backend", "epoll"],
+                      "retired poller flag")
+    require("unknown flag" in err,
+            f"poller flag: expected an unknown-flag diagnostic, got {err!r}")
+    print(f"check_node: CLI rejects {len(cases) + 1} malformed invocations")
 
 
 def main():

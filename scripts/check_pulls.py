@@ -15,21 +15,24 @@ tool emits only for the feedback-driven policies:
 
 Every CLI (including `icollect_node`) must reject an unknown policy
 name with exit 2, and the live ones (`icollect_cluster`, `icollect_node`)
-must reject the simulator-only `all` (uniform-all) the same way. With --validate, schema-checks the committed
-BENCH_pulls.json table, including the headline claim: both feedback
-policies beat uniform on mean pulls-to-completion with non-overlapping
-95% CIs in at least one point per driver.
+must reject the simulator-only `all` (uniform-all) the same way.
+
+With --validate, schema-checks the committed BENCH_pulls.json table,
+including the headline claim: both feedback policies beat uniform on
+mean pulls-to-completion with non-overlapping 95% CIs in at least one
+point per driver. It then re-runs the full `icollect_pulls` table and
+requires its stdout to equal the committed file byte for byte.
 
 Usage:
   check_pulls.py <icollect_sim> <icollect_cluster> <icollect_node>
-  check_pulls.py --validate <BENCH_pulls.json>
+  check_pulls.py --validate <BENCH_pulls.json> <icollect_pulls>
 """
 
 import json
 import sys
 
-from checklib import (check, json_after, last_json_line, run, usage,
-                      usage_error)
+from checklib import (check, check_regenerates, json_after, last_json_line,
+                      run, usage, usage_error)
 
 SIM_BASE = [
     "peers=24", "lambda=8", "s=4", "mu=8", "gamma=1", "buffer=32",
@@ -186,8 +189,9 @@ def validate_bench(path: str) -> None:
 
 def main() -> int:
     argv = sys.argv[1:]
-    if len(argv) == 2 and argv[0] == "--validate":
+    if len(argv) == 3 and argv[0] == "--validate":
         validate_bench(argv[1])
+        check_regenerates(argv[1], [argv[2]])
         print("bench table OK")
         return 0
     if len(argv) != 3:

@@ -14,19 +14,21 @@ machine-readable scenario summary each tool emits only under
   trace      the shaped arrival profile drove a normal, complete run.
 
 Also re-runs the cluster byzantine scenario to assert byte-identical
-output under the same seed, and (with --validate) schema-checks the
-committed BENCH_scenarios.json table.
+output under the same seed. With --validate, schema-checks the
+committed BENCH_scenarios.json table, then re-runs the full
+`icollect_scenarios` table and requires its stdout to equal the
+committed file byte for byte.
 
 Usage:
   check_scenarios.py <icollect_sim> <icollect_cluster>
-  check_scenarios.py --validate <BENCH_scenarios.json>
+  check_scenarios.py --validate <BENCH_scenarios.json> <icollect_scenarios>
 """
 
 import json
 import sys
 
-from checklib import (check, fail, json_after, last_json_line, run, usage,
-                      usage_error)
+from checklib import (check, check_regenerates, fail, json_after,
+                      last_json_line, run, usage, usage_error)
 
 SIM_BASE = [
     "peers=24", "lambda=8", "s=4", "mu=8", "gamma=1", "buffer=32",
@@ -198,8 +200,9 @@ def validate_bench(path: str) -> None:
 
 def main() -> int:
     argv = sys.argv[1:]
-    if len(argv) == 2 and argv[0] == "--validate":
+    if len(argv) == 3 and argv[0] == "--validate":
         validate_bench(argv[1])
+        check_regenerates(argv[1], [argv[2]])
         print("bench table OK")
         return 0
     if len(argv) != 2:

@@ -6,6 +6,7 @@ contract: a failed assertion prints `<script>: FAIL: <what>` on stderr
 and exits 1; a usage error prints the usage on stderr and exits 2.
 """
 
+import difflib
 import json
 import os
 import socket
@@ -60,6 +61,25 @@ def usage_error(cmd: list[str], what: str) -> str:
     require(proc.stderr.strip() != "",
             f"{what}: expected a diagnostic on stderr")
     return proc.stderr
+
+
+def check_regenerates(path: str, cmd: list[str]) -> None:
+    """Require `cmd`'s stdout to equal the committed file `path` byte for
+    byte, so a committed table cannot drift from the code that makes it."""
+    with open(path, "rb") as f:
+        committed = f.read()
+    proc = subprocess.run(cmd, capture_output=True, timeout=600, check=False)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr.decode(errors="replace"))
+        fail(f"exit {proc.returncode}: {' '.join(cmd)}")
+    if proc.stdout != committed:
+        diff = difflib.unified_diff(
+            committed.decode().splitlines(), proc.stdout.decode().splitlines(),
+            fromfile=path, tofile="regenerated", lineterm="", n=1)
+        sys.stderr.write("\n".join(list(diff)[:60]) + "\n")
+        fail(f"{path} differs from a fresh run of {' '.join(cmd)}; "
+             f"re-capture it with --out")
+    print(f"  ok: {os.path.basename(path)} equals a fresh full run")
 
 
 def free_port() -> int:

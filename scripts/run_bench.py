@@ -15,45 +15,25 @@ kernel, size), and emits:
     "speedup_vs_scalar": {op: {kernel: x}},       # at the largest size
   }
 
-Also covers the replica engine: `--runner` times a fixed sweep grid
-through `icollect_sweep` serially (--jobs=1) and with every hardware
-thread, verifies the outputs are byte-identical (the determinism
-contract), and writes BENCH_runner.json:
-
-  {
-    "schema": "icollect-runner-bench/1",
-    "hardware_threads": N,                 # of the measuring machine
-    "grid_cells": C, "replicas": R,
-    "serial_seconds": x, "parallel_jobs": J, "parallel_seconds": y,
-    "speedup": x/y,                        # honest: 1-core boxes get ~1
-    "deterministic": true,
-  }
-
-And the live-node transport: `--node` drives icollect_loadgen fan-in
-against one icollect_node server per (backend, connection-count) case
-and writes BENCH_node.json:
+Also covers the live-node transport: `--node` drives icollect_loadgen
+fan-in against one icollect_node server per (mode, connection-count)
+case and writes BENCH_node.json:
 
   {
     "schema": "icollect-node-bench/1",
-    "cases": [ {mode, server_backend, conns, pull_rate_demanded,
-                frames_per_s, pull_round_trips_per_s, server_cpu_s,
+    "cases": [ {mode, conns, pull_rate_demanded, frames_per_s,
+                pull_round_trips_per_s, server_cpu_s,
                 frames_per_server_cpu_s, server_pull_rtt_s, ...} ],
-    "epoll_vs_poll_frames_speedup": x,     # saturation, shared conns
-    "epoll_vs_poll_cpu_efficiency": y,     # demand-limited, many conns
   }
 
-Two regimes per baseline: "saturation" cases demand more pulls than
-either side can serve (end-to-end frames/s), and "efficiency" cases
-demand a rate both backends meet across many mostly-idle connections —
-there poll(2) burns a core re-scanning all n fds every tick while
-epoll wakes on the ready few, and frames per server-CPU-second is the
-metric that shows it.
+Two regimes: "saturation" cases demand more pulls than either side can
+serve (end-to-end frames/s), and the "efficiency" case demands a rate
+the server meets across many mostly-idle connections, where frames per
+server-CPU-second shows what each wakeup costs.
 
 Usage:
   run_bench.py [--build-dir DIR] [--out FILE] [--quick]
   run_bench.py --validate FILE          # schema check only, no benchmarks
-  run_bench.py --runner [--runner-out FILE] [--quick]
-  run_bench.py --validate-runner FILE
   run_bench.py --node [--node-out FILE] [--quick]
   run_bench.py --validate-node FILE
 
@@ -71,7 +51,6 @@ import sys
 import time
 
 SCHEMA = "icollect-gf-bench/1"
-RUNNER_SCHEMA = "icollect-runner-bench/1"
 NODE_SCHEMA = "icollect-node-bench/1"
 NAME_RE = re.compile(r"^BM_(\w+)<(\w+)>/(\d+)$")
 BULK_OPS = ("AddScaled", "ScaleAssign", "AddAssign", "Dot")
@@ -170,68 +149,6 @@ def validate(doc):
         fail("'speedup_vs_scalar' missing")
 
 
-def run_sweep_timed(binary, out, jobs, replicas, grid):
-    """Run one sweep; -> (wall seconds, output bytes)."""
-    cmd = [binary, "--seed=42", f"--jobs={jobs}", f"--replicas={replicas}",
-           f"--out={out}", *grid]
-    start = time.monotonic()
-    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=3600)
-    elapsed = time.monotonic() - start
-    if proc.returncode != 0:
-        fail(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
-    with open(out, "rb") as f:
-        return elapsed, f.read()
-
-
-def build_runner_baseline(build_dir, quick):
-    binary = os.path.join(build_dir, "tools", "icollect_sweep")
-    if not os.path.exists(binary):
-        fail(f"sweep binary not found: {binary} (build the repo first)")
-    jobs = os.cpu_count() or 1
-    replicas = 2 if quick else 8
-    grid = ["--grid-s=1,5,10", "--grid-c=2,5",
-            "--warm=2" if quick else "--warm=5",
-            "--measure=4" if quick else "--measure=20",
-            "peers=60" if quick else "peers=100",
-            "lambda=10", "mu=5"]
-    cells = 6  # |grid-s| x |grid-c|
-
-    serial_s, serial_bytes = run_sweep_timed(
-        binary, os.path.join(build_dir, "sweep_j1.jsonl"), 1, replicas, grid)
-    parallel_s, parallel_bytes = run_sweep_timed(
-        binary, os.path.join(build_dir, "sweep_jN.jsonl"), jobs, replicas,
-        grid)
-    if serial_bytes != parallel_bytes:
-        fail(f"sweep output differs between --jobs=1 and --jobs={jobs}: "
-             "determinism contract broken")
-    return {
-        "schema": RUNNER_SCHEMA,
-        "hardware_threads": jobs,
-        "grid_cells": cells,
-        "replicas": replicas,
-        "serial_seconds": round(serial_s, 3),
-        "parallel_jobs": jobs,
-        "parallel_seconds": round(parallel_s, 3),
-        "speedup": round(serial_s / parallel_s, 2) if parallel_s > 0 else 0.0,
-        "deterministic": True,
-    }
-
-
-def validate_runner(doc):
-    if doc.get("schema") != RUNNER_SCHEMA:
-        fail(f"schema mismatch: {doc.get('schema')!r} != {RUNNER_SCHEMA!r}")
-    for key in ("hardware_threads", "grid_cells", "replicas",
-                "parallel_jobs"):
-        if not isinstance(doc.get(key), int) or doc[key] < 1:
-            fail(f"'{key}' must be a positive integer")
-    for key in ("serial_seconds", "parallel_seconds", "speedup"):
-        if not isinstance(doc.get(key), (int, float)) or doc[key] <= 0:
-            fail(f"'{key}' must be a positive number")
-    if doc.get("deterministic") is not True:
-        fail("'deterministic' must be true — a baseline recorded from a "
-             "nondeterministic engine is not a baseline")
-
-
 def free_port():
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as s:
         s.bind(("127.0.0.1", 0))
@@ -250,14 +167,14 @@ def proc_cpu_seconds(pid):
     return ticks / os.sysconf("SC_CLK_TCK")
 
 
-def run_node_case(node_bin, loadgen_bin, build_dir, mode, backend, conns,
+def run_node_case(node_bin, loadgen_bin, build_dir, mode, conns,
                   pull_rate, measure_s):
-    """One fan-in run: a `backend` server vs `conns` loadgen peers."""
+    """One fan-in run: an icollect_node server vs `conns` loadgen peers."""
     port = free_port()
-    metrics = os.path.join(build_dir, f"node_bench_{backend}_{conns}.jsonl")
+    metrics = os.path.join(build_dir, f"node_bench_{mode}_{conns}.jsonl")
     server = subprocess.Popen(
         [node_bin, "--role", "server", "--listen", f"127.0.0.1:{port}",
-         "--backend", backend, "--pull-rate", str(pull_rate),
+         "--pull-rate", str(pull_rate),
          "--segment-size", "4", "--duration", "300", "--seed", "1",
          "--metrics-out", metrics, "--metrics-interval", "0.5"],
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
@@ -276,12 +193,12 @@ def run_node_case(node_bin, loadgen_bin, build_dir, mode, backend, conns,
         server.kill()
         server.wait()
     if proc.returncode != 0:
-        fail(f"loadgen ({backend}, {conns} conns) exited "
+        fail(f"loadgen ({mode}, {conns} conns) exited "
              f"{proc.returncode}:\n{proc.stderr}")
     try:
         report = json.loads(proc.stdout)
     except json.JSONDecodeError as e:
-        fail(f"loadgen ({backend}, {conns} conns) emitted bad JSON: {e}")
+        fail(f"loadgen ({mode}, {conns} conns) emitted bad JSON: {e}")
 
     # Server-side pull RTT quantiles from the last metrics sample that
     # saw completed round-trips (the server exports them in seconds).
@@ -300,7 +217,6 @@ def run_node_case(node_bin, loadgen_bin, build_dir, mode, backend, conns,
     server_cpu = max(cpu_after - cpu_before, 0.0)
     return {
         "mode": mode,
-        "server_backend": backend,
         "conns": conns,
         "pull_rate_demanded": pull_rate,
         "conns_established": report["conns_established"],
@@ -327,37 +243,22 @@ def build_node_baseline(build_dir, quick):
             fail(f"binary not found: {binary} (build the repo first)")
     # Two regimes, both honest on a single-core box:
     #  - saturation: demand far beyond what either side can serve, so
-    #    frames/s measures end-to-end throughput. With server and
-    #    loadgen sharing the CPU, poll's O(n) scans amortize over
-    #    ready-heavy wakeups — throughput parity here is expected, and
-    #    the epoll story is that it holds 10k conns at all.
-    #  - efficiency: demand both backends can meet, many mostly-idle
-    #    conns. Here poll burns a core rebuilding and re-scanning n
-    #    pollfds every tick while epoll wakes on the ready few; frames
-    #    per server-CPU-second is the metric that exposes it.
+    #    frames/s measures end-to-end throughput, at a shared and at a
+    #    large connection count.
+    #  - efficiency: demand the server can meet across many mostly-idle
+    #    conns; frames per server-CPU-second is what a wakeup costs.
     saturate_rate, limited_rate = 20000, 2000
     measure_s = 3 if quick else 8
     shared = 300 if quick else 2000
     big = 1000 if quick else 10000
     case = lambda *a: run_node_case(node_bin, loadgen_bin, build_dir, *a)
-    cases = [
-        case("saturation", "poll", shared, saturate_rate, measure_s),
-        case("saturation", "epoll", shared, saturate_rate, measure_s),
-        case("saturation", "epoll", big, saturate_rate, measure_s),
-        case("efficiency", "poll", big, limited_rate, measure_s),
-        case("efficiency", "epoll", big, limited_rate, measure_s),
-    ]
-    poll_fps = cases[0]["frames_per_s"]
-    epoll_fps = cases[1]["frames_per_s"]
-    poll_eff = cases[3]["frames_per_server_cpu_s"]
-    epoll_eff = cases[4]["frames_per_server_cpu_s"]
     return {
         "schema": NODE_SCHEMA,
-        "cases": cases,
-        "epoll_vs_poll_frames_speedup": round(epoll_fps / poll_fps, 2)
-        if poll_fps > 0 else 0.0,
-        "epoll_vs_poll_cpu_efficiency": round(epoll_eff / poll_eff, 2)
-        if poll_eff > 0 else 0.0,
+        "cases": [
+            case("saturation", shared, saturate_rate, measure_s),
+            case("saturation", big, saturate_rate, measure_s),
+            case("efficiency", big, limited_rate, measure_s),
+        ],
     }
 
 
@@ -365,38 +266,25 @@ def validate_node(doc):
     if doc.get("schema") != NODE_SCHEMA:
         fail(f"schema mismatch: {doc.get('schema')!r} != {NODE_SCHEMA!r}")
     cases = doc.get("cases")
-    if not isinstance(cases, list) or len(cases) < 2:
-        fail("'cases' must list at least a poll and an epoll run")
-    backends = set()
+    if not isinstance(cases, list) or not cases:
+        fail("'cases' must list at least one run")
     for case in cases:
-        backend = case.get("server_backend")
-        if backend not in ("poll", "epoll"):
-            fail(f"unknown server_backend {backend!r}")
-        backends.add(backend)
+        name = f"{case.get('mode')}/{case.get('conns')}"
         if case.get("mode") not in ("saturation", "efficiency"):
-            fail(f"case {backend}/{case.get('conns')}: unknown mode "
-                 f"{case.get('mode')!r}")
+            fail(f"case {name}: unknown mode")
         for key in ("conns", "conns_established", "handshakes_ok",
                     "pull_rate_demanded"):
             if not isinstance(case.get(key), int) or case[key] < 1:
-                fail(f"case {backend}/{case.get('conns')}: "
-                     f"'{key}' must be a positive integer")
+                fail(f"case {name}: '{key}' must be a positive integer")
         if case["conns_established"] != case["conns"]:
-            fail(f"case {backend}/{case['conns']}: not every "
-                 "connection established — not a clean baseline")
+            fail(f"case {name}: not every connection established — "
+                 "not a clean baseline")
         if case.get("goal_reached") is not True:
-            fail(f"case {backend}/{case['conns']}: goal not reached")
+            fail(f"case {name}: goal not reached")
         for key in ("frames_per_s", "pull_round_trips_per_s",
                     "frames_per_server_cpu_s"):
             if not isinstance(case.get(key), (int, float)) or case[key] <= 0:
-                fail(f"case {backend}/{case['conns']}: "
-                     f"'{key}' must be positive")
-    if backends != {"poll", "epoll"}:
-        fail("baseline must cover both the poll and epoll backends")
-    for key in ("epoll_vs_poll_frames_speedup",
-                "epoll_vs_poll_cpu_efficiency"):
-        if not isinstance(doc.get(key), (int, float)) or doc[key] <= 0:
-            fail(f"'{key}' must be positive")
+                fail(f"case {name}: '{key}' must be positive")
 
 
 def main():
@@ -407,13 +295,8 @@ def main():
                     help="short measurement window (CI smoke)")
     ap.add_argument("--validate", metavar="FILE",
                     help="validate an existing baseline and exit")
-    ap.add_argument("--runner", action="store_true",
-                    help="benchmark the replica engine instead of GF kernels")
-    ap.add_argument("--runner-out", default="BENCH_runner.json")
-    ap.add_argument("--validate-runner", metavar="FILE",
-                    help="validate an existing runner baseline and exit")
     ap.add_argument("--node", action="store_true",
-                    help="benchmark the live-node transports instead")
+                    help="benchmark the live-node transport instead")
     ap.add_argument("--node-out", default="BENCH_node.json")
     ap.add_argument("--validate-node", metavar="FILE",
                     help="validate an existing node baseline and exit")
@@ -429,8 +312,7 @@ def main():
                 fail(f"{args.validate_node} is not valid JSON: {e}")
         validate_node(doc)
         print(f"run_bench: OK {args.validate_node} "
-              f"({len(doc['cases'])} cases, epoll vs poll CPU "
-              f"efficiency {doc['epoll_vs_poll_cpu_efficiency']}x)")
+              f"({len(doc['cases'])} cases)")
         return
 
     if args.node:
@@ -441,36 +323,7 @@ def main():
             f.write("\n")
         top = max(c["conns"] for c in doc["cases"])
         print(f"run_bench: wrote {args.node_out} "
-              f"(epoll held {top} concurrent peers; CPU efficiency vs "
-              f"poll {doc['epoll_vs_poll_cpu_efficiency']}x, saturated "
-              f"frames speedup {doc['epoll_vs_poll_frames_speedup']}x)")
-        return
-
-    if args.validate_runner:
-        if not os.path.exists(args.validate_runner):
-            fail(f"missing {args.validate_runner}")
-        with open(args.validate_runner) as f:
-            try:
-                doc = json.load(f)
-            except json.JSONDecodeError as e:
-                fail(f"{args.validate_runner} is not valid JSON: {e}")
-        validate_runner(doc)
-        print(f"run_bench: OK {args.validate_runner} "
-              f"(speedup {doc['speedup']}x at "
-              f"{doc['parallel_jobs']} jobs on "
-              f"{doc['hardware_threads']} hardware threads)")
-        return
-
-    if args.runner:
-        doc = build_runner_baseline(args.build_dir, args.quick)
-        validate_runner(doc)
-        with open(args.runner_out, "w") as f:
-            json.dump(doc, f, indent=2, sort_keys=True)
-            f.write("\n")
-        print(f"run_bench: wrote {args.runner_out} "
-              f"(serial {doc['serial_seconds']}s, parallel "
-              f"{doc['parallel_seconds']}s at {doc['parallel_jobs']} jobs "
-              f"-> {doc['speedup']}x; byte-deterministic)")
+              f"(held {top} concurrent peers)")
         return
 
     if args.validate:

@@ -4,19 +4,15 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#if defined(ICOLLECT_HAVE_EPOLL)
-#include <sys/epoll.h>
-
-#include <array>
-#endif
-
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstring>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -26,144 +22,46 @@ namespace icollect::net {
 
 namespace detail {
 
-/// Readiness bits. A Poller watches for kReadable/kWritable; it reports
-/// those plus kFailed (error or hangup, which the OS always reports).
-constexpr unsigned kReadable = 1U;
-constexpr unsigned kWritable = 2U;
-constexpr unsigned kFailed = 4U;
-
-struct Ready {
-  NodeId key;  ///< what the fd was watched under
-  unsigned events;
-};
-
-/// The only backend-specific part of the transport: which fds to watch
-/// for what, and a bounded wait for the ones that became ready.
-class Poller {
- public:
-  virtual ~Poller() = default;
-
-  [[nodiscard]] virtual const char* name() const noexcept = 0;
-
-  /// Move `fd` from interest mask `was` to `want` (0 = not watched).
-  virtual void watch(int fd, NodeId key, unsigned was, unsigned want) = 0;
-
-  /// Wait up to `timeout_ms` and append what is ready to `out`. An
-  /// interrupted wait (EINTR) reports nothing.
-  virtual void wait(int timeout_ms, std::vector<Ready>& out) = 0;
-};
-
-namespace {
-
-/// poll(2): one pollfd per watched fd, kept in a dense array (swap-pop
-/// on removal) so each wait hands the kernel a ready-made set.
-class PollPoller final : public Poller {
- public:
-  [[nodiscard]] const char* name() const noexcept override { return "poll"; }
-
-  void watch(int fd, NodeId key, unsigned was, unsigned want) override {
-    const auto ufd = static_cast<std::size_t>(fd);
-    if (was == 0) {
-      if (slot_.size() <= ufd) slot_.resize(ufd + 1);
-      slot_[ufd] = fds_.size();
-      fds_.push_back(pollfd{fd, to_poll(want), 0});
-      keys_.push_back(key);
-      return;
-    }
-    const std::size_t i = slot_[ufd];
-    if (want != 0) {
-      fds_[i].events = to_poll(want);
-      return;
-    }
-    fds_[i] = fds_.back();
-    keys_[i] = keys_.back();
-    slot_[static_cast<std::size_t>(fds_[i].fd)] = i;
-    fds_.pop_back();
-    keys_.pop_back();
-  }
-
-  void wait(int timeout_ms, std::vector<Ready>& out) override {
-    int n = ::poll(fds_.data(), static_cast<nfds_t>(fds_.size()), timeout_ms);
-    for (std::size_t i = 0; n > 0 && i < fds_.size(); ++i) {
-      const short re = fds_[i].revents;
-      if (re == 0) continue;
-      --n;
-      unsigned events = 0;
-      if ((re & POLLIN) != 0) events |= kReadable;
-      if ((re & POLLOUT) != 0) events |= kWritable;
-      if ((re & (POLLERR | POLLHUP | POLLNVAL)) != 0) events |= kFailed;
-      out.push_back(Ready{keys_[i], events});
-    }
-  }
-
- private:
-  static short to_poll(unsigned want) {
-    return static_cast<short>(((want & kReadable) != 0 ? POLLIN : 0) |
-                              ((want & kWritable) != 0 ? POLLOUT : 0));
-  }
-
-  std::vector<pollfd> fds_;
-  std::vector<NodeId> keys_;        ///< parallel to fds_
-  std::vector<std::size_t> slot_;  ///< fd -> index into fds_
-};
-
-#if defined(ICOLLECT_HAVE_EPOLL)
-
 /// Level-triggered epoll: interest is registered once per change, and a
 /// wait costs O(ready) however many fds are watched.
-class EpollPoller final : public Poller {
+class Epoll {
  public:
-  EpollPoller() : epfd_{::epoll_create1(EPOLL_CLOEXEC)} {
-    if (epfd_ < 0) throw std::runtime_error("epoll: epoll_create1 failed");
+  Epoll() : fd_{::epoll_create1(EPOLL_CLOEXEC)} {
+    if (fd_ < 0) throw std::runtime_error("tcp: epoll_create1 failed");
   }
-  ~EpollPoller() override { ::close(epfd_); }
+  ~Epoll() { ::close(fd_); }
 
-  EpollPoller(const EpollPoller&) = delete;
-  EpollPoller& operator=(const EpollPoller&) = delete;
+  Epoll(const Epoll&) = delete;
+  Epoll& operator=(const Epoll&) = delete;
 
-  [[nodiscard]] const char* name() const noexcept override {
-    return "epoll";
-  }
-
-  void watch(int fd, NodeId key, unsigned was, unsigned want) override {
+  /// Move `fd` from EPOLLIN/EPOLLOUT mask `was` to `want` (0 = not
+  /// watched); `key` comes back with each readiness report.
+  void watch(int fd, NodeId key, std::uint32_t was, std::uint32_t want) {
     epoll_event ev{};
-    ev.events = ((want & kReadable) != 0 ? EPOLLIN : 0U) |
-                ((want & kWritable) != 0 ? EPOLLOUT : 0U);
+    ev.events = want;
     ev.data.u64 = key;
     const int op = was == 0    ? EPOLL_CTL_ADD
                    : want == 0 ? EPOLL_CTL_DEL
                                : EPOLL_CTL_MOD;
-    ::epoll_ctl(epfd_, op, fd, &ev);
+    ::epoll_ctl(fd_, op, fd, &ev);
   }
 
-  void wait(int timeout_ms, std::vector<Ready>& out) override {
-    const int n = ::epoll_wait(epfd_, evs_.data(),
-                               static_cast<int>(evs_.size()), timeout_ms);
-    for (int i = 0; i < n; ++i) {
-      const epoll_event& ev = evs_[static_cast<std::size_t>(i)];
-      unsigned events = 0;
-      if ((ev.events & EPOLLIN) != 0U) events |= kReadable;
-      if ((ev.events & EPOLLOUT) != 0U) events |= kWritable;
-      if ((ev.events & (EPOLLERR | EPOLLHUP)) != 0U) events |= kFailed;
-      out.push_back(Ready{static_cast<NodeId>(ev.data.u64), events});
-    }
+  /// Wait up to `timeout_ms` for ready fds. An interrupted wait (EINTR)
+  /// reports nothing. The span is valid until the next wait.
+  std::span<const epoll_event> wait(int timeout_ms) {
+    const int n = ::epoll_wait(fd_, batch_.data(),
+                               static_cast<int>(batch_.size()), timeout_ms);
+    return {batch_.data(), n > 0 ? static_cast<std::size_t>(n) : 0U};
   }
 
  private:
-  int epfd_;
-  std::array<epoll_event, 256> evs_{};
+  int fd_;
+  std::array<epoll_event, 256> batch_{};
 };
 
-#endif  // ICOLLECT_HAVE_EPOLL
-
-}  // namespace
 }  // namespace detail
 
 namespace {
-
-using detail::kFailed;
-using detail::kReadable;
-using detail::kWritable;
 
 // Consumed send-queue prefix beyond which flush_outq compacts instead
 // of waiting for a full drain (same rule as wire::FrameDecoder::feed).
@@ -173,25 +71,8 @@ constexpr std::size_t kOutqCompactBytes = 4096;
 // triggering re-reports the fd next round (fairness under fan-in).
 constexpr int kMaxReadsPerEvent = 16;
 
-// Poller key of the listening socket; connection ids never reach it.
+// Epoll key of the listening socket; connection ids never reach it.
 constexpr NodeId kListenerKey = kInvalidNodeId;
-
-std::unique_ptr<detail::Poller> make_poller(std::string_view backend) {
-  if (backend == "poll") return std::make_unique<detail::PollPoller>();
-  if (backend == "epoll" || backend == "auto") {
-#if defined(ICOLLECT_HAVE_EPOLL)
-    return std::make_unique<detail::EpollPoller>();
-#else
-    if (backend == "auto") return std::make_unique<detail::PollPoller>();
-    throw std::invalid_argument(
-        "stream transport: this build has no epoll backend "
-        "(<sys/epoll.h> was not found at configure time)");
-#endif
-  }
-  throw std::invalid_argument("stream transport: unknown backend '" +
-                              std::string{backend} +
-                              "' (expected poll, epoll, or auto)");
-}
 
 /// Nonblocking, Nagle off, and SO_SNDBUF = `sndbuf` unless 0.
 bool prepare_socket(int fd, int sndbuf) {
@@ -234,23 +115,9 @@ bool resolve_ipv4(const std::string& host, std::uint16_t port,
 
 }  // namespace
 
-bool epoll_backend_available() noexcept {
-#if defined(ICOLLECT_HAVE_EPOLL)
-  return true;
-#else
-  return false;
-#endif
-}
-
-std::unique_ptr<StreamTransport> make_stream_transport(
-    std::string_view backend, const StreamOptions& opts) {
-  return std::make_unique<StreamTransport>(backend, opts);
-}
-
-StreamTransport::StreamTransport(std::string_view backend,
-                                 StreamOptions opts)
+StreamTransport::StreamTransport(StreamOptions opts)
     : opts_{opts},
-      poller_{make_poller(backend)},
+      epoll_{std::make_unique<detail::Epoll>()},
       wheel_{opts.tick_seconds},
       epoch_{std::chrono::steady_clock::now()} {
   ICOLLECT_EXPECTS(opts.read_chunk_bytes > 0);
@@ -279,10 +146,6 @@ StreamTransport::~StreamTransport() {
     if (conn->fd >= 0) ::close(conn->fd);
   }
   if (listen_fd_ >= 0) ::close(listen_fd_);
-}
-
-const char* StreamTransport::backend_name() const noexcept {
-  return poller_->name();
 }
 
 double StreamTransport::now() const {
@@ -322,7 +185,7 @@ std::uint16_t StreamTransport::listen(const std::string& host,
     throw std::runtime_error("tcp: getsockname failed");
   }
   listen_fd_ = fd;
-  poller_->watch(fd, kListenerKey, 0, kReadable);
+  epoll_->watch(fd, kListenerKey, 0, EPOLLIN);
   return ntohs(bound.sin_port);
 }
 
@@ -445,7 +308,7 @@ void StreamTransport::close_peer(NodeId peer) {
 
 void StreamTransport::close_fd(Conn& conn) {
   if (conn.fd < 0) return;
-  if (conn.interest != 0) poller_->watch(conn.fd, conn.id, conn.interest, 0);
+  if (conn.interest != 0) epoll_->watch(conn.fd, conn.id, conn.interest, 0);
   conn.interest = 0;
   ::close(conn.fd);
   conn.fd = -1;
@@ -467,13 +330,13 @@ void StreamTransport::close_conn(Conn& conn) {
 
 void StreamTransport::update_interest(Conn& conn) {
   if (conn.fd < 0) return;
-  unsigned want = kWritable;  // connecting: the handshake completes
+  std::uint32_t want = EPOLLOUT;  // connecting: the handshake completes
   if (conn.state == ConnState::kUp) {
-    want = kReadable;
-    if (conn.out_head < conn.outq.size()) want |= kWritable;
+    want = EPOLLIN;
+    if (conn.out_head < conn.outq.size()) want |= EPOLLOUT;
   }
   if (want == conn.interest) return;
-  poller_->watch(conn.fd, conn.id, conn.interest, want);
+  epoll_->watch(conn.fd, conn.id, conn.interest, want);
   conn.interest = want;
 }
 
@@ -548,19 +411,19 @@ void StreamTransport::accept_all() {
   }
 }
 
-void StreamTransport::dispatch(const Ready& ready) {
-  if (ready.key == kListenerKey) {
+void StreamTransport::dispatch(NodeId key, std::uint32_t events) {
+  if (key == kListenerKey) {
     accept_all();
     return;
   }
-  Conn* found = find_conn(ready.key);
+  Conn* found = find_conn(key);
   // Closed this round, or between connect attempts: nothing to do.
   if (found == nullptr || found->fd < 0) return;
   Conn& conn = *found;
   if (conn.state == ConnState::kConnecting) {
     int err = 0;
     socklen_t len = sizeof err;
-    if ((ready.events & kFailed) != 0 ||
+    if ((events & (EPOLLERR | EPOLLHUP)) != 0 ||
         ::getsockopt(conn.fd, SOL_SOCKET, SO_ERROR, &err, &len) < 0 ||
         err != 0) {
       fail_connect_attempt(conn);
@@ -569,10 +432,10 @@ void StreamTransport::dispatch(const Ready& ready) {
     finish_connect(conn);
     return;
   }
-  if ((ready.events & kWritable) != 0) mark_dirty(conn);
-  if ((ready.events & kReadable) != 0) handle_readable(conn);
+  if ((events & EPOLLOUT) != 0) mark_dirty(conn);
+  if ((events & EPOLLIN) != 0) handle_readable(conn);
   // A pure error/hangup report: no IO above would have noticed it.
-  if ((ready.events & (kReadable | kWritable)) == 0) close_conn(conn);
+  if ((events & (EPOLLIN | EPOLLOUT)) == 0) close_conn(conn);
 }
 
 void StreamTransport::handle_readable(Conn& conn) {
@@ -629,11 +492,12 @@ void StreamTransport::poll_once(double max_wait) {
         1, static_cast<int>(
                std::clamp(max_wait, 0.0, opts_.tick_seconds) * 1000.0));
   }
-  ready_.clear();
-  poller_->wait(wait_ms, ready_);
+  const std::span<const epoll_event> ready = epoll_->wait(wait_ms);
   ++wakeups_;
-  events_ += ready_.size();
-  for (const Ready& ready : ready_) dispatch(ready);
+  events_ += ready.size();
+  for (const epoll_event& ev : ready) {
+    dispatch(static_cast<NodeId>(ev.data.u64), ev.events);
+  }
 
   // Catch the wheel up to the wall clock (fires node timers).
   const auto target =

@@ -6,12 +6,9 @@
 /// state machines move between the deterministic in-process world and
 /// the OS network without a line of change.
 ///
-///  - Readiness comes from a private poller with two implementations,
-///    chosen at construction: poll(2) (portable; O(n) per wakeup) and
-///    level-triggered epoll (Linux; O(ready) per wakeup). Everything
-///    above the poller — the connection state machine, queues, timers
-///    and counters — exists once (docs/PERFORMANCE.md, "Reactor
-///    architecture").
+///  - Readiness comes from one level-triggered epoll instance, so a
+///    wakeup costs O(ready) however many connections are open (Linux
+///    only; docs/PERFORMANCE.md, "Reactor architecture").
 ///  - Outbound connects are asynchronous with a connect timeout and a
 ///    bounded retry budget (linear backoff); the handler sees
 ///    on_peer_up on success or on_peer_down once the budget is spent.
@@ -27,7 +24,7 @@
 ///  - An optional idle read timeout reaps connections gone silent.
 ///  - The node TimerWheel is advanced off the wall clock by poll_once,
 ///    so node-level timers (gossip, TTL, pulls) fire with tick
-///    granularity while the loop sleeps in the poller.
+///    granularity while the loop sleeps in epoll_wait.
 ///  - Counters are plain integer adds; attach_metrics() exports them as
 ///    pull-based gauges, so telemetry adds nothing to the IO hot path.
 ///  - Interrupted syscalls (EINTR — e.g. the SIGUSR1 stats dump) are
@@ -40,7 +37,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -51,8 +47,7 @@
 namespace icollect::net {
 
 namespace detail {
-class Poller;  ///< poll(2) or epoll readiness source; stream_transport.cpp
-struct Ready;  ///< one ready fd as a Poller reports it
+class Epoll;  ///< the transport's epoll instance; stream_transport.cpp
 }  // namespace detail
 
 struct StreamOptions {
@@ -69,10 +64,8 @@ struct StreamOptions {
 
 class StreamTransport final : public Transport {
  public:
-  /// `backend` names the poller: "poll", "epoll", or "auto" (epoll when
-  /// available, else poll). Throws std::invalid_argument for an unknown
-  /// name or for "epoll" on a build without it.
-  explicit StreamTransport(std::string_view backend, StreamOptions opts = {});
+  /// Throws std::runtime_error when the epoll instance cannot be made.
+  explicit StreamTransport(StreamOptions opts = {});
   ~StreamTransport() override;
 
   StreamTransport(const StreamTransport&) = delete;
@@ -106,9 +99,6 @@ class StreamTransport final : public Transport {
   /// the wall clock, then flush every dirty connection once.
   void poll_once(double max_wait = 0.05);
 
-  /// "poll" or "epoll" — stamped into bench output and summaries.
-  [[nodiscard]] const char* backend_name() const noexcept;
-
   /// Connections not yet closed (established + still connecting).
   [[nodiscard]] std::size_t open_connections() const noexcept {
     return conns_.size() - dead_.size();
@@ -138,7 +128,7 @@ class StreamTransport final : public Transport {
   [[nodiscard]] std::uint64_t partial_drains() const noexcept {
     return partial_drains_;
   }
-  /// Poller waits returned / ready fds they reported.
+  /// epoll_wait calls returned / ready fds they reported.
   [[nodiscard]] std::uint64_t wakeups() const noexcept { return wakeups_; }
   [[nodiscard]] std::uint64_t events_dispatched() const noexcept {
     return events_;
@@ -159,18 +149,15 @@ class StreamTransport final : public Transport {
                       const std::string& prefix);
 
  private:
-  using Poller = detail::Poller;
-  using Ready = detail::Ready;
-
   enum class ConnState : std::uint8_t { kConnecting, kUp, kClosed };
 
   struct Conn {
     NodeId id = kInvalidNodeId;
     int fd = -1;
     ConnState state = ConnState::kConnecting;
-    unsigned interest = 0;  ///< poller mask registered for fd; 0 = none
-    bool dirty = false;     ///< queued for this round's flush
-    std::string host;       ///< for retries (outbound only)
+    std::uint32_t interest = 0;  ///< epoll mask registered for fd; 0 = none
+    bool dirty = false;          ///< queued for this round's flush
+    std::string host;            ///< for retries (outbound only)
     std::uint16_t port = 0;
     int attempts = 0;
     TimerWheel::TimerId connect_timer = TimerWheel::kInvalidTimer;
@@ -182,7 +169,7 @@ class StreamTransport final : public Transport {
   Conn* find_conn(NodeId id);
   Conn& register_conn(int fd, ConnState state);
   void accept_all();
-  void dispatch(const Ready& ready);
+  void dispatch(NodeId key, std::uint32_t events);
   void start_connect_attempt(Conn& conn);
   void fail_connect_attempt(Conn& conn);
   void finish_connect(Conn& conn);
@@ -197,7 +184,7 @@ class StreamTransport final : public Transport {
   void reap_closed();
 
   StreamOptions opts_;
-  std::unique_ptr<Poller> poller_;
+  std::unique_ptr<detail::Epoll> epoll_;
   TimerWheel wheel_;
   TransportHandler* handler_ = nullptr;
   int listen_fd_ = -1;
@@ -205,7 +192,6 @@ class StreamTransport final : public Transport {
   std::unordered_map<NodeId, std::unique_ptr<Conn>> conns_;
   std::vector<NodeId> dead_;    ///< closed, erased at the end of a round
   std::vector<Conn*> dirty_;    ///< conns with sends since the last flush
-  std::vector<Ready> ready_;    ///< the poller's output, reused per round
   std::vector<std::uint8_t> read_buf_;
   std::chrono::steady_clock::time_point epoch_;
   std::uint64_t refusals_ = 0;
@@ -224,12 +210,5 @@ class StreamTransport final : public Transport {
   std::size_t outq_bytes_ = 0;  ///< unsent bytes across all conns
   std::size_t outq_hwm_ = 0;
 };
-
-/// True when this build carries the epoll poller.
-[[nodiscard]] bool epoll_backend_available() noexcept;
-
-/// Construct a transport over the named poller (see the constructor).
-[[nodiscard]] std::unique_ptr<StreamTransport> make_stream_transport(
-    std::string_view backend, const StreamOptions& opts = {});
 
 }  // namespace icollect::net

@@ -25,44 +25,15 @@ double ci95_half_width(const stats::Summary& s) {
   return student_t975(s.count() - 1) * s.stddev() / std::sqrt(n);
 }
 
-std::array<double, AggregateReport::kMetricCount> report_metric_values(
-    const CollectionReport& r) {
-  return {
-      r.throughput,
-      r.normalized_throughput,
-      r.goodput,
-      r.normalized_goodput,
-      r.mean_block_delay,
-      r.mean_segment_delay,
-      r.max_segment_delay,
-      r.mean_blocks_per_peer,
-      r.storage_overhead,
-      r.empty_peer_fraction,
-      r.redundancy_fraction(),
-      static_cast<double>(r.segments_injected),
-      static_cast<double>(r.segments_decoded),
-      static_cast<double>(r.segments_lost),
-      static_cast<double>(r.blocks_injected),
-      static_cast<double>(r.original_blocks_recovered),
-      static_cast<double>(r.server_pulls),
-      static_cast<double>(r.redundant_pulls),
-      static_cast<double>(r.peers_departed),
-      static_cast<double>(r.blocks_lost_to_churn),
-      r.saved.saved_original_blocks_degree,
-      r.saved.saved_original_blocks_rank,
-  };
-}
-
 void AggregateReport::add(const CollectionReport& report) {
-  const auto values = report_metric_values(report);
   for (std::size_t i = 0; i < kMetricCount; ++i) {
-    metrics_[i].add(values[i]);
+    metrics_[i].add(kReportMetrics[i].read(report));
   }
 }
 
 const stats::Summary& AggregateReport::metric(std::string_view name) const {
   for (std::size_t i = 0; i < kMetricCount; ++i) {
-    if (kReportMetricNames[i] == name) return metrics_[i];
+    if (kReportMetrics[i].name == name) return metrics_[i];
   }
   throw std::out_of_range("AggregateReport: unknown metric '" +
                           std::string{name} + "'");
@@ -105,7 +76,7 @@ std::string MetricTable::to_json() const {
 std::string AggregateReport::to_json() const {
   obs::JsonObject metrics;
   for (std::size_t i = 0; i < kMetricCount; ++i) {
-    metrics.field_raw(kReportMetricNames[i], summary_json(metrics_[i]));
+    metrics.field_raw(kReportMetrics[i].name, summary_json(metrics_[i]));
   }
   obs::JsonObject out;
   out.field("replicas", replicas()).field_raw("metrics", metrics.str());

@@ -56,36 +56,72 @@ class MetricTable {
   std::vector<std::pair<std::string, stats::Summary>> rows_;
 };
 
-/// The scalar metrics extracted from each CollectionReport, in the fixed
-/// order they aggregate and serialize in.
-inline constexpr std::array<std::string_view, 22> kReportMetricNames{
-    "throughput",
-    "normalized_throughput",
-    "goodput",
-    "normalized_goodput",
-    "mean_block_delay",
-    "mean_segment_delay",
-    "max_segment_delay",
-    "mean_blocks_per_peer",
-    "storage_overhead",
-    "empty_peer_fraction",
-    "redundancy_fraction",
-    "segments_injected",
-    "segments_decoded",
-    "segments_lost",
-    "blocks_injected",
-    "original_blocks_recovered",
-    "server_pulls",
-    "redundant_pulls",
-    "peers_departed",
-    "blocks_lost_to_churn",
-    "saved_original_blocks_degree",
-    "saved_original_blocks_rank",
+/// One scalar metric of a CollectionReport: its name and its reader.
+struct ReportMetric {
+  std::string_view name;
+  double (*read)(const CollectionReport&);
 };
+
+namespace detail {
+template <auto Member>
+double report_field(const CollectionReport& r) {
+  return static_cast<double>(r.*Member);
+}
+}  // namespace detail
+
+/// The scalar metrics extracted from each CollectionReport, in the fixed
+/// order they aggregate and serialize in. A name and its reader share a
+/// row, so the two cannot drift apart.
+inline constexpr auto kReportMetrics = std::to_array<ReportMetric>({
+    {"throughput", detail::report_field<&CollectionReport::throughput>},
+    {"normalized_throughput",
+     detail::report_field<&CollectionReport::normalized_throughput>},
+    {"goodput", detail::report_field<&CollectionReport::goodput>},
+    {"normalized_goodput",
+     detail::report_field<&CollectionReport::normalized_goodput>},
+    {"mean_block_delay",
+     detail::report_field<&CollectionReport::mean_block_delay>},
+    {"mean_segment_delay",
+     detail::report_field<&CollectionReport::mean_segment_delay>},
+    {"max_segment_delay",
+     detail::report_field<&CollectionReport::max_segment_delay>},
+    {"mean_blocks_per_peer",
+     detail::report_field<&CollectionReport::mean_blocks_per_peer>},
+    {"storage_overhead",
+     detail::report_field<&CollectionReport::storage_overhead>},
+    {"empty_peer_fraction",
+     detail::report_field<&CollectionReport::empty_peer_fraction>},
+    {"redundancy_fraction",
+     [](const CollectionReport& r) { return r.redundancy_fraction(); }},
+    {"segments_injected",
+     detail::report_field<&CollectionReport::segments_injected>},
+    {"segments_decoded",
+     detail::report_field<&CollectionReport::segments_decoded>},
+    {"segments_lost", detail::report_field<&CollectionReport::segments_lost>},
+    {"blocks_injected",
+     detail::report_field<&CollectionReport::blocks_injected>},
+    {"original_blocks_recovered",
+     detail::report_field<&CollectionReport::original_blocks_recovered>},
+    {"server_pulls", detail::report_field<&CollectionReport::server_pulls>},
+    {"redundant_pulls",
+     detail::report_field<&CollectionReport::redundant_pulls>},
+    {"peers_departed",
+     detail::report_field<&CollectionReport::peers_departed>},
+    {"blocks_lost_to_churn",
+     detail::report_field<&CollectionReport::blocks_lost_to_churn>},
+    {"saved_original_blocks_degree",
+     [](const CollectionReport& r) {
+       return r.saved.saved_original_blocks_degree;
+     }},
+    {"saved_original_blocks_rank",
+     [](const CollectionReport& r) {
+       return r.saved.saved_original_blocks_rank;
+     }},
+});
 
 class AggregateReport {
  public:
-  static constexpr std::size_t kMetricCount = kReportMetricNames.size();
+  static constexpr std::size_t kMetricCount = kReportMetrics.size();
 
   /// Fold one replica's report in. Call in replica-index order.
   void add(const CollectionReport& report);
@@ -94,7 +130,7 @@ class AggregateReport {
     return metrics_[0].count();
   }
 
-  /// Aggregate for one metric by index (see kReportMetricNames).
+  /// Aggregate for one metric by index (see kReportMetrics).
   [[nodiscard]] const stats::Summary& metric(std::size_t i) const {
     return metrics_.at(i);
   }
@@ -117,9 +153,5 @@ class AggregateReport {
  private:
   std::array<stats::Summary, kMetricCount> metrics_{};
 };
-
-/// The metric vector of one report, in kReportMetricNames order.
-[[nodiscard]] std::array<double, AggregateReport::kMetricCount>
-report_metric_values(const CollectionReport& report);
 
 }  // namespace icollect::runner

@@ -34,7 +34,9 @@ TEST(MetricsRegistry, ReferencesSurviveGrowth) {
   first.inc();
   // Force internal vector growth; the handle must stay valid.
   for (int i = 0; i < 100; ++i) {
-    reg.counter("c" + std::to_string(i)).inc();
+    std::string name{"c"};
+    name += std::to_string(i);
+    reg.counter(name).inc();
   }
   first.inc();
   EXPECT_EQ(reg.counter("first").value(), 2U);

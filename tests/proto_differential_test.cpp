@@ -202,7 +202,8 @@ std::vector<std::string> run_schedule(const FuzzConfig& cfg) {
     std::string entry =
         std::string{"inject "} + names[idx] + " " + fmt_seg(injected.id);
     for (const std::uint32_t crc : injected.crcs) {
-      entry += " " + std::to_string(crc);
+      entry += ' ';
+      entry += std::to_string(crc);
     }
     trace.push_back(std::move(entry));
   };

@@ -109,9 +109,11 @@ TEST(AggregateReport, JsonCarriesEveryMetric) {
   agg.add(report_with(2.5, 14));
   const std::string json = agg.to_json();
   EXPECT_NE(json.find("\"replicas\":2"), std::string::npos);
-  for (const auto name : kReportMetricNames) {
-    EXPECT_NE(json.find("\"" + std::string{name} + "\""), std::string::npos)
-        << "missing metric " << name;
+  for (const ReportMetric& m : kReportMetrics) {
+    std::string key{"\""};
+    key += m.name;
+    key += '"';
+    EXPECT_NE(json.find(key), std::string::npos) << "missing metric " << m.name;
   }
   for (const char* field : {"mean", "stddev", "ci95", "min", "max"}) {
     EXPECT_NE(json.find(field), std::string::npos);

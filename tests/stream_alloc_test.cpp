@@ -1,14 +1,13 @@
 /// Allocation contract of the socket transport: once two transports on
 /// 127.0.0.1 are connected and warmed up, a send -> flush -> recv ->
-/// on_bytes round trip performs no heap allocation, on either poller.
-/// Output queues keep their capacity, reads land in one reused buffer,
-/// and the poller's ready list is recycled round to round.
+/// on_bytes round trip performs no heap allocation. Output queues keep
+/// their capacity, reads land in one reused buffer, and epoll reports
+/// into a fixed array.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "alloc_counter.h"
@@ -33,13 +32,13 @@ class CountingHandler final : public TransportHandler {
   std::size_t received = 0;
 };
 
-void steady_round_trip_does_not_allocate(const std::string& backend) {
+TEST(StreamAlloc, SteadyRoundTripDoesNotAllocate) {
   StreamOptions opts;
   // Short enough that the cancelled connect timer leaves the wheel
   // during warm-up.
   opts.connect_timeout = 0.05;
-  StreamTransport server{backend, opts};
-  StreamTransport client{backend, opts};
+  StreamTransport server{opts};
+  StreamTransport client{opts};
   CountingHandler hs;
   CountingHandler hc;
   server.set_handler(&hs);
@@ -83,15 +82,6 @@ void steady_round_trip_does_not_allocate(const std::string& backend) {
   EXPECT_EQ(g_alloc_count.load(), 0U)
       << "transport allocated in steady state";
   EXPECT_EQ(hs.downs + hc.downs, 0U);
-}
-
-TEST(StreamAlloc, SteadyRoundTripDoesNotAllocate) {
-  std::vector<std::string> pollers{"poll"};
-  if (epoll_backend_available()) pollers.emplace_back("epoll");
-  for (const std::string& backend : pollers) {
-    SCOPED_TRACE(backend);
-    steady_round_trip_does_not_allocate(backend);
-  }
 }
 
 }  // namespace

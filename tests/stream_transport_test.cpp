@@ -4,18 +4,19 @@
 /// and short-send compaction, connect failure after the retry budget,
 /// idle reaping, EINTR storms, close propagation and the counter set.
 ///
-/// Every case runs once per poller: as Tcp.<case> over poll(2), and as
-/// EpollReactor.<case> over epoll where the build has it. Everything is
-/// single-threaded through poll_once(), with generous wall-clock
-/// deadlines so loaded CI machines don't flake.
+/// Every case runs twice: as Tcp.<case> on default options, and as
+/// EpollReactor.<case> with every transport reading in 512-byte chunks.
+/// A readiness report then drains at most 16 chunks (8 KiB) before the
+/// reactor moves on, so any larger transfer completes only if
+/// level-triggered epoll reports the fd again for the bytes left.
+/// Everything is single-threaded through poll_once(), with generous
+/// wall-clock deadlines so loaded CI machines don't flake.
 
 #include <gtest/gtest.h>
 
 #include <csignal>
 #include <cstdint>
-#include <memory>
 #include <span>
-#include <stdexcept>
 #include <string>
 #include <sys/time.h>
 #include <unordered_map>
@@ -28,38 +29,6 @@
 
 namespace icollect::net {
 namespace {
-
-TEST(StreamFactory, UnknownBackendThrows) {
-  EXPECT_THROW((void)make_stream_transport("bogus", StreamOptions{}),
-               std::invalid_argument);
-}
-
-TEST(StreamFactory, PollBackendAlwaysAvailable) {
-  const auto t = make_stream_transport("poll", StreamOptions{});
-  ASSERT_NE(t, nullptr);
-  EXPECT_STREQ(t->backend_name(), "poll");
-}
-
-TEST(StreamFactory, AutoPicksEpollWhereAvailable) {
-  const auto t = make_stream_transport("auto", StreamOptions{});
-  ASSERT_NE(t, nullptr);
-  if (epoll_backend_available()) {
-    EXPECT_STREQ(t->backend_name(), "epoll");
-  } else {
-    EXPECT_STREQ(t->backend_name(), "poll");
-  }
-}
-
-TEST(StreamFactory, EpollRequestHonoursAvailability) {
-  if (epoll_backend_available()) {
-    const auto t = make_stream_transport("epoll", StreamOptions{});
-    ASSERT_NE(t, nullptr);
-    EXPECT_STREQ(t->backend_name(), "epoll");
-  } else {
-    EXPECT_THROW((void)make_stream_transport("epoll", StreamOptions{}),
-                 std::invalid_argument);
-  }
-}
 
 class RecordingHandler final : public TransportHandler {
  public:
@@ -94,8 +63,9 @@ bool pump(StreamTransport& a, StreamTransport& b, Pred done,
 
 /// A listening server and a client connected to it, both up.
 struct Pair {
-  explicit Pair(const std::string& backend, StreamOptions client_opts = {})
-      : server{backend}, client{backend, client_opts} {
+  /// The server runs on `base`, the client on `client_opts`.
+  Pair(const StreamOptions& base, const StreamOptions& client_opts)
+      : server{base}, client{client_opts} {
     server.set_handler(&hs);
     client.set_handler(&hc);
     port = server.listen("127.0.0.1", 0);
@@ -117,18 +87,18 @@ struct Pair {
 };
 
 /// A port that was just bound and released, so almost surely closed.
-std::uint16_t dead_port(const std::string& backend) {
-  StreamTransport probe{backend};
+std::uint16_t dead_port(const StreamOptions& base) {
+  StreamTransport probe{base};
   return probe.listen("127.0.0.1", 0);
 }
 
-void ephemeral_listen_returns_real_port(const std::string& backend) {
-  StreamTransport t{backend};
+void ephemeral_listen_returns_real_port(const StreamOptions& base) {
+  StreamTransport t{base};
   EXPECT_GT(t.listen("127.0.0.1", 0), 0);
 }
 
-void connect_exchange_close(const std::string& backend) {
-  Pair p{backend};
+void connect_exchange_close(const StreamOptions& base) {
+  Pair p{base, base};
   ASSERT_TRUE(p.establish()) << "connection did not establish";
 
   // Client → server.
@@ -155,10 +125,10 @@ void connect_exchange_close(const std::string& backend) {
   EXPECT_EQ(p.hs.downs[0], p.hs.ups[0]);
 }
 
-void close_flushes_queued_bytes_first(const std::string& backend) {
+void close_flushes_queued_bytes_first(const StreamOptions& base) {
   // send() only queues; close_peer right after must still put the
   // bytes on the wire before the FIN.
-  Pair p{backend};
+  Pair p{base, base};
   ASSERT_TRUE(p.establish());
   ASSERT_TRUE(p.client.send(p.conn, bytes_of("last words")));
   p.client.close_peer(p.conn);
@@ -169,10 +139,10 @@ void close_flushes_queued_bytes_first(const std::string& backend) {
   EXPECT_EQ(p.at_server(), bytes_of("last words"));
 }
 
-void large_transfer_survives_chunking(const std::string& backend) {
+void large_transfer_survives_chunking(const StreamOptions& base) {
   // 1 MiB through real kernel buffers arrives intact and in order,
   // regardless of how recv() slices it.
-  Pair p{backend};
+  Pair p{base, base};
   ASSERT_TRUE(p.establish());
   std::vector<std::uint8_t> blob(1U << 20U);
   for (std::size_t i = 0; i < blob.size(); ++i) {
@@ -186,10 +156,10 @@ void large_transfer_survives_chunking(const std::string& backend) {
   EXPECT_GT(p.server.events_dispatched(), 0U);
 }
 
-void backpressure_refuses_over_cap(const std::string& backend) {
-  StreamOptions opts;
+void backpressure_refuses_over_cap(const StreamOptions& base) {
+  StreamOptions opts = base;
   opts.send_queue_cap_bytes = 64;
-  Pair p{backend, opts};
+  Pair p{base, opts};
 
   // A send larger than the cap is refused outright — nothing is queued,
   // whatever the connection state.
@@ -206,13 +176,13 @@ void backpressure_refuses_over_cap(const std::string& backend) {
   EXPECT_EQ(p.client.backpressure_refusals(), 2U);
 }
 
-void connect_to_dead_port_fails_after_retries(const std::string& backend) {
-  const std::uint16_t port = dead_port(backend);
-  StreamOptions opts;
+void connect_to_dead_port_fails_after_retries(const StreamOptions& base) {
+  const std::uint16_t port = dead_port(base);
+  StreamOptions opts = base;
   opts.connect_timeout = 0.5;
   opts.connect_retries = 1;
   opts.retry_backoff = 0.05;
-  StreamTransport client{backend, opts};
+  StreamTransport client{opts};
   RecordingHandler hc;
   client.set_handler(&hc);
   const NodeId conn = client.connect("127.0.0.1", port);
@@ -228,13 +198,13 @@ void connect_to_dead_port_fails_after_retries(const std::string& backend) {
   EXPECT_FALSE(client.send(conn, bytes_of("x")));
 }
 
-void connect_retries_are_counted(const std::string& backend) {
-  const std::uint16_t port = dead_port(backend);
-  StreamOptions opts;
+void connect_retries_are_counted(const StreamOptions& base) {
+  const std::uint16_t port = dead_port(base);
+  StreamOptions opts = base;
   opts.connect_timeout = 0.3;
   opts.connect_retries = 2;
   opts.retry_backoff = 0.02;
-  StreamTransport client{backend, opts};
+  StreamTransport client{opts};
   RecordingHandler hc;
   client.set_handler(&hc);
   client.connect("127.0.0.1", port);
@@ -249,13 +219,13 @@ void connect_retries_are_counted(const std::string& backend) {
   EXPECT_EQ(client.connects_ok(), 0U);
 }
 
-void send_to_unknown_conn_refused(const std::string& backend) {
-  StreamTransport t{backend};
+void send_to_unknown_conn_refused(const StreamOptions& base) {
+  StreamTransport t{base};
   EXPECT_FALSE(t.send(12345, bytes_of("x")));
 }
 
-void instrumentation_counters_track_lifecycle(const std::string& backend) {
-  Pair p{backend};
+void instrumentation_counters_track_lifecycle(const StreamOptions& base) {
+  Pair p{base, base};
   obs::MetricsRegistry reg;
   p.client.attach_metrics(reg, "cli.");
   ASSERT_TRUE(p.establish());
@@ -285,8 +255,8 @@ void instrumentation_counters_track_lifecycle(const std::string& backend) {
   EXPECT_DOUBLE_EQ(reg.find_gauge("cli.conns")->value(), 0.0);
 }
 
-void attach_metrics_exports_reactor_gauges(const std::string& backend) {
-  Pair p{backend};
+void attach_metrics_exports_reactor_gauges(const StreamOptions& base) {
+  Pair p{base, base};
   ASSERT_TRUE(p.establish());
   ASSERT_TRUE(p.client.send(p.conn, bytes_of("hello metrics")));
   ASSERT_TRUE(pump(p.server, p.client,
@@ -304,14 +274,14 @@ void attach_metrics_exports_reactor_gauges(const std::string& backend) {
   EXPECT_GT(registry.find_gauge("srv.events_per_wakeup")->value(), 0.0);
 }
 
-void short_sends_compact_and_deliver(const std::string& backend) {
+void short_sends_compact_and_deliver(const StreamOptions& base) {
   // A deliberately tiny socket send buffer forces send() to drain in
   // many short writes: every EAGAIN is a partial drain, the consumed
   // outq prefix must be compacted (not grown without bound), and the
   // stream must still arrive byte-exact.
-  StreamOptions opts;
+  StreamOptions opts = base;
   opts.so_sndbuf = 4096;  // kernel clamps to its minimum, still tiny
-  Pair p{backend, opts};
+  Pair p{base, opts};
   ASSERT_TRUE(p.establish());
   std::vector<std::uint8_t> blob(512U * 1024U);
   for (std::size_t i = 0; i < blob.size(); ++i) {
@@ -325,8 +295,8 @@ void short_sends_compact_and_deliver(const std::string& backend) {
   EXPECT_EQ(p.client.send_queue_bytes(), 0U);  // outq fully drained
 }
 
-void transfer_survives_signal_storm(const std::string& backend) {
-  // Pepper the process with SIGALRM (no SA_RESTART, so the poller wait,
+void transfer_survives_signal_storm(const StreamOptions& base) {
+  // Pepper the process with SIGALRM (no SA_RESTART, so epoll_wait,
   // recv and send return EINTR) for the whole transfer: the transport
   // must retry interrupted syscalls, never drop bytes or surface a
   // spurious close.
@@ -343,7 +313,7 @@ void transfer_survives_signal_storm(const std::string& backend) {
   ASSERT_EQ(setitimer(ITIMER_REAL, &storm, &old_timer), 0);
 
   {
-    Pair p{backend};
+    Pair p{base, base};
     ASSERT_TRUE(p.establish());
     std::vector<std::uint8_t> blob(1U << 20U);
     for (std::size_t i = 0; i < blob.size(); ++i) {
@@ -361,7 +331,7 @@ void transfer_survives_signal_storm(const std::string& backend) {
   ASSERT_EQ(sigaction(SIGALRM, &old_sa, nullptr), 0);
 }
 
-void slow_reader_hits_cap_then_idle_reap(const std::string& backend) {
+void slow_reader_hits_cap_then_idle_reap(const StreamOptions& base) {
   // A scripted slow-reader peer: the server transport accepts the TCP
   // handshake in the kernel but is never polled, so it never reads.
   // The writer must (1) absorb backpressure into its bounded send
@@ -369,11 +339,11 @@ void slow_reader_hits_cap_then_idle_reap(const std::string& backend) {
   // compacting the consumed outq prefix, and (3) reap the silent
   // connection via the idle timeout in a way that leaves the transport
   // reusable for a fresh connect.
-  StreamOptions opts;
+  StreamOptions opts = base;
   opts.send_queue_cap_bytes = 32U * 1024U;
   opts.so_sndbuf = 4096;    // tiny kernel buffer: backpressure hits fast
   opts.idle_timeout = 2.0;  // no reads for 2s => reap (after the cap hits)
-  Pair p{backend, opts};    // the server is deliberately not polled yet
+  Pair p{base, opts};       // the server is deliberately not polled yet
   StreamTransport& client = p.client;
   {
     const double t0 = client.now();
@@ -425,19 +395,19 @@ void slow_reader_hits_cap_then_idle_reap(const std::string& backend) {
   EXPECT_EQ(p.hs.received[p.hs.ups.back()], bytes_of("alive"));
 }
 
-// --- one registration per (case, poller) ---------------------------------
+// --- one registration per (case, suite) ----------------------------------
 
-using CaseBody = void (*)(const std::string& backend);
+using CaseBody = void (*)(const StreamOptions& base);
 
-class PollerCase : public ::testing::Test {
+class TransportCase : public ::testing::Test {
  public:
-  PollerCase(CaseBody body, std::string backend)
-      : body_{body}, backend_{std::move(backend)} {}
-  void TestBody() override { body_(backend_); }
+  TransportCase(CaseBody body, StreamOptions base)
+      : body_{body}, base_{base} {}
+  void TestBody() override { body_(base_); }
 
  private:
   CaseBody body_;
-  std::string backend_;
+  StreamOptions base_;
 };
 
 constexpr std::pair<const char*, CaseBody> kCases[] = {
@@ -460,18 +430,23 @@ constexpr std::pair<const char*, CaseBody> kCases[] = {
      &slow_reader_hits_cap_then_idle_reap},
 };
 
-// Suite name per poller: Tcp.* over poll(2), EpollReactor.* over epoll.
+/// Options every transport in an EpollReactor.<case> starts from.
+StreamOptions small_reads() {
+  StreamOptions opts;
+  opts.read_chunk_bytes = 512;
+  return opts;
+}
+
 [[maybe_unused]] const bool kRegistered = [] {
-  std::vector<std::pair<const char*, const char*>> pollers = {
-      {"Tcp", "poll"}};
-  if (epoll_backend_available()) pollers.emplace_back("EpollReactor", "epoll");
-  for (const auto& [suite, backend] : pollers) {
+  const std::pair<const char*, StreamOptions> suites[] = {
+      {"Tcp", StreamOptions{}}, {"EpollReactor", small_reads()}};
+  for (const auto& [suite, base] : suites) {
     for (const auto& [name, body] : kCases) {
-      ::testing::RegisterTest(
-          suite, name, nullptr, nullptr, __FILE__, __LINE__,
-          [body = body, backend = std::string{backend}]() -> PollerCase* {
-            return new PollerCase{body, backend};
-          });
+      ::testing::RegisterTest(suite, name, nullptr, nullptr, __FILE__,
+                              __LINE__,
+                              [body = body, base = base]() -> TransportCase* {
+                                return new TransportCase{body, base};
+                              });
     }
   }
   return true;

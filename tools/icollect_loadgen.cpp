@@ -1,7 +1,7 @@
 /// \file icollect_loadgen.cpp
 /// Synthetic-peer load generator: drives ONE ServerNode with tens of
 /// thousands of concurrent TCP peers from a single process, to measure
-/// how far each transport backend scales (docs/PERFORMANCE.md;
+/// how far the epoll transport scales (docs/PERFORMANCE.md;
 /// scripts/run_bench.py --node commits the numbers as BENCH_node.json).
 ///
 /// Each synthetic peer is a real connection speaking the real wire
@@ -24,7 +24,7 @@
 /// meters.
 ///
 ///   icollect_loadgen --target 127.0.0.1:9100 --peers 10000
-///       --backend epoll --segments 64 --duration 30 --measure 10
+///       --segments 64 --duration 30 --measure 10
 ///
 /// (one command line, wrapped here for width).
 ///
@@ -34,8 +34,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <exception>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -255,7 +253,6 @@ int main(int argc, char** argv) {
   std::size_t segments = 64;
   std::size_t segment_size = 4;
   std::size_t payload_bytes = 64;
-  std::string backend = "auto";
   double ramp = 2000.0;
   double duration = 30.0;
   double measure = 5.0;
@@ -273,8 +270,6 @@ int main(int argc, char** argv) {
            segment_size)
       .add("--payload-bytes", "n", "payload per coded block (default 64)",
            payload_bytes)
-      .add("--backend", "NAME", "poll | epoll | auto (default auto)",
-           backend)
       .add("--ramp", "R", "connects initiated per second (default 2000)",
            ramp)
       .add("--duration", "T", "total wall-clock cap seconds (default 30)",
@@ -299,17 +294,12 @@ int main(int argc, char** argv) {
   topts.connect_timeout = 5.0;
   topts.connect_retries = 10;  // SYN backlog overflow during the ramp
   topts.retry_backoff = 0.2;
-  std::unique_ptr<net::StreamTransport> transport;
-  try {
-    transport = net::make_stream_transport(backend, topts);
-  } catch (const std::exception& e) {
-    flags.usage_error(e.what());
-  }
-  LoadGen gen{*transport, segments,     segment_size,
+  net::StreamTransport transport{topts};
+  LoadGen gen{transport, segments, segment_size,
               payload_bytes, occupancy, seed};
-  transport->set_handler(&gen);
-  std::fprintf(stderr, "loadgen: %zu peers -> %s:%u over %s\n", peers,
-               target.host.c_str(), target.port, transport->backend_name());
+  transport.set_handler(&gen);
+  std::fprintf(stderr, "loadgen: %zu peers -> %s:%u\n", peers,
+               target.host.c_str(), target.port);
 
   // Ramped connect: initiate at most `ramp` connects per second so the
   // server's accept path sees a storm it can absorb, not a cliff.
@@ -324,25 +314,25 @@ int main(int argc, char** argv) {
   double frames_per_s = 0.0;
   double pull_rt_per_s = 0.0;
 
-  while (transport->now() < duration) {
-    const double t = transport->now();
+  while (transport.now() < duration) {
+    const double t = transport.now();
     const auto want = std::min<std::size_t>(
         peers, static_cast<std::size_t>(ramp * t) + 1);
     while (started < want) {
-      transport->connect(target.host, target.port);
+      transport.connect(target.host, target.port);
       ++started;
     }
-    transport->poll_once(0.005);
+    transport.poll_once(0.005);
     if (!measuring && gen.handshakes_ok() >= peers) {
       measuring = true;
-      measure_start_t = transport->now();
+      measure_start_t = transport.now();
       frames_sent_0 = gen.frames_sent();
       frames_recv_0 = gen.frames_received();
       pulls_0 = gen.pulls_answered();
     }
     if (measuring && !measured &&
-        transport->now() - measure_start_t >= measure) {
-      measure_window = transport->now() - measure_start_t;
+        transport.now() - measure_start_t >= measure) {
+      measure_window = transport.now() - measure_start_t;
       frames_per_s =
           static_cast<double>(gen.frames_sent() - frames_sent_0 +
                               gen.frames_received() - frames_recv_0) /
@@ -356,7 +346,7 @@ int main(int argc, char** argv) {
   }
   // Ran out of time mid-window: report the partial window.
   if (measuring && !measured) {
-    measure_window = transport->now() - measure_start_t;
+    measure_window = transport.now() - measure_start_t;
     if (measure_window > 0.0) {
       frames_per_s =
           static_cast<double>(gen.frames_sent() - frames_sent_0 +
@@ -373,7 +363,6 @@ int main(int argc, char** argv) {
 
   obs::JsonObject out;
   out.field_str("schema", kSchema);
-  out.field_str("backend", transport->backend_name());
   out.field("conns_target", peers);
   out.field("conns_established", gen.established());
   out.field("conns_down", gen.downs());
@@ -390,11 +379,10 @@ int main(int argc, char** argv) {
   out.field("measure_window_s", measure_window);
   out.field("frames_per_s", frames_per_s);
   out.field("pull_round_trips_per_s", pull_rt_per_s);
-  out.field("duration_s", transport->now());
-  // Transport-side counters (epoll.*/tcp.* inventory) nested verbatim.
+  out.field("duration_s", transport.now());
+  // Transport-side counters (tcp.* inventory) nested verbatim.
   obs::MetricsRegistry registry;
-  transport->attach_metrics(registry, std::string{transport->backend_name()} +
-                                          ".");
+  transport.attach_metrics(registry, "tcp.");
   obs::JsonObject tstats;
   registry.for_each_sample([&tstats](std::string_view name, double value) {
     tstats.field(name, value);

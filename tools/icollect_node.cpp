@@ -39,9 +39,9 @@
 
 namespace {
 
-/// SIGUSR1 requests an on-demand stats dump; the poll loop services it
-/// (poll(2) on Linux returns EINTR rather than restarting, and the loop
-/// wakes at least every transport tick, so the dump is prompt).
+/// SIGUSR1 requests an on-demand stats dump; the event loop services it
+/// (epoll_wait returns EINTR rather than restarting, and the loop wakes
+/// at least every transport tick, so the dump is prompt).
 volatile std::sig_atomic_t g_dump_requested = 0;
 
 void on_sigusr1(int) { g_dump_requested = 1; }
@@ -80,7 +80,6 @@ int main(int argc, char** argv) {
   std::string metrics_out;
   std::string trace_out;
   double metrics_interval = 0.5;
-  std::string backend = "auto";
 
   cli::Flags flags{"--role peer|server [options]"};
   flags.choice("--role", "node role", role,
@@ -122,10 +121,6 @@ int main(int argc, char** argv) {
       .add("--metrics-interval", "T",
            "sample spacing in seconds (default 0.5)", metrics_interval)
       .add("--trace-out", "FILE", "protocol event trace JSONL", trace_out)
-      .add("--backend", "NAME",
-           "poll | epoll | auto (default auto: epoll\n"
-           "where the build has it)",
-           backend)
       .add("--backlog", "N", "listen(2) backlog (default SOMAXCONN)",
            cfg.listen_backlog)
       .note("\nSIGUSR1 dumps a one-line stats snapshot to stderr.\n");
@@ -156,14 +151,7 @@ int main(int argc, char** argv) {
   topts.connect_retries = 20;  // peers may start before their server
   topts.retry_backoff = 0.25;
   topts.listen_backlog = cfg.listen_backlog;
-  std::unique_ptr<net::StreamTransport> transport;
-  try {
-    transport = net::make_stream_transport(backend, topts);
-  } catch (const std::exception& e) {
-    flags.usage_error(e.what());
-  }
-  net::StreamTransport& tcp = *transport;
-  std::fprintf(stderr, "transport backend: %s\n", tcp.backend_name());
+  net::StreamTransport tcp{topts};
 
   // Before listen(): a client may signal as soon as the port accepts,
   // and SIGUSR1's default action would kill the process.
