@@ -29,7 +29,7 @@
 
 #include "core/collection_system.h"
 #include "p2p/network.h"
-#include "runner/sweep_runner.h"
+#include "runner/simulation_cell.h"
 #include "stats/csv.h"
 #include "stats/summary.h"
 
@@ -54,21 +54,6 @@ inline std::size_t scaled_peers(std::size_t base) {
 inline double scaled_time(double base) {
   return base * (scale() < 1.0 ? scale() : 1.0 + (scale() - 1.0) * 0.5);
 }
-
-/// One steady-state simulation measurement (a replica mean, or a CI
-/// half-width, depending on which half of SimStats it sits in).
-struct SimPoint {
-  double normalized_throughput = 0.0;
-  double goodput = 0.0;
-  double mean_block_delay = 0.0;
-  double mean_blocks_per_peer = 0.0;
-  double empty_fraction = 0.0;
-  double saved_per_peer_degree = 0.0;
-  double saved_per_peer_rank = 0.0;
-  double storage_overhead = 0.0;
-  double segments_lost = 0.0;
-  double segments_injected = 0.0;
-};
 
 /// Replication count for simulated points (ICOLLECT_BENCH_REPS,
 /// default 4): each figure point aggregates this many independent
@@ -122,18 +107,11 @@ inline runner::ThreadPool& pool() {
   return h;
 }
 
-/// Mean and 95%-CI half-width over the replicas of one simulated point.
-struct SimStats {
-  SimPoint mean;
-  SimPoint ci95;
-  std::size_t replicas = 0;
-};
-
 /// Monte-Carlo steady-state sweep: declare every simulated point of a
 /// figure up front with add(), execute them all with run() — each
 /// (point, replica) pair is one task on the shared pool, so a 30-point
 /// figure with 4 replicas exposes 120-way parallelism — then read the
-/// per-point aggregates with result().
+/// per-point kReportMetrics table with result().
 class SteadyStateSweep {
  public:
   /// `bench_name` selects this bench's branch of the seed tree.
@@ -150,59 +128,21 @@ class SteadyStateSweep {
     plan.warm = scaled_time(warm);
     plan.measure = scaled_time(measure);
     plan.replicas = reps();
-    runner::SweepCell cell;
-    cell.label = std::to_string(cells_.size());
-    cell.plan = plan;
-    cells_.push_back(std::move(cell));
+    cells_.push_back(runner::simulation_cell(std::move(plan), cells_.size()));
     return cells_.size() - 1;
   }
 
   /// Execute every registered point (replicas x points in parallel).
-  void run() {
-    const runner::SweepRunner sweep{seeds_};
-    const auto results = sweep.run(cells_, pool());
-    stats_.clear();
-    stats_.reserve(results.size());
-    for (std::size_t c = 0; c < results.size(); ++c) {
-      const auto& agg = results[c].aggregate;
-      const auto n =
-          static_cast<double>(cells_[c].plan.config.num_peers);
-      SimStats st;
-      st.replicas = agg.replicas();
-      st.mean = extract(agg, n, false);
-      st.ci95 = extract(agg, n, true);
-      stats_.push_back(st);
-    }
-  }
+  void run() { tables_ = runner::run_cells(seeds_, cells_, pool()); }
 
-  [[nodiscard]] const SimStats& result(std::size_t handle) const {
-    return stats_.at(handle);
+  [[nodiscard]] const runner::MetricTable& result(std::size_t handle) const {
+    return tables_.at(handle);
   }
 
  private:
-  static SimPoint extract(const runner::AggregateReport& agg, double n_peers,
-                          bool ci) {
-    const auto get = [&](std::string_view name) {
-      return ci ? runner::ci95_half_width(agg.metric(name))
-                : agg.metric(name).mean();
-    };
-    SimPoint p;
-    p.normalized_throughput = get("normalized_throughput");
-    p.goodput = get("normalized_goodput");
-    p.mean_block_delay = get("mean_block_delay");
-    p.mean_blocks_per_peer = get("mean_blocks_per_peer");
-    p.empty_fraction = get("empty_peer_fraction");
-    p.saved_per_peer_degree = get("saved_original_blocks_degree") / n_peers;
-    p.saved_per_peer_rank = get("saved_original_blocks_rank") / n_peers;
-    p.storage_overhead = get("storage_overhead");
-    p.segments_lost = get("segments_lost");
-    p.segments_injected = get("segments_injected");
-    return p;
-  }
-
   runner::SeedSequence seeds_;
-  std::vector<runner::SweepCell> cells_;
-  std::vector<SimStats> stats_;
+  std::vector<runner::Cell> cells_;
+  std::vector<runner::MetricTable> tables_;
 };
 
 /// Directory for optional CSV export (ICOLLECT_CSV_DIR); nullptr when
@@ -285,12 +225,15 @@ inline std::string fmt(double v, int prec = 3) {
   return buf;
 }
 
-/// "mean±ci" cell for a replicated point; collapses to the bare mean
-/// when only one replica ran (no interval to report).
-inline std::string fmt_ci(double mean, double ci, std::size_t replicas,
-                          int prec = 3) {
-  if (replicas < 2) return fmt(mean, prec);
-  return fmt(mean, prec) + "±" + fmt(ci, prec);
+/// "mean±ci" cell for metric `name` of a replicated point, both divided
+/// by `divisor` (e.g. the population, for a per-peer figure); collapses
+/// to the bare mean when only one replica ran (no interval to report).
+inline std::string fmt_ci(const runner::MetricTable& point,
+                          std::string_view name, int prec = 3,
+                          double divisor = 1.0) {
+  const double mean = point.mean(name) / divisor;
+  if (point.replicas() < 2) return fmt(mean, prec);
+  return fmt(mean, prec) + "±" + fmt(point.ci95(name) / divisor, prec);
 }
 
 }  // namespace icollect::bench

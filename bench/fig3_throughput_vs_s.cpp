@@ -69,9 +69,7 @@ int main() {
       const auto ode = CollectionSystem::analyze(make_cfg(sizes[i], capacities[j]));
       const auto& sim = sweep.result(handles[i][j]);
       row.push_back(fmt(ode.normalized_throughput()));
-      row.push_back(bench::fmt_ci(sim.mean.normalized_throughput,
-                                  sim.ci95.normalized_throughput,
-                                  sim.replicas));
+      row.push_back(bench::fmt_ci(sim, "normalized_throughput"));
     }
     table.add_row(std::move(row));
   }

@@ -84,9 +84,7 @@ int main() {
       std::vector<std::string> row{fmt(mu, 0)};
       for (std::size_t k = 0; k < scenarios.size(); ++k) {
         const auto& sim = sweep.result(handles[next++]);
-        row.push_back(bench::fmt_ci(sim.mean.normalized_throughput,
-                                    sim.ci95.normalized_throughput,
-                                    sim.replicas));
+        row.push_back(bench::fmt_ci(sim, "normalized_throughput"));
       }
       fid_table.add_row(std::move(row));
     }

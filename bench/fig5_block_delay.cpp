@@ -64,8 +64,7 @@ int main() {
           CollectionSystem::analyze(make_cfg(sizes[i], capacities[j]));
       const auto& sim = sweep.result(handles[i][j]);
       row.push_back(fmt(ode.block_delay()));
-      row.push_back(bench::fmt_ci(sim.mean.mean_block_delay,
-                                  sim.ci95.mean_block_delay, sim.replicas));
+      row.push_back(bench::fmt_ci(sim, "mean_block_delay"));
     }
     table.add_row(std::move(row));
   }

@@ -67,13 +67,13 @@ int main() {
       const auto ode_sol =
           CollectionSystem::analyze(make_cfg(sizes[i], capacities[j]));
       const auto& sim = sweep.result(handles[i][j]);
+      const auto peers = static_cast<double>(
+          make_cfg(sizes[i], capacities[j]).num_peers);
       row.push_back(fmt(ode_sol.saved_blocks_per_peer(), 2));
-      row.push_back(bench::fmt_ci(sim.mean.saved_per_peer_degree,
-                                  sim.ci95.saved_per_peer_degree,
-                                  sim.replicas, 2));
-      row.push_back(bench::fmt_ci(sim.mean.saved_per_peer_rank,
-                                  sim.ci95.saved_per_peer_rank, sim.replicas,
-                                  2));
+      row.push_back(
+          bench::fmt_ci(sim, "saved_original_blocks_degree", 2, peers));
+      row.push_back(
+          bench::fmt_ci(sim, "saved_original_blocks_rank", 2, peers));
     }
     table.add_row(std::move(row));
   }

@@ -62,14 +62,10 @@ int main() {
 
     table.add_row({fmt(cs.lambda, 0), fmt(cs.mu, 0), std::to_string(cs.s),
                    fmt(rho_closed, 2), fmt(ode_sol.rho(), 2),
-                   bench::fmt_ci(sim.mean.mean_blocks_per_peer,
-                                 sim.ci95.mean_blocks_per_peer, sim.replicas,
-                                 2),
-                   bench::fmt_ci(sim.mean.storage_overhead,
-                                 sim.ci95.storage_overhead, sim.replicas, 2),
+                   bench::fmt_ci(sim, "mean_blocks_per_peer", 2),
+                   bench::fmt_ci(sim, "storage_overhead", 2),
                    fmt(cs.mu / gamma, 1), fmt(z0_closed, 4),
-                   bench::fmt_ci(sim.mean.empty_fraction,
-                                 sim.ci95.empty_fraction, sim.replicas, 4)});
+                   bench::fmt_ci(sim, "empty_peer_fraction", 4)});
   }
   table.print();
   table.to_csv(bench::maybe_csv("thm1_storage_overhead").get());

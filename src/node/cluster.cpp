@@ -1,9 +1,11 @@
 #include "node/cluster.h"
 
 #include <string>
+#include <utility>
 
 #include "common/assert.h"
 #include "sim/random.h"
+#include "workload/trace_replay.h"
 
 namespace icollect::node {
 
@@ -171,6 +173,17 @@ bool LoopbackCluster::honest_complete() const {
     any = true;
   }
   return any;
+}
+
+void LoopbackCluster::set_isolation_window(double fraction, double at,
+                                           double heal_at) {
+  ICOLLECT_EXPECTS(fraction >= 0.0 && fraction <= 1.0);
+  std::vector<net::NodeId> ids(
+      workload::isolated_peer_count(cfg_.num_peers, fraction));
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    ids[i] = static_cast<net::NodeId>(i);
+  }
+  if (!ids.empty()) net_.schedule_partition(at, heal_at, std::move(ids));
 }
 
 bool LoopbackCluster::run_to_completion(double max_virtual_time) {

@@ -102,6 +102,11 @@ class LoopbackCluster {
   void run_until(double t) { net_.run_until(t); }
   void run_for(double dt) { net_.run_for(dt); }
 
+  /// Fault injection: partition the first ⌊N·fraction⌋ peers away from
+  /// every other node on [at, heal_at) — the live analogue of
+  /// p2p::Network::set_isolation_window. No-op when that is no peer.
+  void set_isolation_window(double fraction, double at, double heal_at);
+
   /// Advance virtual time until every injected segment has been decoded
   /// by every server (or `max_virtual_time` passes). Requires a finite
   /// segments_per_peer. Returns whether the collection completed.

@@ -6,8 +6,8 @@
 
 namespace icollect::p2p {
 
-DirectCollector::DirectCollector(ProtocolConfig cfg, OverflowPolicy policy)
-    : cfg_{std::move(cfg)}, policy_{policy}, rng_{cfg_.seed ^ 0xD19EC7C0ULL} {
+DirectCollector::DirectCollector(ProtocolConfig cfg)
+    : cfg_{std::move(cfg)}, rng_{cfg_.seed ^ 0xD19EC7C0ULL} {
   cfg_.validate();
   queues_.resize(cfg_.num_peers);
   non_empty_pos_.assign(cfg_.num_peers, 0);
@@ -76,9 +76,7 @@ void DirectCollector::do_generate(std::size_t slot) {
   metrics_.generated_window.record();
   PeerQueue& q = queues_[slot];
   ++q.generated_this_incarnation;
-  const bool overflow = q.pending.size() >= cfg_.buffer_cap;
-  const bool dropped =
-      overflow && policy_ == OverflowPolicy::kDropNewest;
+  const bool dropped = q.pending.size() >= cfg_.buffer_cap;
   if (last_words_window_ > 0.0) {
     q.recent_generations.emplace_back(sim_.now(), dropped);
     while (!q.recent_generations.empty() &&
@@ -87,13 +85,12 @@ void DirectCollector::do_generate(std::size_t slot) {
       q.recent_generations.pop_front();
     }
   }
-  const std::size_t before = q.pending.size();
-  if (overflow) {
+  if (dropped) {
+    // A full queue refuses the fresh measurement and keeps the oldest.
     ++metrics_.blocks_dropped_overflow;
-    if (policy_ == OverflowPolicy::kDropNewest) return;
-    q.pending.pop_front();  // kDropOldest: overwrite stalest report
-    --total_backlog_;
+    return;
   }
+  const std::size_t before = q.pending.size();
   q.pending.push_back(sim_.now());
   ++total_backlog_;
   metrics_.backlog.update(sim_.now(), static_cast<double>(total_backlog_));
@@ -146,10 +143,7 @@ void DirectCollector::do_depart(std::size_t slot) {
       if (g >= cutoff) ++recent_pending;
     }
     // A recent block was delivered iff it entered the queue (not
-    // dropped) and is no longer pending. (Exact for kDropNewest; with
-    // kDropOldest a recent block evicted by a later arrival is
-    // mis-credited, but evictions target the oldest entry, which is
-    // almost never inside the window.)
+    // dropped) and is no longer pending.
     const std::uint64_t undelivered =
         std::min(recent, recent_dropped + recent_pending);
     ++last_words_.departed_origins;

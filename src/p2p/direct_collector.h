@@ -31,12 +31,6 @@
 
 namespace icollect::p2p {
 
-/// What to do when a peer's report queue is full.
-enum class OverflowPolicy {
-  kDropNewest,  ///< refuse fresh measurements (queue keeps oldest)
-  kDropOldest,  ///< overwrite the oldest pending report (ring-buffer logs)
-};
-
 struct DirectCollectorMetrics {
   std::uint64_t blocks_generated = 0;
   std::uint64_t blocks_collected = 0;
@@ -63,8 +57,7 @@ class DirectCollector {
   /// Uses these ProtocolConfig fields: num_peers, lambda, buffer_cap,
   /// num_servers, server_rate, churn, seed. (Coding/gossip fields are
   /// meaningless for the baseline and ignored.)
-  explicit DirectCollector(ProtocolConfig cfg,
-                           OverflowPolicy policy = OverflowPolicy::kDropNewest);
+  explicit DirectCollector(ProtocolConfig cfg);
 
   DirectCollector(const DirectCollector&) = delete;
   DirectCollector& operator=(const DirectCollector&) = delete;
@@ -138,7 +131,6 @@ class DirectCollector {
   void mark_empty(std::size_t slot);
 
   ProtocolConfig cfg_;
-  OverflowPolicy policy_;
   sim::Simulator sim_;
   sim::Rng rng_;
   const workload::ArrivalProfile* profile_ = nullptr;

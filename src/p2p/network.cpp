@@ -7,6 +7,7 @@
 #include "p2p/churn.h"
 #include "proto/selection.h"
 #include "sched/pull_policies.h"
+#include "workload/trace_replay.h"
 
 namespace icollect::p2p {
 
@@ -189,8 +190,8 @@ void Network::set_isolation_window(double fraction, double at,
                                    double heal_at) {
   ICOLLECT_EXPECTS(fraction >= 0.0 && fraction <= 1.0);
   ICOLLECT_EXPECTS(heal_at > at);
-  const auto count = static_cast<std::size_t>(
-      static_cast<double>(cfg_.num_peers) * fraction);
+  const std::size_t count =
+      workload::isolated_peer_count(cfg_.num_peers, fraction);
   sim_.schedule_at(at, [this, count] {
     for (std::size_t slot = 0; slot < count; ++slot) isolated_[slot] = 1;
   });

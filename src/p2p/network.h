@@ -171,7 +171,8 @@ class Network {
   /// from the rest of the network on [at, heal_at). An isolated peer's
   /// gossip firings are blocked (μ spent, nothing arrives), it is never
   /// chosen as a gossip target, and server pulls that land on it are
-  /// wasted. The simulator analogue of LoopbackNet::schedule_partition.
+  /// wasted. The simulator analogue of LoopbackCluster's isolation
+  /// window.
   void set_isolation_window(double fraction, double at, double heal_at);
 
   /// Advance virtual time to `t` (absolute).

@@ -25,20 +25,6 @@ double ci95_half_width(const stats::Summary& s) {
   return student_t975(s.count() - 1) * s.stddev() / std::sqrt(n);
 }
 
-void AggregateReport::add(const CollectionReport& report) {
-  for (std::size_t i = 0; i < kMetricCount; ++i) {
-    metrics_[i].add(kReportMetrics[i].read(report));
-  }
-}
-
-const stats::Summary& AggregateReport::metric(std::string_view name) const {
-  for (std::size_t i = 0; i < kMetricCount; ++i) {
-    if (kReportMetrics[i].name == name) return metrics_[i];
-  }
-  throw std::out_of_range("AggregateReport: unknown metric '" +
-                          std::string{name} + "'");
-}
-
 std::string summary_json(const stats::Summary& s) {
   obs::JsonObject o;
   o.field("mean", s.mean())
@@ -60,11 +46,14 @@ void MetricTable::add(std::string_view name, double value) {
   rows_.back().second.add(value);
 }
 
-const stats::Summary* MetricTable::find(std::string_view name) const {
+const stats::Summary& MetricTable::at(std::string_view name) const {
   for (const auto& [n, s] : rows_) {
-    if (n == name) return &s;
+    if (n == name) return s;
   }
-  return nullptr;
+  std::string what{"MetricTable: unknown metric '"};
+  what += name;
+  what += '\'';
+  throw std::out_of_range(what);
 }
 
 std::string MetricTable::to_json() const {
@@ -73,13 +62,18 @@ std::string MetricTable::to_json() const {
   return o.str();
 }
 
-std::string AggregateReport::to_json() const {
-  obs::JsonObject metrics;
-  for (std::size_t i = 0; i < kMetricCount; ++i) {
-    metrics.field_raw(kReportMetrics[i].name, summary_json(metrics_[i]));
+Sample report_sample(const CollectionReport& report) {
+  Sample sample;
+  sample.reserve(kReportMetrics.size());
+  for (const ReportMetric& m : kReportMetrics) {
+    sample.emplace_back(m.name, m.read(report));
   }
+  return sample;
+}
+
+std::string aggregate_json(const MetricTable& table) {
   obs::JsonObject out;
-  out.field("replicas", replicas()).field_raw("metrics", metrics.str());
+  out.field("replicas", table.replicas()).field_raw("metrics", table.to_json());
   return out.str();
 }
 

@@ -3,17 +3,18 @@
 /// \file aggregate.h
 /// Order-independent aggregation of Monte-Carlo replica outcomes.
 ///
-/// An AggregateReport folds R CollectionReports (one per replica) into
-/// per-metric {mean, stddev, 95% CI half-width, min, max} via Welford's
-/// online algorithm (stats::Summary). The CI uses the two-sided Student-t
+/// A MetricTable folds R replicas' named values into per-metric
+/// {mean, stddev, 95% CI half-width, min, max} via Welford's online
+/// algorithm (stats::Summary). The CI uses the two-sided Student-t
 /// 0.975 quantile at R-1 degrees of freedom, so small replica counts get
 /// honestly wide intervals instead of the optimistic normal z = 1.96.
 ///
-/// Determinism contract: add() must be called in replica-index order
-/// (0..R-1). The runners guarantee this by parking each replica's report
-/// in a pre-assigned slot and reducing sequentially after the parallel
-/// fan-out — which is why identical (seed, grid, replicas) produce
-/// byte-identical to_json() output for any worker count.
+/// Determinism contract: replicas must be folded in replica-index order
+/// (0..R-1). The replica engine (runner/engine.h) guarantees this by
+/// parking each replica's sample in a pre-assigned slot and reducing
+/// sequentially after the parallel fan-out — which is why identical
+/// (seed, cells, replicas) produce byte-identical to_json() output for
+/// any worker count.
 
 #include <array>
 #include <cstdint>
@@ -39,15 +40,36 @@ namespace icollect::runner {
 /// {"mean":..,"stddev":..,"ci95":..,"min":..,"max":..}.
 [[nodiscard]] std::string summary_json(const stats::Summary& s);
 
+/// One replica's named outcomes, in the order they fold into a table.
+/// The names are views: use string literals (or other names that
+/// outlive the fold), as kReportMetrics and the bench tools do.
+using Sample = std::vector<std::pair<std::string_view, double>>;
+
 /// Named metric summaries, accumulated in insertion order so the JSON is
-/// byte-stable across runs with the same seed (the bench tables of
-/// tools/icollect_pulls and tools/icollect_scenarios).
+/// byte-stable across runs with the same seed.
 class MetricTable {
  public:
   void add(std::string_view name, double value);
 
-  /// nullptr when `name` was never added.
-  [[nodiscard]] const stats::Summary* find(std::string_view name) const;
+  /// Fold one replica's sample in. Call in replica-index order.
+  void add(const Sample& sample) {
+    for (const auto& [name, value] : sample) add(name, value);
+  }
+
+  /// Summary by name; throws std::out_of_range on unknown names.
+  [[nodiscard]] const stats::Summary& at(std::string_view name) const;
+
+  [[nodiscard]] double mean(std::string_view name) const {
+    return at(name).mean();
+  }
+  [[nodiscard]] double ci95(std::string_view name) const {
+    return ci95_half_width(at(name));
+  }
+
+  /// Samples folded into the first metric (0 for an empty table).
+  [[nodiscard]] std::uint64_t replicas() const noexcept {
+    return rows_.empty() ? 0 : rows_.front().second.count();
+  }
 
   /// {"<name>":<summary_json>,...} in insertion order.
   [[nodiscard]] std::string to_json() const;
@@ -119,39 +141,11 @@ inline constexpr auto kReportMetrics = std::to_array<ReportMetric>({
      }},
 });
 
-class AggregateReport {
- public:
-  static constexpr std::size_t kMetricCount = kReportMetrics.size();
+/// A CollectionReport's kReportMetrics as one replica's sample.
+[[nodiscard]] Sample report_sample(const CollectionReport& report);
 
-  /// Fold one replica's report in. Call in replica-index order.
-  void add(const CollectionReport& report);
-
-  [[nodiscard]] std::uint64_t replicas() const noexcept {
-    return metrics_[0].count();
-  }
-
-  /// Aggregate for one metric by index (see kReportMetrics).
-  [[nodiscard]] const stats::Summary& metric(std::size_t i) const {
-    return metrics_.at(i);
-  }
-
-  /// Aggregate by name; throws std::out_of_range on unknown names.
-  [[nodiscard]] const stats::Summary& metric(std::string_view name) const;
-
-  [[nodiscard]] double mean(std::string_view name) const {
-    return metric(name).mean();
-  }
-  [[nodiscard]] double ci95(std::string_view name) const {
-    return ci95_half_width(metric(name));
-  }
-
-  /// {"replicas":R,"metrics":{"<name>":{"mean":..,"stddev":..,
-  ///  "ci95":..,"min":..,"max":..},...}} — the byte-comparison surface
-  /// of the determinism tests and the per-cell payload of sweep JSONL.
-  [[nodiscard]] std::string to_json() const;
-
- private:
-  std::array<stats::Summary, kMetricCount> metrics_{};
-};
+/// {"replicas":R,"metrics":<table.to_json()>} — the per-cell aggregate of
+/// sweep JSONL and of a telemetry bundle's summary.json.
+[[nodiscard]] std::string aggregate_json(const MetricTable& table);
 
 }  // namespace icollect::runner

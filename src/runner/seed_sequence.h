@@ -48,8 +48,8 @@ class SeedSequence {
     return mix(index, kStreamLane);
   }
 
-  /// Shorthand for the canonical replica-engine layout:
-  /// root -> cell -> replica.
+  /// The replica engine's layout (runner/engine.h):
+  /// root -> seed key -> replica.
   [[nodiscard]] constexpr std::uint64_t replica_seed(
       std::uint64_t cell, std::uint64_t replica) const noexcept {
     return child(cell).stream(replica);

@@ -11,7 +11,7 @@
 ///
 /// Determinism note: the pool makes **no ordering promises** — tasks
 /// complete in whatever order the hardware schedules them. Callers that
-/// need reproducible results (ReplicaRunner, SweepRunner) must write
+/// need reproducible results (the replica engine, run_cells) must write
 /// into pre-assigned slots and reduce in index order afterwards; nothing
 /// in this file may be the source of run-to-run variation.
 

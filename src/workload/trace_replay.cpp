@@ -131,6 +131,11 @@ ScenarioSpec ScenarioSpec::parse(std::string_view text) {
   return spec;
 }
 
+void ScenarioSpec::apply_byzantine(proto::OperatingPoint& point) const {
+  point.adversary = adversary;
+  if (point.payload_bytes == 0) point.payload_bytes = 32;
+}
+
 const char* ScenarioSpec::kind_name() const noexcept {
   switch (kind) {
     case Kind::kByzantine: return "byzantine";

@@ -27,7 +27,7 @@
 #include <string_view>
 #include <vector>
 
-#include "proto/adversary.h"
+#include "proto/operating_point.h"
 #include "workload/generators.h"
 
 namespace icollect::workload {
@@ -101,6 +101,11 @@ struct ScenarioSpec {
 
   [[nodiscard]] const char* kind_name() const noexcept;
 
+  /// The byzantine class's config rule, shared by both drivers: arm
+  /// `point`'s adversary and, since pollution needs bytes to pollute,
+  /// give a coefficients-only point a 32-byte payload.
+  void apply_byzantine(proto::OperatingPoint& point) const;
+
   /// One-line JSON of the effective parameters (only the active class's
   /// keys), for the tools' machine-readable scenario summaries.
   [[nodiscard]] std::string to_json() const;
@@ -110,5 +115,12 @@ struct ScenarioSpec {
   [[nodiscard]] std::unique_ptr<ArrivalProfile> make_arrival_profile(
       double base_lambda) const;
 };
+
+/// The peers a faults scenario isolates, in both drivers: the first
+/// ⌊num_peers·fraction⌋ slots.
+[[nodiscard]] inline std::size_t isolated_peer_count(std::size_t num_peers,
+                                                     double fraction) noexcept {
+  return static_cast<std::size_t>(static_cast<double>(num_peers) * fraction);
+}
 
 }  // namespace icollect::workload

@@ -21,13 +21,11 @@ ProtocolConfig base_config() {
 
 void check_conservation(const DirectCollector& dc) {
   const auto& m = dc.metrics();
-  std::uint64_t dropped_new = 0;
-  // With kDropNewest, dropped blocks never enter the queue; with
-  // kDropOldest they do and are evicted. Either way:
+  // Dropped blocks never enter the queue, so
   //   generated = collected + lost_churn + backlog + dropped.
   EXPECT_EQ(m.blocks_generated,
             m.blocks_collected + m.blocks_lost_to_churn + dc.backlog_size() +
-                m.blocks_dropped_overflow + dropped_new);
+                m.blocks_dropped_overflow);
 }
 
 TEST(DirectCollector, AmpleCapacityCollectsNearlyEverything) {
@@ -64,17 +62,6 @@ TEST(DirectCollector, ChurnLosesDepartedPeersData) {
   EXPECT_GT(dc.metrics().peers_departed, 0u);
   EXPECT_GT(dc.metrics().blocks_lost_to_churn, 0u);
   EXPECT_GT(dc.loss_fraction(), 0.05);
-}
-
-TEST(DirectCollector, DropOldestKeepsQueueBounded) {
-  ProtocolConfig cfg = base_config();
-  cfg.set_normalized_capacity(0.5);
-  cfg.buffer_cap = 10;
-  DirectCollector dc{cfg, OverflowPolicy::kDropOldest};
-  dc.run_until(30.0);
-  check_conservation(dc);
-  EXPECT_LE(dc.backlog_size(), cfg.num_peers * cfg.buffer_cap);
-  EXPECT_GT(dc.metrics().blocks_dropped_overflow, 0u);
 }
 
 TEST(DirectCollector, FlashCrowdOverflowsButBaselineRateSurvives) {

@@ -25,7 +25,7 @@
 
 #include "node/cluster.h"
 #include "p2p/config.h"
-#include "runner/replica_runner.h"
+#include "runner/simulation_cell.h"
 
 namespace icollect {
 namespace {
@@ -54,7 +54,7 @@ proto::OperatingPoint operating_point() {
   return point;
 }
 
-runner::AggregateReport simulator_band() {
+runner::MetricTable simulator_band() {
   p2p::ProtocolConfig cfg;
   static_cast<proto::OperatingPoint&>(cfg) = operating_point();
   cfg.fidelity = p2p::CollectionFidelity::kRealCoding;
@@ -64,10 +64,10 @@ runner::AggregateReport simulator_band() {
   plan.warm = kWarm;
   plan.measure = kMeasure;
   plan.replicas = kReplicas;
-  plan.cell = 1;
   runner::ThreadPool pool{runner::ThreadPool::resolve_jobs(0)};
-  const runner::ReplicaRunner engine{runner::SeedSequence{771}};
-  return engine.run(plan, pool);
+  return runner::run_cells(runner::SeedSequence{771},
+                           {runner::simulation_cell(plan, 1)}, pool)
+      .front();
 }
 
 struct ClusterPoint {

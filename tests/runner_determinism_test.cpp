@@ -1,8 +1,8 @@
-/// The replica engine's determinism contract: identical (seed, grid,
-/// replicas) must yield byte-identical aggregates for ANY worker count,
-/// and the seed tree must hand every replica its own stream. These are
-/// the properties the sweep CLI's --jobs flag advertises; break either
-/// and parallel results silently stop being reproducible.
+/// The replica engine's determinism contract: identical (seed, cells,
+/// replicas) must yield byte-identical tables for ANY worker count, and
+/// the seed tree must hand every replica its own stream. These are the
+/// properties the sweep CLI's --jobs flag advertises; break either and
+/// parallel results silently stop being reproducible.
 
 #include <gtest/gtest.h>
 
@@ -12,8 +12,9 @@
 #include <unordered_set>
 #include <vector>
 
+#include "node/cluster.h"
 #include "runner/seed_sequence.h"
-#include "runner/sweep_runner.h"
+#include "runner/simulation_cell.h"
 #include "runner/thread_pool.h"
 
 namespace icollect::runner {
@@ -96,8 +97,9 @@ TEST(ThreadPool, SingleThreadPoolStillCompletes) {
 }
 
 TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
-  // run_replica_reports inside SweepRunner tasks nests parallel_for;
-  // the help-while-waiting loop must keep this live on any pool size.
+  // A pool task may itself fan out (a replica body with its own
+  // parallel_for); the help-while-waiting loop must keep this live on
+  // any pool size.
   ThreadPool pool{2};
   std::atomic<int> inner{0};
   pool.parallel_for(4, [&](std::size_t) {
@@ -120,44 +122,42 @@ TEST(ThreadPool, ZeroThreadRequestClampsToOne) {
 
 // --- Engine determinism ------------------------------------------------------
 
-std::vector<SweepCell> tiny_grid() {
-  std::vector<SweepCell> cells;
-  for (const std::size_t s : {1ul, 4ul}) {
-    p2p::ProtocolConfig cfg;
-    cfg.num_peers = 30;
-    cfg.lambda = 10.0;
-    cfg.mu = 5.0;
-    cfg.gamma = 1.0;
-    cfg.segment_size = s;
-    cfg.buffer_cap = 60;
-    cfg.num_servers = 2;
-    cfg.set_normalized_capacity(3.0);
-    cfg.fidelity = p2p::CollectionFidelity::kStateCounter;
-    SweepCell cell;
-    cell.label = "s=" + std::to_string(s);
-    ReplicaPlan plan;
-    plan.config = cfg;
-    plan.warm = 2.0;
-    plan.measure = 4.0;
-    plan.replicas = 4;
-    cell.plan = plan;
-    cells.push_back(std::move(cell));
+ReplicaPlan tiny_plan(std::size_t s) {
+  p2p::ProtocolConfig cfg;
+  cfg.num_peers = 30;
+  cfg.lambda = 10.0;
+  cfg.mu = 5.0;
+  cfg.gamma = 1.0;
+  cfg.segment_size = s;
+  cfg.buffer_cap = 60;
+  cfg.num_servers = 2;
+  cfg.set_normalized_capacity(3.0);
+  cfg.fidelity = p2p::CollectionFidelity::kStateCounter;
+  ReplicaPlan plan;
+  plan.config = cfg;
+  plan.warm = 2.0;
+  plan.measure = 4.0;
+  plan.replicas = 4;
+  return plan;
+}
+
+/// Two simulation cells, s = 1 and s = 4, each on its own seed key.
+std::vector<Cell> tiny_grid() {
+  return {simulation_cell(tiny_plan(1), 0), simulation_cell(tiny_plan(4), 1)};
+}
+
+std::string table_bytes(const std::vector<MetricTable>& tables) {
+  std::string bytes;
+  for (const auto& t : tables) {
+    bytes += aggregate_json(t);
+    bytes += '\n';
   }
-  return cells;
+  return bytes;
 }
 
 std::string sweep_bytes(std::size_t jobs) {
   ThreadPool pool{jobs};
-  const SweepRunner runner{SeedSequence{2026}};
-  const auto results = runner.run(tiny_grid(), pool);
-  std::string bytes;
-  for (const auto& r : results) {
-    bytes += r.label;
-    bytes += ':';
-    bytes += r.aggregate.to_json();
-    bytes += '\n';
-  }
-  return bytes;
+  return table_bytes(run_cells(SeedSequence{2026}, tiny_grid(), pool));
 }
 
 TEST(EngineDeterminism, AggregateBytesIdenticalAcrossJobCounts) {
@@ -177,23 +177,77 @@ TEST(EngineDeterminism, RepeatedRunsAreIdentical) {
 
 TEST(EngineDeterminism, DistinctRootSeedsChangeResults) {
   ThreadPool pool{2};
-  const auto a = SweepRunner{SeedSequence{1}}.run(tiny_grid(), pool);
-  const auto b = SweepRunner{SeedSequence{2}}.run(tiny_grid(), pool);
-  EXPECT_NE(a[0].aggregate.to_json(), b[0].aggregate.to_json());
+  const auto a = run_cells(SeedSequence{1}, tiny_grid(), pool);
+  const auto b = run_cells(SeedSequence{2}, tiny_grid(), pool);
+  EXPECT_NE(a[0].to_json(), b[0].to_json());
 }
 
 TEST(EngineDeterminism, ReplicasAreDistinctTrajectories) {
-  // If replicas shared a stream, the per-metric spread would collapse
-  // to zero. Check a continuous metric has nonzero spread.
-  ReplicaPlan plan = tiny_grid()[0].plan;
+  // If replicas shared a stream, they would replay one trajectory. Each
+  // replica records its pull count in its own slot; the counts differ.
+  const ReplicaPlan plan = tiny_plan(1);
+  std::vector<std::uint64_t> pulls(plan.replicas);
+  const Cell cell{[&](std::uint64_t seed, std::size_t r) {
+                    const CollectionReport report =
+                        run_one_replica(plan, seed, r);
+                    pulls[r] = report.server_pulls;
+                    return report_sample(report);
+                  },
+                  plan.replicas, 0};
   ThreadPool pool{2};
-  const auto reports =
-      run_replica_reports(plan, SeedSequence{2026}, pool);
-  ASSERT_EQ(reports.size(), plan.replicas);
-  std::unordered_set<std::uint64_t> pulls;
-  for (const auto& r : reports) pulls.insert(r.server_pulls);
-  EXPECT_GT(pulls.size(), 1u)
+  (void)run_cells(SeedSequence{2026}, {cell}, pool);
+  const std::unordered_set<std::uint64_t> distinct(pulls.begin(), pulls.end());
+  EXPECT_GT(distinct.size(), 1u)
       << "all replicas produced identical pull counts — shared stream?";
+}
+
+/// The live-protocol body the bench tables run: a loopback cluster to
+/// completion, reporting named outcomes. Both arms share seed key 0, so
+/// replica r of either arm runs on the same seed.
+std::vector<Cell> cluster_arms() {
+  std::vector<Cell> cells;
+  for (const auto policy : {proto::PullPolicyKind::kUniform,
+                            proto::PullPolicyKind::kDeficitWeighted}) {
+    const ReplicaBody body = [policy](std::uint64_t seed, std::size_t) {
+      node::ClusterConfig cfg;
+      cfg.num_peers = 6;
+      cfg.num_servers = 2;
+      cfg.segment_size = 3;
+      cfg.buffer_cap = 24;
+      cfg.payload_bytes = 16;
+      cfg.lambda = 6.0;
+      cfg.mu = 6.0;
+      cfg.gamma = 0.5;
+      cfg.server_rate = 16.0;
+      cfg.segments_per_peer = 2;
+      cfg.retain_own_until_acked = true;
+      cfg.pull_policy = policy;
+      cfg.seed = seed;
+      cfg.net.seed = seed;
+      node::LoopbackCluster cluster{cfg};
+      const bool complete = cluster.run_to_completion(300.0);
+      return Sample{
+          {"complete", complete ? 1.0 : 0.0},
+          {"pulls_sent", static_cast<double>(cluster.pulls_sent())},
+          {"collection_time", cluster.now()},
+          {"segments_decoded",
+           static_cast<double>(cluster.segments_decoded())},
+      };
+    };
+    cells.push_back({body, 3, 0});
+  }
+  return cells;
+}
+
+TEST(EngineDeterminism, ClusterBodyBytesIdenticalAcrossJobCounts) {
+  const auto bytes = [](std::size_t jobs) {
+    ThreadPool pool{jobs};
+    return table_bytes(run_cells(SeedSequence{7}, cluster_arms(), pool));
+  };
+  const std::string j1 = bytes(1);
+  EXPECT_NE(j1.find("\"complete\":{\"mean\":1,"), std::string::npos) << j1;
+  EXPECT_EQ(j1, bytes(2));
+  EXPECT_EQ(j1, bytes(8));
 }
 
 }  // namespace

@@ -77,7 +77,7 @@ TEST(WelfordFixture, DegenerateCounts) {
   EXPECT_DOUBLE_EQ(ci95_half_width(s), 0.0);  // zero variance
 }
 
-// --- AggregateReport fixture -------------------------------------------------
+// --- Report aggregate fixture ------------------------------------------------
 
 CollectionReport report_with(double throughput, std::uint64_t pulls) {
   CollectionReport r;
@@ -89,25 +89,25 @@ CollectionReport report_with(double throughput, std::uint64_t pulls) {
 }
 
 TEST(AggregateReport, FoldsMetricsByName) {
-  AggregateReport agg;
-  agg.add(report_with(1.0, 10));
-  agg.add(report_with(2.0, 20));
-  agg.add(report_with(3.0, 30));
+  MetricTable agg;
+  agg.add(report_sample(report_with(1.0, 10)));
+  agg.add(report_sample(report_with(2.0, 20)));
+  agg.add(report_sample(report_with(3.0, 30)));
   EXPECT_EQ(agg.replicas(), 3u);
   EXPECT_DOUBLE_EQ(agg.mean("throughput"), 2.0);
-  EXPECT_DOUBLE_EQ(agg.metric("throughput").variance(), 1.0);
+  EXPECT_DOUBLE_EQ(agg.at("throughput").variance(), 1.0);
   EXPECT_DOUBLE_EQ(agg.mean("server_pulls"), 20.0);
   EXPECT_DOUBLE_EQ(agg.mean("mean_blocks_per_peer"), 4.0);
   const double expected_ci = student_t975(2) * 1.0 / std::sqrt(3.0);
   EXPECT_NEAR(agg.ci95("throughput"), expected_ci, 1e-9);
-  EXPECT_THROW((void)agg.metric("no_such_metric"), std::out_of_range);
+  EXPECT_THROW((void)agg.at("no_such_metric"), std::out_of_range);
 }
 
 TEST(AggregateReport, JsonCarriesEveryMetric) {
-  AggregateReport agg;
-  agg.add(report_with(1.5, 12));
-  agg.add(report_with(2.5, 14));
-  const std::string json = agg.to_json();
+  MetricTable agg;
+  agg.add(report_sample(report_with(1.5, 12)));
+  agg.add(report_sample(report_with(2.5, 14)));
+  const std::string json = aggregate_json(agg);
   EXPECT_NE(json.find("\"replicas\":2"), std::string::npos);
   for (const ReportMetric& m : kReportMetrics) {
     std::string key{"\""};

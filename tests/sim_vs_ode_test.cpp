@@ -22,7 +22,7 @@
 
 #include "core/collection_system.h"
 #include "ode/closed_form.h"
-#include "runner/replica_runner.h"
+#include "runner/simulation_cell.h"
 
 namespace icollect {
 namespace {
@@ -44,16 +44,17 @@ constexpr std::size_t kReplicas = 8;
 
 /// Aggregate over R replicas of one scenario; `cell` keys the seed tree
 /// so scenarios never share RNG streams.
-runner::AggregateReport run_scenario(const p2p::ProtocolConfig& cfg,
-                                     std::uint64_t cell) {
+runner::MetricTable run_scenario(const p2p::ProtocolConfig& cfg,
+                                 std::uint64_t cell) {
   runner::ReplicaPlan plan;
   plan.config = cfg;
   plan.warm = 10.0;
   plan.measure = 22.0;
   plan.replicas = kReplicas;
-  plan.cell = cell;
-  const runner::ReplicaRunner engine{runner::SeedSequence{kSeedRoot}};
-  return engine.run(plan, shared_pool());
+  return runner::run_cells(runner::SeedSequence{kSeedRoot},
+                           {runner::simulation_cell(plan, cell)},
+                           shared_pool())
+      .front();
 }
 
 p2p::ProtocolConfig scenario_config(const Scenario& sc) {

@@ -140,8 +140,7 @@ int main(int argc, char** argv) {
     using Kind = workload::ScenarioSpec::Kind;
     switch (scenario->kind) {
       case Kind::kByzantine:
-        cfg.adversary = scenario->adversary;
-        if (cfg.payload_bytes == 0) cfg.payload_bytes = 32;
+        scenario->apply_byzantine(cfg);
         break;
       case Kind::kFaults:
         break;  // attached to the loopback hub below
@@ -162,16 +161,8 @@ int main(int argc, char** argv) {
   obs::MetricsRegistry registry;
   node::LoopbackCluster cluster{cfg, &registry};
   if (scenario && scenario->kind == workload::ScenarioSpec::Kind::kFaults) {
-    std::vector<net::NodeId> ids;
-    const auto count = static_cast<std::size_t>(
-        static_cast<double>(cfg.num_peers) * scenario->partition_fraction);
-    for (std::size_t i = 0; i < count; ++i) {
-      ids.push_back(static_cast<net::NodeId>(i));
-    }
-    if (!ids.empty()) {
-      cluster.net().schedule_partition(scenario->partition_at,
-                                       scenario->heal_at, std::move(ids));
-    }
+    cluster.set_isolation_window(scenario->partition_fraction,
+                                 scenario->partition_at, scenario->heal_at);
     if (scenario->drain_bytes_per_sec > 0.0) {
       // The first peer becomes a slow reader: every sender's bytes to
       // it stay in flight until drained, exercising send-queue caps.

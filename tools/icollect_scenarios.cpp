@@ -16,27 +16,30 @@
 ///     completion time, its inflation over the unfaulted baseline,
 ///     fault drops, and send-queue refusals (expected to stay 0 — caps
 ///     must hold under partition pressure). Isolated peers hold
-///     segments the servers still need, so completion time tracks the
-///     heal deadline — the severity signal is structural, not noise.
+///     segments the servers still need, so no run completes before
+///     its heal; a partition that outlasts the unfaulted completion
+///     time pushes completion past its heal deadline.
 ///
-/// Every point aggregates R seeded replicas into mean / stddev / 95% CI
-/// half-width (Student-t, runner::ci95_half_width) / min / max, so the
-/// table carries honest error bars at small R.
+/// Every point aggregates R replicas on the replica engine
+/// (runner::run_cells) into mean / stddev / 95% CI half-width
+/// (Student-t) / min / max, so the table carries honest error bars at
+/// small R. Replica r of every point of one table runs on the same
+/// seed, SeedSequence{S}.child(table).stream(r): the defended and
+/// undefended arms, and every partition duration, see paired workloads.
 ///
 ///   icollect_scenarios [--replicas R] [--seed S] [--out FILE] [--quick]
 
 #include <cstdio>
-#include <cstring>
-#include <exception>
 #include <string>
 #include <vector>
 
+#include "bench_table.h"
 #include "common/cli.h"
 #include "core/icollect.h"
 #include "node/cluster.h"
 #include "obs/json.h"
-#include "runner/aggregate.h"
-#include "stats/summary.h"
+#include "runner/engine.h"
+#include "workload/trace_replay.h"
 
 namespace {
 
@@ -63,49 +66,32 @@ p2p::ProtocolConfig sim_base_config() {
   return cfg;
 }
 
-std::string run_pollution_point(const PollutionPointSpec& point,
-                                std::uint64_t base_seed,
-                                std::uint64_t replicas, double warm,
-                                double measure) {
-  runner::MetricTable table;
-  for (std::uint64_t r = 0; r < replicas; ++r) {
-    p2p::ProtocolConfig cfg = sim_base_config();
-    cfg.adversary.dishonest_fraction = point.dishonest_fraction;
-    cfg.adversary.strategy = proto::CorruptionStrategy::kRandomPayload;
-    cfg.adversary.integrity_checks = point.integrity_checks;
-    cfg.seed = base_seed + r;
+runner::Sample run_pollution_replica(const PollutionPointSpec& point,
+                                     std::uint64_t seed, double warm,
+                                     double measure) {
+  p2p::ProtocolConfig cfg = sim_base_config();
+  cfg.adversary.dishonest_fraction = point.dishonest_fraction;
+  cfg.adversary.strategy = proto::CorruptionStrategy::kRandomPayload;
+  cfg.adversary.integrity_checks = point.integrity_checks;
+  cfg.seed = seed;
 
-    CollectionSystem system{cfg};
-    system.warm_up(warm);
-    system.run(measure);
-    const CollectionReport rep = system.report();
-    const auto& m = system.network().metrics();
-
-    table.add("blocks_corrupted",
-              static_cast<double>(m.blocks_corrupted));
-    table.add("blocks_quarantined",
-              static_cast<double>(m.blocks_quarantined));
-    table.add("polluted_pull_fraction",
-              rep.server_pulls > 0
-                  ? static_cast<double>(m.polluted_pulls) /
-                        static_cast<double>(rep.server_pulls)
-                  : 0.0);
-    table.add("payload_crc_failures",
-              static_cast<double>(rep.payload_crc_failures));
-    table.add("segments_decoded",
-              static_cast<double>(rep.segments_decoded));
-    table.add("normalized_throughput", rep.normalized_throughput);
-  }
-
-  obs::JsonObject o;
-  o.field("dishonest_fraction", point.dishonest_fraction)
-      .field("honest_fraction", 1.0 - point.dishonest_fraction)
-      .field("integrity_checks",
-             static_cast<std::uint64_t>(point.integrity_checks))
-      .field_str("arm", point.integrity_checks > 0 ? "defended"
-                                                   : "undefended")
-      .field_raw("metrics", table.to_json());
-  return o.str();
+  CollectionSystem system{cfg};
+  system.warm_up(warm);
+  system.run(measure);
+  const CollectionReport rep = system.report();
+  const auto& m = system.network().metrics();
+  return {
+      {"blocks_corrupted", static_cast<double>(m.blocks_corrupted)},
+      {"blocks_quarantined", static_cast<double>(m.blocks_quarantined)},
+      {"polluted_pull_fraction",
+       rep.server_pulls > 0 ? static_cast<double>(m.polluted_pulls) /
+                                  static_cast<double>(rep.server_pulls)
+                            : 0.0},
+      {"payload_crc_failures",
+       static_cast<double>(rep.payload_crc_failures)},
+      {"segments_decoded", static_cast<double>(rep.segments_decoded)},
+      {"normalized_throughput", rep.normalized_throughput},
+  };
 }
 
 // --- Table B: collection-time inflation vs. fault severity (cluster) ------
@@ -126,59 +112,26 @@ node::ClusterConfig cluster_base_config() {
   return cfg;
 }
 
-struct FaultPointResult {
-  std::string json;        // point object minus the inflation field
-  double mean_time = 0.0;  // mean completion time over replicas
-  runner::MetricTable table;
-};
-
-FaultPointResult run_fault_point(double partition_fraction,
+runner::Sample run_fault_replica(double partition_fraction,
                                  double partition_at, double duration,
-                                 std::uint64_t base_seed,
-                                 std::uint64_t replicas, double max_time) {
-  FaultPointResult out;
-  for (std::uint64_t r = 0; r < replicas; ++r) {
-    node::ClusterConfig cfg = cluster_base_config();
-    cfg.seed = base_seed + r;
-    cfg.net.seed = cfg.seed;
-
-    node::LoopbackCluster cluster{cfg};
-    std::vector<net::NodeId> ids;
-    const auto count = static_cast<std::size_t>(
-        static_cast<double>(cfg.num_peers) * partition_fraction);
-    for (std::size_t i = 0; i < count; ++i) {
-      ids.push_back(static_cast<net::NodeId>(i));
-    }
-    if (!ids.empty() && duration > 0.0) {
-      cluster.net().schedule_partition(partition_at,
-                                       partition_at + duration,
-                                       std::move(ids));
-    }
-    const bool complete = cluster.run_to_completion(max_time);
-
-    out.table.add("complete", complete ? 1.0 : 0.0);
-    out.table.add("completion_time", cluster.now());
-    out.table.add("fault_drops",
-                  static_cast<double>(cluster.net().fault_drops()));
-    out.table.add("queue_refusals",
-                  static_cast<double>(
-                      cluster.net().backpressure_refusals()));
-    out.table.add("segments_decoded",
-                  static_cast<double>(cluster.segments_decoded()));
+                                 std::uint64_t seed, double max_time) {
+  node::ClusterConfig cfg = cluster_base_config();
+  cfg.seed = seed;
+  cfg.net.seed = cfg.seed;
+  node::LoopbackCluster cluster{cfg};
+  if (duration > 0.0) {
+    cluster.set_isolation_window(partition_fraction, partition_at,
+                                 partition_at + duration);
   }
-  out.mean_time = out.table.find("completion_time")->mean();
-
-  obs::JsonObject o;
-  o.field("partition_fraction", partition_fraction)
-      .field("partitioned_peers",
-             static_cast<std::uint64_t>(
-                 static_cast<double>(cluster_base_config().num_peers) *
-                 partition_fraction))
-      .field("partition_at", partition_at)
-      .field("partition_duration", duration)
-      .field_raw("metrics", out.table.to_json());
-  out.json = o.str();
-  return out;
+  const bool complete = cluster.run_to_completion(max_time);
+  return {
+      {"complete", complete ? 1.0 : 0.0},
+      {"completion_time", cluster.now()},
+      {"fault_drops", static_cast<double>(cluster.net().fault_drops())},
+      {"queue_refusals",
+       static_cast<double>(cluster.net().backpressure_refusals())},
+      {"segments_decoded", static_cast<double>(cluster.segments_decoded())},
+  };
 }
 
 }  // namespace
@@ -192,7 +145,7 @@ int main(int argc, char** argv) {
   cli::Flags flags;
   flags.add("--replicas", "R", "seeded replicas per point (default 5)",
             replicas)
-      .add("--seed", "S", "base seed (default 1)", seed)
+      .add("--seed", "S", "root of the replica seed tree (default 1)", seed)
       .add("--out", "FILE", "write JSON to FILE (default stdout)", out_path)
       .add("--quick", "", "2 replicas, shorter runs (CI smoke)", quick);
   flags.parse_or_exit(argc, argv);
@@ -202,108 +155,104 @@ int main(int argc, char** argv) {
   const double measure = quick ? 6.0 : 15.0;
   const double max_time = 600.0;
 
-  std::string body;
-  body += "{\n";
-  body += "  \"schema\": \"icollect-scenario-bench-v1\",\n";
-  body += "  \"replicas\": " + std::to_string(replicas) + ",\n";
-  body += "  \"base_seed\": " + std::to_string(seed) + ",\n";
+  // Seed keys: every point of a table shares replica r's seed.
+  constexpr std::uint64_t kPollutionTable = 0;
+  constexpr std::uint64_t kFaultTable = 1;
 
-  // Table A.
-  {
-    const p2p::ProtocolConfig base = sim_base_config();
-    obs::JsonObject cfg_json;
-    cfg_json.field("peers", static_cast<std::uint64_t>(base.num_peers))
-        .field("servers", static_cast<std::uint64_t>(base.num_servers))
-        .field("segment_size",
-               static_cast<std::uint64_t>(base.segment_size))
-        .field("lambda", base.lambda)
-        .field("mu", base.mu)
-        .field("normalized_capacity", base.normalized_capacity())
-        .field("payload_bytes",
-               static_cast<std::uint64_t>(base.payload_bytes))
-        .field_str("strategy", "random-payload")
-        .field("warm", warm)
-        .field("measure", measure);
-    body += "  \"pollution_vs_honest_fraction\": {\n";
-    body += "    \"config\": " + cfg_json.str() + ",\n";
-    body += "    \"points\": [\n";
-    const double fractions[] = {0.0, 0.10, 0.25, 0.40};
-    bool first = true;
-    for (const double f : fractions) {
-      for (const std::size_t checks : {std::size_t{2}, std::size_t{0}}) {
-        if (f == 0.0 && checks == 0) continue;  // no pollution to defend
-        if (!first) body += ",\n";
-        first = false;
-        std::fprintf(stderr, "pollution: fraction=%.2f checks=%zu ...\n",
-                     f, checks);
-        body += "      " +
-                run_pollution_point({f, checks}, seed, replicas, warm,
-                                    measure);
-      }
+  // One cell per point, pollution table first; each point object gets
+  // its cell's table in the same order once the fan-out is done.
+  std::vector<runner::Cell> cells;
+  std::vector<obs::JsonObject> pollution_points;
+  for (const double f : {0.0, 0.10, 0.25, 0.40}) {
+    for (const std::size_t checks : {std::size_t{2}, std::size_t{0}}) {
+      if (f == 0.0 && checks == 0) continue;  // no pollution to defend
+      std::fprintf(stderr, "pollution: fraction=%.2f checks=%zu ...\n", f,
+                   checks);
+      pollution_points.emplace_back()
+          .field("dishonest_fraction", f)
+          .field("honest_fraction", 1.0 - f)
+          .field("integrity_checks", static_cast<std::uint64_t>(checks))
+          .field_str("arm", checks > 0 ? "defended" : "undefended");
+      const PollutionPointSpec point{f, checks};
+      cells.push_back({[=](std::uint64_t s, std::size_t) {
+                         return run_pollution_replica(point, s, warm,
+                                                      measure);
+                       },
+                       replicas, kPollutionTable});
     }
-    body += "\n    ]\n  },\n";
   }
+  const node::ClusterConfig cluster_base = cluster_base_config();
+  const double partition_at = 1.0;
+  const double durations[] = {0.0, 2.0, 4.0, 8.0};
+  std::vector<obs::JsonObject> fault_points;
+  for (const double d : durations) {
+    std::fprintf(stderr, "faults: partition_duration=%.1f ...\n", d);
+    const double fraction = d > 0.0 ? 0.5 : 0.0;
+    fault_points.emplace_back()
+        .field("partition_fraction", fraction)
+        .field("partitioned_peers",
+               static_cast<std::uint64_t>(workload::isolated_peer_count(
+                   cluster_base.num_peers, fraction)))
+        .field("partition_at", partition_at)
+        .field("partition_duration", d);
+    cells.push_back({[=](std::uint64_t s, std::size_t) {
+                       return run_fault_replica(fraction, partition_at, d, s,
+                                                max_time);
+                     },
+                     replicas, kFaultTable});
+  }
+  runner::ThreadPool pool{runner::ThreadPool::resolve_jobs(0)};
+  const auto tables =
+      runner::run_cells(runner::SeedSequence{seed}, cells, pool);
 
-  // Table B.
-  {
-    const node::ClusterConfig base = cluster_base_config();
-    const double partition_fraction = 0.5;
-    const double partition_at = 1.0;
-    obs::JsonObject cfg_json;
-    cfg_json.field("peers", static_cast<std::uint64_t>(base.num_peers))
-        .field("servers", static_cast<std::uint64_t>(base.num_servers))
-        .field("segment_size",
-               static_cast<std::uint64_t>(base.segment_size))
-        .field("segments_per_peer",
-               static_cast<std::uint64_t>(base.segments_per_peer))
-        .field("lambda", base.lambda)
-        .field("mu", base.mu)
-        .field("server_rate", base.server_rate)
-        .field("payload_bytes",
-               static_cast<std::uint64_t>(base.payload_bytes))
-        .field("max_time", max_time);
-    body += "  \"collection_time_vs_fault_severity\": {\n";
-    body += "    \"config\": " + cfg_json.str() + ",\n";
-    body += "    \"points\": [\n";
-    const double durations[] = {0.0, 2.0, 4.0, 8.0};
-    double baseline_mean = 0.0;
-    bool first = true;
-    for (const double d : durations) {
-      std::fprintf(stderr, "faults: partition_duration=%.1f ...\n", d);
-      FaultPointResult res =
-          run_fault_point(d > 0.0 ? partition_fraction : 0.0,
-                          partition_at, d, seed, replicas, max_time);
-      if (d == 0.0) baseline_mean = res.mean_time;
-      // Splice the inflation factor into the point object (it depends
-      // on the duration-0 baseline, which is always the first point).
-      std::string point = res.json;
-      obs::JsonObject extra;
-      extra.field("time_inflation_vs_baseline",
-                  baseline_mean > 0.0 ? res.mean_time / baseline_mean
-                                      : 0.0);
-      const std::string extra_body = extra.str();
-      point.insert(point.size() - 1,
-                   "," + extra_body.substr(1, extra_body.size() - 2));
-      if (!first) body += ",\n";
-      first = false;
-      body += "      " + point;
-    }
-    body += "\n    ]\n  }\n";
+  tools::BenchDocument doc{"icollect-scenario-bench-v1", replicas, seed};
+  const p2p::ProtocolConfig sim_base = sim_base_config();
+  obs::JsonObject sim_cfg;
+  sim_cfg.field("peers", static_cast<std::uint64_t>(sim_base.num_peers))
+      .field("servers", static_cast<std::uint64_t>(sim_base.num_servers))
+      .field("segment_size", static_cast<std::uint64_t>(sim_base.segment_size))
+      .field("lambda", sim_base.lambda)
+      .field("mu", sim_base.mu)
+      .field("normalized_capacity", sim_base.normalized_capacity())
+      .field("payload_bytes",
+             static_cast<std::uint64_t>(sim_base.payload_bytes))
+      .field_str("strategy", "random-payload")
+      .field("warm", warm)
+      .field("measure", measure);
+  std::vector<std::string> points;
+  std::size_t next = 0;
+  for (obs::JsonObject& o : pollution_points) {
+    points.push_back(o.field_raw("metrics", tables[next++].to_json()).str());
   }
-  body += "}\n";
+  doc.add_table("pollution_vs_honest_fraction", sim_cfg.str(), points);
 
-  if (out_path.empty()) {
-    std::fputs(body.c_str(), stdout);
-    return 0;
+  obs::JsonObject cluster_cfg;
+  cluster_cfg
+      .field("peers", static_cast<std::uint64_t>(cluster_base.num_peers))
+      .field("servers", static_cast<std::uint64_t>(cluster_base.num_servers))
+      .field("segment_size",
+             static_cast<std::uint64_t>(cluster_base.segment_size))
+      .field("segments_per_peer",
+             static_cast<std::uint64_t>(cluster_base.segments_per_peer))
+      .field("lambda", cluster_base.lambda)
+      .field("mu", cluster_base.mu)
+      .field("server_rate", cluster_base.server_rate)
+      .field("payload_bytes",
+             static_cast<std::uint64_t>(cluster_base.payload_bytes))
+      .field("max_time", max_time);
+  // Inflation is each point's mean completion time over the unfaulted
+  // (duration 0, first) point's.
+  const double baseline_mean = tables[next].mean("completion_time");
+  points.clear();
+  for (obs::JsonObject& o : fault_points) {
+    const runner::MetricTable& t = tables[next++];
+    o.field_raw("metrics", t.to_json())
+        .field("time_inflation_vs_baseline",
+               baseline_mean > 0.0 ? t.mean("completion_time") / baseline_mean
+                                   : 0.0);
+    points.push_back(o.str());
   }
-  std::FILE* f = std::fopen(out_path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "%s: cannot open %s: %s\n", argv[0],
-                 out_path.c_str(), std::strerror(errno));
-    return 2;
-  }
-  std::fwrite(body.data(), 1, body.size(), f);
-  std::fclose(f);
-  std::printf("wrote %s (%zu bytes)\n", out_path.c_str(), body.size());
-  return 0;
+  doc.add_table("collection_time_vs_fault_severity", cluster_cfg.str(),
+                points);
+  return doc.write(out_path, argv[0]);
 }

@@ -123,10 +123,7 @@ int main(int argc, char** argv) {
     using Kind = workload::ScenarioSpec::Kind;
     switch (scenario->kind) {
       case Kind::kByzantine:
-        cfg.adversary = scenario->adversary;
-        // Pollution needs bytes to pollute; give the blocks a payload
-        // when the base config runs coefficients-only.
-        if (cfg.payload_bytes == 0) cfg.payload_bytes = 32;
+        scenario->apply_byzantine(cfg);
         break;
       case Kind::kFaults:
         break;  // attached to the network below

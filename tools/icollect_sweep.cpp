@@ -29,7 +29,7 @@
 #include "core/config_args.h"
 #include "core/icollect.h"
 #include "obs/json.h"
-#include "runner/sweep_runner.h"
+#include "runner/simulation_cell.h"
 
 namespace {
 
@@ -134,7 +134,9 @@ int main(int argc, char** argv) {
 
   // Cartesian product, declared-axis order, rightmost axis fastest —
   // the cell order (and therefore every seed) is part of the contract.
-  std::vector<runner::SweepCell> cells;
+  std::vector<std::string> labels;
+  std::vector<runner::ReplicaPlan> plans;
+  std::vector<runner::Cell> cells;
   std::vector<std::size_t> idx(axes.size(), 0);
   while (true) {
     p2p::ProtocolConfig cfg = base;
@@ -159,7 +161,9 @@ int main(int argc, char** argv) {
       plan.metrics_dir = metrics_dir + "/cell-" + std::to_string(cells.size());
       plan.metrics_interval = metrics_interval;
     }
-    cells.push_back({label, plan});
+    labels.push_back(label);
+    cells.push_back(runner::simulation_cell(plan, cells.size()));
+    plans.push_back(plan);
     // Odometer increment; empty axes list degenerates to the single base
     // cell.
     bool done = axes.empty();
@@ -182,8 +186,11 @@ int main(int argc, char** argv) {
 
   const auto t0 = std::chrono::steady_clock::now();
   runner::ThreadPool pool{n_jobs};
-  const runner::SweepRunner sweep{runner::SeedSequence{seed}};
-  const auto results = sweep.run(cells, pool);
+  const auto tables =
+      runner::run_cells(runner::SeedSequence{seed}, cells, pool);
+  for (std::size_t c = 0; c < plans.size(); ++c) {
+    runner::finalize_cell_telemetry(plans[c], tables[c]);
+  }
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -197,16 +204,16 @@ int main(int argc, char** argv) {
     }
   }
   std::ostream* out = out_path.empty() ? nullptr : &file;
-  for (std::size_t c = 0; c < results.size(); ++c) {
+  for (std::size_t c = 0; c < tables.size(); ++c) {
     obs::JsonObject row;
     row.field("cell", c)
-        .field_str("label", results[c].label)
+        .field_str("label", labels[c])
         .field("seed", seed)
         .field("replicas", replicas)
         .field("warm", warm)
         .field("measure", measure)
-        .field_raw("config", config_json(cells[c].plan.config))
-        .field_raw("aggregate", results[c].aggregate.to_json());
+        .field_raw("config", config_json(plans[c].config))
+        .field_raw("aggregate", runner::aggregate_json(tables[c]));
     const std::string line = row.str();
     if (out != nullptr) {
       *out << line << '\n';
