@@ -45,9 +45,8 @@ int main(int argc, char** argv) {
 
   p2p::ProtocolConfig dcfg = cfg;
   dcfg.buffer_cap = 40;  // a realistic bounded report queue
-  p2p::DirectCollector direct{dcfg};
+  auto direct = p2p::Network::direct_baseline(dcfg);
   direct.set_arrival_profile(&profile);
-  direct.set_last_words_window(1.0);
 
   std::printf(
       " time | lambda | net blocks/peer | useful pulls/t | direct backlog "
@@ -61,13 +60,13 @@ int main(int argc, char** argv) {
     indirect.run_until(t);
     direct.run_until(t);
     const std::uint64_t useful = indirect.servers().innovative_pulls();
-    const std::uint64_t drops = direct.metrics().blocks_dropped_overflow;
+    const std::uint64_t drops = direct.metrics().injection_blocked;
     std::printf(" %4.0f | %6.1f | %15.1f | %14.1f | %14zu | %12llu\n", t,
                 profile.rate(t),
                 indirect.metrics().total_blocks.value() /
                     static_cast<double>(n),
                 static_cast<double>(useful - last_useful) / 4.0,
-                direct.backlog_size(),
+                static_cast<std::size_t>(direct.metrics().total_blocks.value()),
                 static_cast<unsigned long long>(drops - last_drops));
     last_useful = useful;
     last_drops = drops;
@@ -78,8 +77,9 @@ int main(int argc, char** argv) {
   const double ind_frac =
       static_cast<double>(indirect.servers().innovative_pulls()) /
       static_cast<double>(im.blocks_injected);
-  const double dir_frac = static_cast<double>(dm.blocks_collected) /
-                          static_cast<double>(dm.blocks_generated);
+  const double dir_frac =
+      static_cast<double>(direct.servers().innovative_pulls()) /
+      static_cast<double>(direct.blocks_offered());
 
   std::printf("\n-- end of session (t=%.0f) --\n", kEnd);
   std::printf("indirect: injected %llu blocks, servers obtained %.1f%%\n",
@@ -87,9 +87,9 @@ int main(int argc, char** argv) {
               100.0 * ind_frac);
   std::printf("direct:   generated %llu blocks, collected %.1f%% "
               "(overflow-dropped %llu)\n",
-              static_cast<unsigned long long>(dm.blocks_generated),
+              static_cast<unsigned long long>(direct.blocks_offered()),
               100.0 * dir_frac,
-              static_cast<unsigned long long>(dm.blocks_dropped_overflow));
+              static_cast<unsigned long long>(dm.injection_blocked));
   std::printf(
       "\nReading the timeline: the indirect network's per-peer buffer level\n"
       "swells (20 -> ~50) to absorb the 10x spike and the servers' useful-\n"

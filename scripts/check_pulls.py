@@ -20,8 +20,9 @@ must reject the simulator-only `all` (uniform-all) the same way.
 With --validate, schema-checks the committed BENCH_pulls.json table,
 including the headline claim: both feedback policies beat uniform on
 mean pulls-to-completion with non-overlapping 95% CIs in at least one
-point per driver. It then re-runs the full `icollect_pulls` table and
-requires its stdout to equal the committed file byte for byte.
+point per driver. It then requires `icollect_pulls --out` with an
+unwritable path to exit 2 before any replica runs, re-runs the full
+table and requires its stdout to equal the committed file byte for byte.
 
 Usage:
   check_pulls.py <icollect_sim> <icollect_cluster> <icollect_node>
@@ -31,8 +32,8 @@ Usage:
 import json
 import sys
 
-from checklib import (check, check_regenerates, json_after, last_json_line,
-                      run, usage, usage_error)
+from checklib import (check, check_bad_out_fails_fast, check_regenerates,
+                      json_after, last_json_line, run, usage, usage_error)
 
 SIM_BASE = [
     "peers=24", "lambda=8", "s=4", "mu=8", "gamma=1", "buffer=32",
@@ -191,6 +192,7 @@ def main() -> int:
     argv = sys.argv[1:]
     if len(argv) == 3 and argv[0] == "--validate":
         validate_bench(argv[1])
+        check_bad_out_fails_fast(argv[2], ("sim:", "cluster:"))
         check_regenerates(argv[1], [argv[2]])
         print("bench table OK")
         return 0

@@ -15,9 +15,10 @@ machine-readable scenario summary each tool emits only under
 
 Also re-runs the cluster byzantine scenario to assert byte-identical
 output under the same seed. With --validate, schema-checks the
-committed BENCH_scenarios.json table, then re-runs the full
-`icollect_scenarios` table and requires its stdout to equal the
-committed file byte for byte.
+committed BENCH_scenarios.json table, requires `icollect_scenarios
+--out` with an unwritable path to exit 2 before any replica runs, then
+re-runs the full table and requires its stdout to equal the committed
+file byte for byte.
 
 Usage:
   check_scenarios.py <icollect_sim> <icollect_cluster>
@@ -27,8 +28,9 @@ Usage:
 import json
 import sys
 
-from checklib import (check, check_regenerates, fail, json_after,
-                      last_json_line, run, usage, usage_error)
+from checklib import (check, check_bad_out_fails_fast, check_regenerates,
+                      fail, json_after, last_json_line, run, usage,
+                      usage_error)
 
 SIM_BASE = [
     "peers=24", "lambda=8", "s=4", "mu=8", "gamma=1", "buffer=32",
@@ -202,6 +204,7 @@ def main() -> int:
     argv = sys.argv[1:]
     if len(argv) == 3 and argv[0] == "--validate":
         validate_bench(argv[1])
+        check_bad_out_fails_fast(argv[2], ("pollution:", "faults:"))
         check_regenerates(argv[1], [argv[2]])
         print("bench table OK")
         return 0

@@ -12,6 +12,7 @@ import os
 import socket
 import subprocess
 import sys
+import tempfile
 
 
 def _script() -> str:
@@ -80,6 +81,18 @@ def check_regenerates(path: str, cmd: list[str]) -> None:
         fail(f"{path} differs from a fresh run of {' '.join(cmd)}; "
              f"re-capture it with --out")
     print(f"  ok: {os.path.basename(path)} equals a fresh full run")
+
+
+def check_bad_out_fails_fast(tool: str, arm_prefixes: tuple[str, ...]) -> None:
+    """Require a bench-table tool given an unwritable `--out` path to exit
+    2 before any replica runs: a diagnostic, and no arm line (the
+    per-point progress lines starting with `arm_prefixes`) on stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = os.path.join(tmp, "missing", "table.json")
+        err = usage_error([tool, "--out", bad], "unwritable --out path")
+    arms = [ln for ln in err.splitlines() if ln.startswith(arm_prefixes)]
+    require(not arms, f"unwritable --out ran replicas first: {arms[:2]}")
+    print("  ok: unwritable --out exits 2 before any replica runs")
 
 
 def free_port() -> int:

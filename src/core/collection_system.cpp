@@ -10,10 +10,17 @@
 namespace icollect {
 
 CollectionSystem::CollectionSystem(p2p::ProtocolConfig cfg)
-    : cfg_{cfg}, record_rng_{cfg.seed ^ 0x5EC09DBADC0FFEEULL} {
-  cfg_.validate();
-  net_ = std::make_unique<p2p::Network>(cfg_);
+    : CollectionSystem{std::make_unique<p2p::Network>(std::move(cfg))} {}
+
+CollectionSystem CollectionSystem::direct_baseline(p2p::ProtocolConfig cfg) {
+  return CollectionSystem{std::unique_ptr<p2p::Network>{
+      new p2p::Network{p2p::Network::direct_baseline(std::move(cfg))}}};
 }
+
+CollectionSystem::CollectionSystem(std::unique_ptr<p2p::Network> net)
+    : cfg_{net->config()},
+      net_{std::move(net)},
+      record_rng_{cfg_.seed ^ 0x5EC09DBADC0FFEEULL} {}
 
 void CollectionSystem::use_vital_statistics_payloads() {
   if (cfg_.payload_bytes == 0) {

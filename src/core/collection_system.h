@@ -40,6 +40,12 @@ class CollectionSystem {
  public:
   explicit CollectionSystem(p2p::ProtocolConfig cfg);
 
+  /// The same front door around the Fig. 1(a) direct baseline
+  /// (p2p::Network::direct_baseline): telemetry, runs and the report
+  /// all use the baseline's effective configuration (s = 1, μ = 0).
+  [[nodiscard]] static CollectionSystem direct_baseline(
+      p2p::ProtocolConfig cfg);
+
   CollectionSystem(const CollectionSystem&) = delete;
   CollectionSystem& operator=(const CollectionSystem&) = delete;
 
@@ -104,6 +110,8 @@ class CollectionSystem {
       const p2p::ProtocolConfig& cfg);
 
  private:
+  explicit CollectionSystem(std::unique_ptr<p2p::Network> net);
+
   /// Advance to absolute time `end`, pausing at every snapshot due-time
   /// when telemetry with an active sampling cadence is attached.
   void run_with_telemetry(double end);

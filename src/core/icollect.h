@@ -38,7 +38,6 @@
 #include "proto/trace.h"
 #include "p2p/churn.h"
 #include "p2p/config.h"
-#include "p2p/direct_collector.h"
 #include "p2p/metrics.h"
 #include "p2p/network.h"
 #include "p2p/topology.h"

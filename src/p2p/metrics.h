@@ -14,8 +14,10 @@ namespace icollect::p2p {
 
 /// Recovery accounting for the data of peers that have departed — the
 /// paper's motivating loss case ("statistics from departed peers may be
-/// the most useful to diagnose system outages"). Shared between the
-/// indirect engine and the direct baseline so the two are comparable.
+/// the most useful to diagnose system outages"). Network reports it for
+/// the indirect scheme and the direct baseline alike; it counts admitted
+/// blocks only, so a report refused at a full buffer is an overflow loss
+/// (injection_blocked) and never enters this ledger.
 struct DepartedDataStats {
   std::uint64_t departed_origins = 0;
   std::uint64_t blocks_generated = 0;  ///< produced by now-departed peers

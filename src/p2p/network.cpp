@@ -28,6 +28,20 @@ ProtocolConfig validated(ProtocolConfig cfg) {
 }  // namespace
 
 Network::Network(ProtocolConfig cfg)
+    : Network{std::move(cfg), proto::PeerCore::Params{}} {}
+
+Network Network::direct_baseline(ProtocolConfig cfg) {
+  cfg.segment_size = 1;
+  cfg.mu = 0.0;
+  cfg.pull_policy = proto::PullPolicyKind::kUniform;
+  proto::PeerCore::Params rules;
+  rules.retain_own_until_acked = true;
+  rules.drop_on_ack = true;
+  rules.pull_oldest_first = true;
+  return Network{std::move(cfg), rules};
+}
+
+Network::Network(ProtocolConfig cfg, proto::PeerCore::Params rules)
     : cfg_{validated(std::move(cfg))},
       rng_{cfg_.seed},
       topology_{Topology::build(cfg_, rng_)},
@@ -36,7 +50,8 @@ Network::Network(ProtocolConfig cfg)
   if (proto::wants_feedback(cfg_.pull_policy)) {
     tracker_ = std::make_unique<sched::RankTracker>();
   }
-  proto::PeerCore::Params core_params;
+  acks_origins_ = rules.retain_own_until_acked || rules.drop_on_ack;
+  proto::PeerCore::Params core_params = rules;
   core_params.segment_size = cfg_.segment_size;
   core_params.buffer_cap = cfg_.buffer_cap;
   core_params.gamma = cfg_.gamma;
@@ -396,6 +411,20 @@ void Network::on_segment_decoded(const proto::ServerBank::DecodeEvent& event) {
   emit(TraceEventKind::kSegmentDecoded, info.origin_slot, event.id,
        info.segment_size);
   metrics_.payload_crc_failures += event.crc_mismatches(info.original_crcs);
+  if (acks_origins_) ack_origin(event.id, info.origin_slot);
+}
+
+void Network::ack_origin(const coding::SegmentId& id,
+                         std::size_t origin_slot) {
+  Peer& p = peers_[origin_slot];
+  if (p.origin() != id.origin) return;  // departed; its blocks went then
+  const std::size_t before = p.buffer().size();
+  p.core.on_ack(id);
+  const std::size_t dropped = before - p.buffer().size();
+  if (dropped == 0) return;
+  metrics_.total_blocks.add(sim_.now(), -static_cast<double>(dropped));
+  note_degree_drop(id, dropped);
+  update_occupancy(origin_slot, before);
 }
 
 void Network::do_ttl_expire(std::size_t slot, std::uint64_t incarnation,

@@ -21,6 +21,10 @@
 ///    it; every bank outcome goes back through the same file's feed.
 ///  - Churn (optional): exponential peer lifetimes with replacement.
 ///
+/// direct_baseline() configures the same engine as the traditional
+/// Fig. 1(a) scheme the paper argues against, so both are measured by
+/// one set of processes, metrics and oracles.
+///
 /// Every Sec. 2 *decision* (what to inject, which segment to gossip or
 /// serve, whether a receiver may store, when a block expires) lives in
 /// proto::PeerCore / proto::ServerCore; this driver owns what only a
@@ -105,8 +109,6 @@ struct SegmentInfo {
   std::vector<std::uint32_t> original_crcs;  ///< when payloads in use
 };
 
-// DepartedDataStats lives in p2p/metrics.h (shared with the baseline).
-
 /// Snapshot of the data "saved up in the network for future delivery"
 /// (Theorem 4). `degree`-based counts follow the paper's approximation
 /// (segment decodable iff it has >= s block copies); `rank`-based counts
@@ -133,6 +135,16 @@ class Network {
       std::size_t payload_bytes)>;
 
   explicit Network(ProtocolConfig cfg);
+
+  /// The traditional Fig. 1(a) scheme: servers pull reports directly
+  /// from the peers that generated them. s = 1 and μ = 0, so each
+  /// report is its own segment and nothing is gossiped; pulls are
+  /// uniform over non-empty peers and each peer serves its oldest report
+  /// first. A peer pins its reports (no TTL) until the server's decode
+  /// ACK drops them, so B is its report-queue cap and a report arriving
+  /// at a full queue is refused (counted in injection_blocked). The rest
+  /// of `cfg` (N, λ, B, N_s, c_s, churn, fidelity, seed) applies as is.
+  [[nodiscard]] static Network direct_baseline(ProtocolConfig cfg);
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -227,6 +239,13 @@ class Network {
   [[nodiscard]] double throughput() const;
   /// Throughput normalized by the aggregate demand N·λ (Fig. 3/4 y-axis).
   [[nodiscard]] double normalized_throughput() const;
+  /// Lifetime blocks the peers generated: those admitted
+  /// (blocks_injected) plus those refused at a full buffer
+  /// (injection_blocked · s).
+  [[nodiscard]] std::uint64_t blocks_offered() const noexcept {
+    return metrics_.blocks_injected +
+           metrics_.injection_blocked * cfg_.segment_size;
+  }
   /// Goodput: original blocks of *completed* segments per unit time (a
   /// stricter deliverable-data metric than the paper's throughput).
   [[nodiscard]] double goodput() const;
@@ -276,6 +295,11 @@ class Network {
   std::size_t compact_registry();
 
  private:
+  /// Every constructor lands here; `rules` carries the PeerCore::Params
+  /// that ProtocolConfig does not (ACK retention, drop-on-ACK,
+  /// oldest-first pulls); its protocol fields are filled from `cfg`.
+  Network(ProtocolConfig cfg, proto::PeerCore::Params rules);
+
   void do_inject(std::size_t slot);
   void schedule_profile_injection(std::size_t slot);
   void do_gossip(std::size_t slot);
@@ -303,6 +327,9 @@ class Network {
                     const coding::CodedBlock& block);
 
   void on_segment_decoded(const proto::ServerBank::DecodeEvent& event);
+  /// ACK a decoded segment to its origin, if that occupant is still
+  /// alive, and account the blocks its core drops as do_ttl_expire does.
+  void ack_origin(const coding::SegmentId& id, std::size_t origin_slot);
   void note_degree_drop(const coding::SegmentId& id, std::size_t count);
   /// Resolution: once a segment has no live copy and no replay pin, the
   /// simulator never sees a block of it again (it never re-seeds), so
@@ -369,6 +396,8 @@ class Network {
   std::size_t full_count_ = 0;
   coding::OriginId next_origin_ = 0;
   bool injection_stopped_ = false;
+  /// The cores retain or drop on ACK, so decodes are ACKed to origins.
+  bool acks_origins_ = false;
 };
 
 }  // namespace icollect::p2p

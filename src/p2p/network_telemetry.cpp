@@ -1,6 +1,5 @@
 #include "p2p/network_telemetry.h"
 
-#include "p2p/direct_collector.h"
 #include "p2p/network.h"
 
 namespace icollect::p2p {
@@ -97,32 +96,6 @@ void register_network_metrics(obs::MetricsRegistry& reg, const Network& net) {
   });
   reg.gauge("net.departed_recovery_fraction", [&net] {
     return net.departed_data_stats().recovery_fraction();
-  });
-}
-
-void register_direct_collector_metrics(obs::MetricsRegistry& reg,
-                                       const DirectCollector& dc) {
-  const DirectCollectorMetrics& m = dc.metrics();
-  count_gauge(reg, "direct.blocks_generated",
-              [&m] { return m.blocks_generated; });
-  count_gauge(reg, "direct.blocks_collected",
-              [&m] { return m.blocks_collected; });
-  count_gauge(reg, "direct.blocks_dropped_overflow",
-              [&m] { return m.blocks_dropped_overflow; });
-  count_gauge(reg, "direct.blocks_lost_to_churn",
-              [&m] { return m.blocks_lost_to_churn; });
-  count_gauge(reg, "direct.peers_departed",
-              [&m] { return m.peers_departed; });
-  count_gauge(reg, "direct.pull_attempts", [&m] { return m.pull_attempts; });
-  count_gauge(reg, "direct.idle_pulls", [&m] { return m.idle_pulls; });
-  reg.gauge("direct.backlog", [&m] { return m.backlog.value(); });
-  reg.gauge("direct.throughput", [&dc] { return dc.throughput(); });
-  reg.gauge("direct.normalized_throughput",
-            [&dc] { return dc.normalized_throughput(); });
-  reg.gauge("direct.mean_delay", [&dc] { return dc.mean_delay(); });
-  reg.gauge("direct.loss_fraction", [&dc] { return dc.loss_fraction(); });
-  reg.gauge("direct.departed_recovery_fraction", [&dc] {
-    return dc.departed_data_stats().recovery_fraction();
   });
 }
 

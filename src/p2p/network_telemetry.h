@@ -1,12 +1,12 @@
 #pragma once
 
 /// \file network_telemetry.h
-/// Bridges from the protocol engines to the observability layer:
-/// register pull-based gauges for every NetworkMetrics /
-/// DirectCollectorMetrics counter, the derived Theorem 1-4 steady-state
-/// estimates, and the DepartedDataStats recovery accounting, onto an
-/// obs::MetricsRegistry. Pull-based means the engine's hot path is
-/// untouched — values are read only when a Snapshotter samples.
+/// Bridge from the simulation engine to the observability layer:
+/// register pull-based gauges for every NetworkMetrics counter, the
+/// derived Theorem 1-4 steady-state estimates, and the
+/// DepartedDataStats recovery accounting, onto an obs::MetricsRegistry.
+/// Pull-based means the engine's hot path is untouched — values are read
+/// only when a Snapshotter samples.
 ///
 /// Lifetime: the engine must outlive the registry (the gauges capture a
 /// reference to it).
@@ -16,14 +16,10 @@
 namespace icollect::p2p {
 
 class Network;
-class DirectCollector;
 
-/// Register the indirect engine's metrics under the "net." prefix.
+/// Register the engine's metrics under the "net." prefix (the indirect
+/// scheme and the direct baseline alike).
 void register_network_metrics(obs::MetricsRegistry& registry,
                               const Network& net);
-
-/// Register the direct-baseline metrics under the "direct." prefix.
-void register_direct_collector_metrics(obs::MetricsRegistry& registry,
-                                       const DirectCollector& dc);
 
 }  // namespace icollect::p2p

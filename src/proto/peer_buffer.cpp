@@ -64,6 +64,15 @@ const coding::SegmentId& PeerBuffer::newest_segment() const {
   return segment_list_[best];
 }
 
+const coding::SegmentId& PeerBuffer::oldest_segment() const {
+  ICOLLECT_EXPECTS(!segment_list_.empty());
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < entries_.size(); ++i) {
+    if (entries_[i].arrival_seq < entries_[best].arrival_seq) best = i;
+  }
+  return segment_list_[best];
+}
+
 const coding::SegmentId& PeerBuffer::rarest_segment() const {
   ICOLLECT_EXPECTS(!segment_list_.empty());
   std::size_t best = 0;

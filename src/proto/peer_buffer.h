@@ -79,6 +79,10 @@ class PeerBuffer {
   /// time (newest-first gossip). Precondition: !empty().
   [[nodiscard]] const coding::SegmentId& newest_segment() const;
 
+  /// The buffered segment this peer saw first, of those it still holds
+  /// (oldest-first pulls: a FIFO report queue). Precondition: !empty().
+  [[nodiscard]] const coding::SegmentId& oldest_segment() const;
+
   /// The buffered segment with the fewest local blocks, ties broken by
   /// recency (rarest-first gossip). Precondition: !empty().
   [[nodiscard]] const coding::SegmentId& rarest_segment() const;

@@ -51,12 +51,18 @@ class PeerCore {
     std::size_t payload_bytes = 0;  ///< real payload per block (0 = none)
     GossipPolicy gossip_policy = GossipPolicy::kUniformSegment;
     /// Drop/refuse blocks of segments a server already ACKed decoded
-    /// (live-runtime option; the simulator has no peer-visible ACKs).
+    /// (live-runtime option; the simulator's direct baseline drops its
+    /// own reports this way).
     bool drop_on_ack = false;
     /// Pin an own segment's s systematic blocks (no TTL) until its
     /// first ACK, then let them age at rate γ like any other block, so
-    /// a finite collection always completes (live-runtime option).
+    /// a finite collection always completes (live-runtime option; the
+    /// simulator's direct baseline pins every report this way).
     bool retain_own_until_acked = false;
+    /// Answer untargeted pulls from the oldest buffered segment instead
+    /// of a uniformly random one: a FIFO report queue (the simulator's
+    /// direct baseline).
+    bool pull_oldest_first = false;
     /// Record per-block CRC-32s of own injected payloads for end-to-end
     /// verification (live tests); the simulator keeps them in its
     /// registry instead and leaves this off.
@@ -164,10 +170,12 @@ class PeerCore {
 
   // --- server pulls -------------------------------------------------------
   /// The segment a pull is answered from: uniform over buffered
-  /// segments ("a (re-coded) block of a random segment", Sec. 2).
+  /// segments ("a (re-coded) block of a random segment", Sec. 2), or
+  /// the oldest under pull_oldest_first (no draw).
   /// Precondition: has_blocks().
   [[nodiscard]] const coding::SegmentId& choose_pull_segment() {
     ICOLLECT_EXPECTS(!buffer_.empty());
+    if (params_.pull_oldest_first) return buffer_.oldest_segment();
     return buffer_.random_segment(rng_);
   }
   /// Answer a pull request: false (and `out` untouched) when the buffer

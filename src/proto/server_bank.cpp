@@ -37,16 +37,18 @@ ServerBank::PullResult ServerBank::offer(const coding::CodedBlock& block,
   }
   ++innovative_;
   if (it->second.complete()) {
-    original_blocks_ += it->second.segment_size();
+    // Retire the decoder before the callback, which may re-enter the
+    // bank (the simulator's ACK path forgets the resolved segment).
+    auto node = decoders_.extract(it);
+    const coding::Decoder& decoder = node.mapped();
+    original_blocks_ += decoder.segment_size();
     if (on_decode_) {
-      on_decode_(DecodeEvent{id, it->second.segment_size(), now,
-                             &it->second});
+      on_decode_(DecodeEvent{id, decoder.segment_size(), now, &decoder});
     }
-    if (keep_payloads_ && it->second.payload_size() > 0) {
-      payloads_.emplace(id, it->second.originals());
+    if (keep_payloads_ && decoder.payload_size() > 0) {
+      payloads_.emplace(id, decoder.originals());
     }
-    decoded_.emplace(id, it->second.segment_size());
-    decoders_.erase(it);
+    decoded_.emplace(id, decoder.segment_size());
   }
   return PullResult::kInnovative;
 }
@@ -59,16 +61,15 @@ ServerBank::PullResult ServerBank::offer_counted(
     ++redundant_;
     return PullResult::kAlreadyDecoded;
   }
-  std::size_t& state = counters_[id];
-  ++state;
+  const std::size_t state = ++counters_[id];
   ++innovative_;
   if (state >= segment_size) {
+    counters_.erase(id);  // before the callback, as in offer()
     original_blocks_ += segment_size;
     if (on_decode_) {
       on_decode_(DecodeEvent{id, segment_size, now, nullptr});
     }
     decoded_.emplace(id, segment_size);
-    counters_.erase(id);
   }
   return PullResult::kInnovative;
 }

@@ -52,7 +52,9 @@ class ServerBank {
 
   /// Fired when a segment's collection completes (state/rank reaches s).
   /// `decoder` points at the complete decoder in real-coding mode and is
-  /// nullptr in state-counter mode.
+  /// nullptr in state-counter mode. The bank has already retired the
+  /// segment's in-progress state and records it as decoded only after
+  /// the callback returns, so the callback may call forget().
   struct DecodeEvent {
     coding::SegmentId id;
     std::size_t segment_size = 0;

@@ -107,6 +107,22 @@ TEST(Network, InvariantsHoldUnderChurn) {
   EXPECT_GT(net.metrics().blocks_lost_to_churn, 0u);
 }
 
+TEST(Network, DirectBaselineKeepsStructuralInvariants) {
+  // Decode ACKs drop the origin's pinned report: the registry degree,
+  // occupancy and total_blocks must follow, through the real decoder.
+  ProtocolConfig cfg = small_config();
+  cfg.buffer_cap = 8;
+  cfg.churn.enabled = true;
+  cfg.churn.mean_lifetime = 2.0;
+  auto net = Network::direct_baseline(cfg);
+  net.run_until(12.0);
+  check_structural_invariants(net);
+  EXPECT_GT(net.servers().segments_decoded(), 0u);
+  EXPECT_GT(net.metrics().injection_blocked, 0u);
+  EXPECT_GT(net.metrics().blocks_lost_to_churn, 0u);
+  EXPECT_EQ(net.metrics().ttl_expirations, 0u);  // pinned until the ACK
+}
+
 TEST(Network, InvariantsHoldOnSparseTopology) {
   ProtocolConfig cfg = small_config();
   cfg.topology = TopologyKind::kErdosRenyi;

@@ -16,7 +16,6 @@
 #include "core/collection_system.h"
 #include "core/config_args.h"
 #include "core/report.h"
-#include "p2p/direct_collector.h"
 #include "p2p/network.h"
 #include "p2p/network_telemetry.h"
 
@@ -147,12 +146,14 @@ TEST(Telemetry, FilePrefixSharesBundleDirectory) {
 }
 
 TEST(Telemetry, DirectCollectorMetricsRegister) {
-  icollect::p2p::DirectCollector dc{small_config()};
+  // The direct baseline is a Network, so it registers through the same
+  // bridge as the indirect scheme.
+  auto net = icollect::p2p::Network::direct_baseline(small_config());
   icollect::obs::MetricsRegistry reg;
-  icollect::p2p::register_direct_collector_metrics(reg, dc);
-  dc.run_until(3.0);
-  ASSERT_TRUE(reg.contains("direct.blocks_generated"));
-  EXPECT_GT(reg.find_gauge("direct.blocks_generated")->value(), 0.0);
+  icollect::p2p::register_network_metrics(reg, net);
+  net.run_until(3.0);
+  ASSERT_TRUE(reg.contains("net.blocks_injected"));
+  EXPECT_GT(reg.find_gauge("net.blocks_injected")->value(), 0.0);
 }
 
 TEST(Telemetry, NetworkStateSizeGauges) {

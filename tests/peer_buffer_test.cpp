@@ -177,7 +177,7 @@ TEST(PeerBuffer, SegmentListTracksMembership) {
 /// The hash-map PeerBuffer this one replaced, kept as an oracle for the
 /// order-sensitive semantics the simulator's RNG stream depends on:
 /// segment list order (append on first block, swap-pop on last), block
-/// order inside a segment, and the newest/rarest tie-breaks.
+/// order inside a segment, and the newest/oldest/rarest tie-breaks.
 class MapBuffer {
  public:
   void insert(coding::BlockHandle handle, coding::CodedBlock block) {
@@ -250,6 +250,19 @@ class MapBuffer {
     return *best;
   }
 
+  [[nodiscard]] const coding::SegmentId& oldest_segment() const {
+    const coding::SegmentId* best = nullptr;
+    std::uint64_t best_seq = 0;
+    for (const auto& id : segment_list_) {
+      const std::uint64_t seq = arrival_seq_.at(id);
+      if (best == nullptr || seq < best_seq) {
+        best = &id;
+        best_seq = seq;
+      }
+    }
+    return *best;
+  }
+
   [[nodiscard]] const coding::SegmentId& rarest_segment() const {
     const coding::SegmentId* best = nullptr;
     std::size_t best_count = 0;
@@ -305,6 +318,7 @@ void expect_same_state(const PeerBuffer& pb, const MapBuffer& ref,
   }
   if (ref.size() == 0) return;
   EXPECT_EQ(pb.newest_segment(), ref.newest_segment());
+  EXPECT_EQ(pb.oldest_segment(), ref.oldest_segment());
   EXPECT_EQ(pb.rarest_segment(), ref.rarest_segment());
   for (int t = 0; t < 3; ++t) {
     EXPECT_EQ(pb.random_segment(rng_pb), ref.random_segment(rng_ref));

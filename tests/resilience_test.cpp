@@ -1,10 +1,9 @@
 /// Tests for the loss-resilience accounting: departed-peer recovery,
 /// "last words" windows, and time-varying arrival profiles on both the
-/// indirect engine and the direct baseline.
+/// indirect scheme and the direct baseline (Network::direct_baseline).
 
 #include <gtest/gtest.h>
 
-#include "p2p/direct_collector.h"
 #include "p2p/network.h"
 
 namespace icollect::p2p {
@@ -90,13 +89,12 @@ TEST(DepartedData, PosthumousCollectionHappens) {
 TEST(DirectDepartedData, LedgerConservation) {
   auto cfg = churny_config();
   cfg.buffer_cap = 30;
-  DirectCollector dc{cfg};
-  dc.set_last_words_window(1.0);
-  dc.run_until(25.0);
-  const auto dep = dc.departed_data_stats();
-  EXPECT_EQ(dep.departed_origins, dc.metrics().peers_departed);
+  auto net = Network::direct_baseline(cfg);
+  net.run_until(25.0);
+  const auto dep = net.departed_data_stats();
+  EXPECT_EQ(dep.departed_origins, net.metrics().peers_departed);
   EXPECT_LE(dep.blocks_delivered, dep.blocks_generated);
-  const auto lw = dc.last_words_stats();
+  const auto lw = net.last_words_stats(1.0);
   EXPECT_EQ(lw.departed_origins, dep.departed_origins);
   EXPECT_LE(lw.blocks_generated, dep.blocks_generated);
   EXPECT_LE(lw.blocks_delivered, lw.blocks_generated);
@@ -110,17 +108,16 @@ TEST(DirectDepartedData, LoadedFifoLosesLastWords) {
   cfg.lambda = 20.0;
   cfg.set_normalized_capacity(2.0);
   cfg.buffer_cap = 60;
-  DirectCollector dc{cfg};
-  dc.set_last_words_window(0.5);
-  dc.run_until(30.0);
-  const auto lw = dc.last_words_stats();
+  auto net = Network::direct_baseline(cfg);
+  net.run_until(30.0);
+  const auto lw = net.last_words_stats(0.5);
   ASSERT_GT(lw.blocks_generated, 100u);
   EXPECT_LT(lw.recovery_fraction(), 0.1);
 }
 
 TEST(DirectDepartedData, WindowMustBePositive) {
-  DirectCollector dc{churny_config()};
-  EXPECT_THROW(dc.set_last_words_window(0.0), ContractViolation);
+  const auto net = Network::direct_baseline(churny_config());
+  EXPECT_THROW((void)net.last_words_stats(0.0), ContractViolation);
 }
 
 TEST(ArrivalProfile, NetworkFollowsBurst) {

@@ -6,6 +6,9 @@
 /// and root seed, then one section per table,
 /// `"<name>": {"config": {...}, "points": [{...}, ...]}`, with one point
 /// object per line so a diff of a re-capture reads point by point.
+///
+/// The tool opens its destination (open()) before any replica runs, so
+/// an unwritable --out path fails at once, not after the whole bench.
 
 #include <cstdint>
 #include <cstdio>
@@ -57,28 +60,42 @@ class BenchDocument {
     return doc;
   }
 
-  /// Write the document to `out_path`, or to stdout when it is empty.
-  /// Returns the process exit status (2 when the file cannot be written).
-  [[nodiscard]] int write(const std::string& out_path,
-                          const char* program) const {
+  /// Open the destination: `out_path`, or stdout when it is empty.
+  /// False, with a diagnostic on stderr, when the file cannot be opened.
+  [[nodiscard]] bool open(std::string out_path, const char* program) {
+    out_path_ = std::move(out_path);
+    program_ = program;
+    if (out_path_.empty()) return true;
+    out_.open(out_path_, std::ios::binary);
+    if (out_) return true;
+    std::fprintf(stderr, "%s: cannot write %s\n", program_,
+                 out_path_.c_str());
+    return false;
+  }
+
+  /// Write the document to the destination open() chose. Returns the
+  /// process exit status (2 when the file cannot be written).
+  [[nodiscard]] int write() {
     const std::string doc = str();
-    if (out_path.empty()) {
+    if (out_path_.empty()) {
       std::fputs(doc.c_str(), stdout);
       return 0;
     }
-    std::ofstream f{out_path, std::ios::binary};
-    if (!(f << doc)) {
-      std::fprintf(stderr, "%s: cannot write %s\n", program,
-                   out_path.c_str());
+    if (!(out_ << doc << std::flush)) {
+      std::fprintf(stderr, "%s: cannot write %s\n", program_,
+                   out_path_.c_str());
       return 2;
     }
-    std::printf("wrote %s (%zu bytes)\n", out_path.c_str(), doc.size());
+    std::printf("wrote %s (%zu bytes)\n", out_path_.c_str(), doc.size());
     return 0;
   }
 
  private:
   std::string head_;
   std::vector<std::string> tables_;
+  std::string out_path_;
+  const char* program_ = "";
+  std::ofstream out_;
 };
 
 }  // namespace icollect::tools

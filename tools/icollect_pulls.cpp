@@ -189,6 +189,8 @@ int main(int argc, char** argv) {
   flags.parse_or_exit(argc, argv);
   if (quick) replicas = 2;
   if (replicas == 0) flags.usage_error("--replicas must be >= 1");
+  tools::BenchDocument doc{"icollect-pulls-bench-v1", replicas, seed};
+  if (!doc.open(out_path, argv[0])) return 2;
 
   // The same three arms in both tables.
   constexpr proto::PullPolicyKind kArms[] = {
@@ -261,7 +263,6 @@ int main(int argc, char** argv) {
     return out;
   };
 
-  tools::BenchDocument doc{"icollect-pulls-bench-v1", replicas, seed};
   const p2p::ProtocolConfig sim_base = sim_config(sim_grid[0], kArms[0]);
   obs::JsonObject sim_cfg;
   sim_cfg.field("lambda", sim_base.lambda)
@@ -285,5 +286,5 @@ int main(int argc, char** argv) {
              static_cast<std::uint64_t>(cluster_base.payload_bytes))
       .field("max_time", cluster_max_time);
   doc.add_table("cluster", cluster_cfg.str(), with_metrics(cluster_points));
-  return doc.write(out_path, argv[0]);
+  return doc.write();
 }

@@ -151,6 +151,8 @@ int main(int argc, char** argv) {
   flags.parse_or_exit(argc, argv);
   if (quick) replicas = 2;
   if (replicas == 0) flags.usage_error("--replicas must be >= 1");
+  tools::BenchDocument doc{"icollect-scenario-bench-v1", replicas, seed};
+  if (!doc.open(out_path, argv[0])) return 2;
   const double warm = quick ? 1.0 : 2.0;
   const double measure = quick ? 6.0 : 15.0;
   const double max_time = 600.0;
@@ -205,7 +207,6 @@ int main(int argc, char** argv) {
   const auto tables =
       runner::run_cells(runner::SeedSequence{seed}, cells, pool);
 
-  tools::BenchDocument doc{"icollect-scenario-bench-v1", replicas, seed};
   const p2p::ProtocolConfig sim_base = sim_base_config();
   obs::JsonObject sim_cfg;
   sim_cfg.field("peers", static_cast<std::uint64_t>(sim_base.num_peers))
@@ -254,5 +255,5 @@ int main(int argc, char** argv) {
   }
   doc.add_table("collection_time_vs_fault_severity", cluster_cfg.str(),
                 points);
-  return doc.write(out_path, argv[0]);
+  return doc.write();
 }

@@ -10,12 +10,10 @@
 ///   icollect_sim lambda=8 s=1 c=2 churn=2 fidelity=real-coding ode=0
 ///   icollect_sim peers=100 --metrics-out=run1 --trace-out --profile
 
-#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "common/cli.h"
 #include "core/config_args.h"
@@ -23,7 +21,6 @@
 #include "gf/kernels.h"
 #include "obs/json.h"
 #include "obs/telemetry.h"
-#include "p2p/network_telemetry.h"
 #include "workload/trace_replay.h"
 
 int main(int argc, char** argv) {
@@ -278,9 +275,10 @@ int main(int argc, char** argv) {
   }
 
   if (run_direct) {
-    p2p::DirectCollector dc{cfg};
-    // The baseline shares the bundle directory under a "direct_" file
-    // prefix, so one run yields a directly comparable pair of series.
+    // The baseline is the same engine in its Fig. 1(a) configuration.
+    // It shares the bundle directory under a "direct_" file prefix, so
+    // one run yields a directly comparable pair of series.
+    CollectionSystem direct = CollectionSystem::direct_baseline(cfg);
     std::unique_ptr<obs::Telemetry> direct_tel;
     if (telemetry && telemetry->snapshots_enabled()) {
       obs::TelemetryOptions dopts;
@@ -289,41 +287,25 @@ int main(int argc, char** argv) {
       dopts.profile = topts.profile;
       dopts.file_prefix = "direct_";
       direct_tel = std::make_unique<obs::Telemetry>(dopts);
-      p2p::register_direct_collector_metrics(direct_tel->registry(), dc);
-      if (direct_tel->profiler() != nullptr) {
-        dc.set_profiler(direct_tel->profiler());
-      }
-      direct_tel->snapshotter().start(dc.now());
+      direct.attach_telemetry(*direct_tel);
     }
-    auto run_direct_until = [&](double end) {
-      if (!direct_tel) {
-        dc.run_until(end);
-        return;
-      }
-      auto& snap = direct_tel->snapshotter();
-      while (true) {
-        dc.run_until(std::min(end, snap.next_due()));
-        snap.sample_if_due(dc.now());
-        if (dc.now() >= end) break;
-      }
-    };
-    run_direct_until(warm);
-    dc.warm_up(dc.now());
-    run_direct_until(dc.now() + measure);
+    direct.warm_up(warm);
+    direct.run(measure);
+    const CollectionReport d = direct.report();
+    // Lifetime loss: reports refused at a full queue plus those a
+    // departing peer still held.
+    const auto& m = direct.network().metrics();
+    const auto offered = direct.network().blocks_offered();
+    const double loss =
+        offered > 0 ? static_cast<double>(m.injection_blocked +
+                                          m.blocks_lost_to_churn) /
+                          static_cast<double>(offered)
+                    : 0.0;
     std::printf("\n-- direct baseline (Fig. 1a) --\n");
     std::printf("normalized throughput %.4f | delay %.4f | loss %.4f\n",
-                dc.normalized_throughput(), dc.mean_delay(),
-                dc.loss_fraction());
+                d.normalized_throughput, d.mean_block_delay, loss);
     if (direct_tel) {
-      obs::JsonObject summary;
-      summary.field("throughput", dc.throughput())
-          .field("normalized_throughput", dc.normalized_throughput())
-          .field("mean_delay", dc.mean_delay())
-          .field("loss_fraction", dc.loss_fraction())
-          .field("backlog", dc.backlog_size())
-          .field("departed_recovery_fraction",
-                 dc.departed_data_stats().recovery_fraction());
-      direct_tel->write_summary(summary.str());
+      direct_tel->write_summary(to_json(d));
       std::printf("telemetry: %zu direct snapshots in %s\n",
                   direct_tel->snapshotter().samples(),
                   topts.metrics_dir.c_str());
