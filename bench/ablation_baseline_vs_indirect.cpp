@@ -19,15 +19,20 @@
 ///
 /// Gross delivered is one formula for every row: blocks the servers
 /// collected over blocks the peers offered, refused ones included
-/// (Network::blocks_offered).
+/// (Network::blocks_offered). Every row is bench::reps() replicas on the
+/// runner's seeded fan-out (ICOLLECT_BENCH_REPS, ICOLLECT_BENCH_SEED),
+/// printed as mean±ci95.
 ///
 /// Plus the real-coding vs state-counter fidelity gap: how much of the
 /// model's throughput an actual GF(2^8) deployment retains.
 
 #include <cstdio>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "bench_util.h"
+#include "runner/engine.h"
 
 namespace {
 
@@ -49,39 +54,47 @@ p2p::ProtocolConfig common_config(std::size_t s, double c) {
   cfg.fidelity = p2p::CollectionFidelity::kStateCounter;
   cfg.churn.enabled = true;
   cfg.churn.mean_lifetime = 4.0;
-  cfg.seed = 2024;
   return cfg;
 }
 
-struct Row {
-  double gross = 0.0;
-  double departed = 0.0;
-  double last_words = 0.0;
-};
-
-Row measure(p2p::Network& net) {
+runner::Sample measure(p2p::Network& net) {
   net.run_until(kRunTime);
   const auto offered = net.blocks_offered();
-  Row r;
-  r.gross = offered > 0
-                ? static_cast<double>(net.servers().innovative_pulls()) /
-                      static_cast<double>(offered)
-                : 0.0;
-  r.departed = net.departed_data_stats().recovery_fraction();
-  r.last_words = net.last_words_stats(kLastWordsWindow).recovery_fraction();
-  return r;
+  const double gross =
+      offered > 0 ? static_cast<double>(net.servers().innovative_pulls()) /
+                        static_cast<double>(offered)
+                  : 0.0;
+  return {{"gross", gross},
+          {"departed", net.departed_data_stats().recovery_fraction()},
+          {"last_words",
+           net.last_words_stats(kLastWordsWindow).recovery_fraction()}};
 }
 
-Row run_direct(double c) {
-  auto cfg = common_config(1, c);
-  cfg.buffer_cap = 60;  // a direct report queue, oldest-first service
-  auto net = p2p::Network::direct_baseline(cfg);
-  return measure(net);
-}
+/// One table row: a scheme at one capacity, replicated.
+struct Scheme {
+  std::string label;
+  std::size_t s = 1;  ///< 0 = the direct baseline
+  double c = 2.0;
+};
 
-Row run_indirect(std::size_t s, double c) {
-  p2p::Network net{common_config(s, c)};
-  return measure(net);
+runner::Cell scheme_cell(const Scheme& scheme, std::uint64_t seed_key) {
+  runner::Cell cell;
+  cell.replicas = bench::reps();
+  cell.seed_key = seed_key;
+  cell.body = [scheme](std::uint64_t seed, std::size_t /*replica*/) {
+    if (scheme.s == 0) {
+      auto cfg = common_config(1, scheme.c);
+      cfg.buffer_cap = 60;  // a direct report queue, oldest-first service
+      cfg.seed = seed;
+      auto net = p2p::Network::direct_baseline(cfg);
+      return measure(net);
+    }
+    auto cfg = common_config(scheme.s, scheme.c);
+    cfg.seed = seed;
+    p2p::Network net{cfg};
+    return measure(net);
+  };
+  return cell;
 }
 
 }  // namespace
@@ -92,22 +105,41 @@ int main() {
   std::printf("== Ablation: direct baseline vs indirect collection ==\n");
   std::printf(
       "lambda=20 mu=10 gamma=1, churn E[L]=4, run=%.0f, last-words "
-      "window=%.1f\n\n",
-      kRunTime, kLastWordsWindow);
+      "window=%.1f, %zu replicas per row (mean±ci95)\n\n",
+      kRunTime, kLastWordsWindow, bench::reps());
 
-  for (const double c : {2.0, 5.0}) {
+  // The three schemes at one capacity share a seed key, so replica r of
+  // each runs on the same seed.
+  const std::vector<double> capacities{2.0, 5.0};
+  std::vector<Scheme> schemes;
+  std::vector<runner::Cell> cells;
+  for (std::size_t ci = 0; ci < capacities.size(); ++ci) {
+    const double c = capacities[ci];
+    for (Scheme scheme : {Scheme{"direct (Fig. 1a)", 0, c},
+                          Scheme{"indirect s=1", 1, c},
+                          Scheme{"indirect s=20", 20, c}}) {
+      cells.push_back(scheme_cell(scheme, ci));
+      schemes.push_back(std::move(scheme));
+    }
+  }
+  const runner::SeedSequence seeds =
+      runner::SeedSequence{bench::seed_root()}.child(
+          bench::fnv1a("ablation_baseline_vs_indirect"));
+  const std::vector<runner::MetricTable> rows =
+      runner::run_cells(seeds, cells, bench::pool());
+
+  for (std::size_t ci = 0; ci < capacities.size(); ++ci) {
+    const double c = capacities[ci];
     std::printf("-- normalized server capacity c = %.0f (c/lambda = %.2f) --\n",
                 c, c / 20.0);
     bench::Table table{
         {"scheme", "gross delivered", "departed recovery",
          "last-words recovery"}};
-    const Row d = run_direct(c);
-    table.add_row({"direct (Fig. 1a)", fmt(d.gross), fmt(d.departed),
-                   fmt(d.last_words)});
-    for (const std::size_t s : {1ul, 20ul}) {
-      const Row r = run_indirect(s, c);
-      table.add_row({"indirect s=" + std::to_string(s), fmt(r.gross),
-                     fmt(r.departed), fmt(r.last_words)});
+    for (std::size_t i = 0; i < schemes.size(); ++i) {
+      if (schemes[i].c != c) continue;
+      table.add_row({schemes[i].label, bench::fmt_ci(rows[i], "gross"),
+                     bench::fmt_ci(rows[i], "departed"),
+                     bench::fmt_ci(rows[i], "last_words")});
     }
     table.print();
     std::printf("\n");

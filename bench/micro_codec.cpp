@@ -21,6 +21,7 @@
 #include "coding/decoder.h"
 #include "coding/segment_buffer.h"
 #include "gf/kernels.h"
+#include "proto/peer_buffer.h"
 #include "sim/random.h"
 
 namespace {
@@ -39,13 +40,15 @@ std::vector<std::vector<std::uint8_t>> make_originals(std::size_t s,
   return blocks;
 }
 
+constexpr coding::SegmentId kSegment{1, 0};
+
 /// The origin's buffer for segment {1, 0}: its s originals as s
-/// systematic blocks. A recode over it is the source encoder.
-coding::SegmentBuffer make_source(std::size_t s, sim::Rng& rng) {
+/// systematic blocks. A recode over its segment is the source encoder.
+proto::PeerBuffer make_source(std::size_t s, sim::Rng& rng) {
   const auto originals = make_originals(s, rng);
-  coding::SegmentBuffer buf{{1, 0}, s};
+  proto::PeerBuffer buf{s, s};
   for (std::size_t k = 0; k < s; ++k) {
-    buf.add(k + 1, coding::CodedBlock::systematic({1, 0}, s, k, originals[k]));
+    buf.insert(coding::CodedBlock::systematic(kSegment, s, k, originals[k]));
   }
   return buf;
 }
@@ -63,10 +66,11 @@ void BM_Encode(benchmark::State& state, Kernels::Kind kind) {
   const KernelGuard guard{kind};
   const auto s = static_cast<std::size_t>(state.range(0));
   sim::Rng rng{11};
-  const coding::SegmentBuffer source = make_source(s, rng);
+  const proto::PeerBuffer source = make_source(s, rng);
+  const coding::SegmentBuffer& segment = *source.find(kSegment);
   coding::CodedBlock out;
   for (auto _ : state) {
-    source.recode_into(out, rng);
+    segment.recode_into(out, rng);
     benchmark::DoNotOptimize(out.payload.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -77,12 +81,15 @@ void BM_Recode(benchmark::State& state, Kernels::Kind kind) {
   const KernelGuard guard{kind};
   const auto s = static_cast<std::size_t>(state.range(0));
   sim::Rng rng{12};
-  const coding::SegmentBuffer source = make_source(s, rng);
-  coding::SegmentBuffer buf{{1, 0}, s};
-  for (std::size_t k = 0; k < s; ++k) buf.add(k + 1, source.recode(rng));
+  const proto::PeerBuffer source = make_source(s, rng);
+  proto::PeerBuffer relay{s, s};
+  for (std::size_t k = 0; k < s; ++k) {
+    relay.insert(source.find(kSegment)->recode(rng));
+  }
+  const coding::SegmentBuffer& segment = *relay.find(kSegment);
   coding::CodedBlock out;
   for (auto _ : state) {
-    buf.recode_into(out, rng);
+    segment.recode_into(out, rng);
     benchmark::DoNotOptimize(out.payload.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -93,10 +100,12 @@ void BM_DecodeSegment(benchmark::State& state, Kernels::Kind kind) {
   const KernelGuard guard{kind};
   const auto s = static_cast<std::size_t>(state.range(0));
   sim::Rng rng{13};
-  const coding::SegmentBuffer source = make_source(s, rng);
+  const proto::PeerBuffer source = make_source(s, rng);
   // Pre-generate enough coded blocks to complete the decode.
   std::vector<coding::CodedBlock> blocks;
-  for (std::size_t k = 0; k < s + 8; ++k) blocks.push_back(source.recode(rng));
+  for (std::size_t k = 0; k < s + 8; ++k) {
+    blocks.push_back(source.find(kSegment)->recode(rng));
+  }
   for (auto _ : state) {
     coding::Decoder dec{{1, 0}, s, kBlockBytes};
     std::size_t k = 0;
@@ -114,14 +123,15 @@ void BM_DecodeSegment(benchmark::State& state, Kernels::Kind kind) {
 void BM_InnovationCheck(benchmark::State& state) {
   const auto s = static_cast<std::size_t>(state.range(0));
   sim::Rng rng{14};
-  const coding::SegmentBuffer source = make_source(s, rng);
-  coding::Decoder dec{{1, 0}, s, 0};
+  const proto::PeerBuffer source = make_source(s, rng);
+  const coding::SegmentBuffer& segment = *source.find(kSegment);
+  coding::Decoder dec{kSegment, s, 0};
   for (std::size_t k = 0; k + 1 < s; ++k) {
-    coding::CodedBlock b = source.recode(rng);
+    coding::CodedBlock b = segment.recode(rng);
     b.payload.clear();
     dec.add(b);
   }
-  coding::CodedBlock probe = source.recode(rng);
+  coding::CodedBlock probe = segment.recode(rng);
   probe.payload.clear();
   for (auto _ : state) {
     benchmark::DoNotOptimize(dec.is_innovative(probe));
@@ -131,7 +141,7 @@ BENCHMARK(BM_InnovationCheck)->Arg(5)->Arg(20)->Arg(40);
 
 void BM_WireSerialize(benchmark::State& state) {
   sim::Rng rng{15};
-  const coding::CodedBlock b = make_source(20, rng).recode(rng);
+  const coding::CodedBlock b = make_source(20, rng).find(kSegment)->recode(rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(coding::wire::serialize(b));
   }

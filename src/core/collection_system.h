@@ -87,7 +87,9 @@ class CollectionSystem {
   [[nodiscard]] CollectionReport report() const;
 
   /// Every vital-statistics record recovered by the servers so far
-  /// (decoded, CRC-verified, unpacked). Only meaningful with
+  /// (decoded, CRC-verified, unpacked), segment by segment in (origin,
+  /// seq) order, each segment's records in packing order — so two runs
+  /// of the same seed return the same sequence. Only meaningful with
   /// use_vital_statistics_payloads().
   [[nodiscard]] std::vector<workload::StatsRecord> recovered_records() const;
 

@@ -62,9 +62,9 @@ struct CollectionReport {
   }
 };
 
-/// The report as one flat-ish JSON object (saved-data census nested) —
-/// the summary.json of a telemetry bundle.
-[[nodiscard]] inline std::string to_json(const CollectionReport& r) {
+namespace detail {
+inline std::string report_json(const CollectionReport& r,
+                               bool storage_terms) {
   obs::JsonObject saved;
   saved.field("live_segments", r.saved.live_segments)
       .field("undecoded_live_segments", r.saved.undecoded_live_segments)
@@ -85,11 +85,11 @@ struct CollectionReport {
       .field("mean_block_delay", r.mean_block_delay)
       .field("mean_segment_delay", r.mean_segment_delay)
       .field("max_segment_delay", r.max_segment_delay)
-      .field("mean_blocks_per_peer", r.mean_blocks_per_peer)
-      .field("storage_overhead", r.storage_overhead)
-      .field("empty_peer_fraction", r.empty_peer_fraction)
-      .field("overhead_bound", r.overhead_bound)
-      .field("segments_injected", r.segments_injected)
+      .field("mean_blocks_per_peer", r.mean_blocks_per_peer);
+  if (storage_terms) o.field("storage_overhead", r.storage_overhead);
+  o.field("empty_peer_fraction", r.empty_peer_fraction);
+  if (storage_terms) o.field("overhead_bound", r.overhead_bound);
+  o.field("segments_injected", r.segments_injected)
       .field("segments_decoded", r.segments_decoded)
       .field("segments_lost", r.segments_lost)
       .field("blocks_injected", r.blocks_injected)
@@ -102,6 +102,21 @@ struct CollectionReport {
       .field("blocks_lost_to_churn", r.blocks_lost_to_churn)
       .field_raw("saved", saved.str());
   return o.str();
+}
+}  // namespace detail
+
+/// The report as one flat-ish JSON object (saved-data census nested) —
+/// the summary.json of a telemetry bundle.
+[[nodiscard]] inline std::string to_json(const CollectionReport& r) {
+  return detail::report_json(r, /*storage_terms=*/true);
+}
+
+/// The direct baseline's summary (direct_summary.json): to_json()
+/// without storage_overhead and overhead_bound. Theorem 1's gossip-held
+/// share ρ − λ/γ and its μ/γ bound describe TTL-aged gossip storage;
+/// the baseline's pinned report queues have neither.
+[[nodiscard]] inline std::string to_direct_json(const CollectionReport& r) {
+  return detail::report_json(r, /*storage_terms=*/false);
 }
 
 }  // namespace icollect

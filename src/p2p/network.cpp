@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <utility>
 
 #include "p2p/churn.h"
@@ -127,9 +128,9 @@ void Network::wire_core(std::size_t slot) {
   // view knows (registry degree, occupancy lists, time-weighted totals).
   core.set_stored_hook(
       [this, slot](const coding::SegmentId& seg, std::size_t before) {
-        const auto rit = registry_.find(seg);
-        ICOLLECT_ENSURES(rit != registry_.end() && !rit->second.resolved);
-        ++rit->second.degree;
+        SegmentInfo& info = registry_.at(seg);
+        ICOLLECT_ENSURES(!info.resolved);
+        ++info.degree;
         metrics_.total_blocks.add(sim_.now(), 1.0);
         update_occupancy(slot, before);
       });
@@ -239,12 +240,12 @@ void Network::do_inject(std::size_t slot) {
   const coding::SegmentId id = p.core.next_segment_id();
   SegmentInfo info;
   info.injected_at = sim_.now();
-  info.origin_slot = slot;
-  info.segment_size = cfg_.segment_size;
-  const auto rit = registry_.emplace(id, std::move(info)).first;
+  info.origin_slot = static_cast<std::uint32_t>(slot);
+  info.segment_size = static_cast<std::uint32_t>(cfg_.segment_size);
+  SegmentInfo& registered = registry_.emplace(id, std::move(info));
   proto::PeerCore::Injected injected = p.core.inject();
   ICOLLECT_ENSURES(injected.id == id);
-  rit->second.original_crcs = std::move(injected.crcs);
+  registered.original_crcs = std::move(injected.crcs);
   ++metrics_.segments_injected;
   metrics_.blocks_injected += cfg_.segment_size;
   metrics_.injected_blocks_window.record(cfg_.segment_size);
@@ -372,9 +373,8 @@ void Network::do_server_pull() {
     }
     // A resolved segment's decoder is gone; offering one of its blocks
     // would silently start a fresh one.
-    const auto rit = registry_.find(offered);
-    ICOLLECT_ENSURES(rit != registry_.end() && !rit->second.resolved);
-    info = &rit->second;
+    info = &registry_.at(offered);
+    ICOLLECT_ENSURES(!info->resolved);
     result = counted ? server_core_.on_pull_counted(seg, cfg_.segment_size)
                      : server_core_.on_pull_block(pull_scratch_);
   }
@@ -398,9 +398,7 @@ void Network::do_server_pull() {
 }
 
 void Network::on_segment_decoded(const proto::ServerBank::DecodeEvent& event) {
-  const auto it = registry_.find(event.id);
-  ICOLLECT_ENSURES(it != registry_.end());
-  SegmentInfo& info = it->second;
+  SegmentInfo& info = registry_.at(event.id);
   info.decoded = true;
   info.decoded_at = event.when;
   const auto s = static_cast<double>(info.segment_size);
@@ -463,10 +461,10 @@ void Network::do_depart(std::size_t slot) {
   // predecessor's replay block. That releases its pin, which may
   // resolve the segment.
   if (const coding::CodedBlock* replayed = p.core.replay_block()) {
-    const auto it = registry_.find(replayed->segment);
-    ICOLLECT_ENSURES(it != registry_.end() && it->second.replay_pins > 0);
-    --it->second.replay_pins;
-    resolve_if_dead(replayed->segment, it->second);
+    SegmentInfo& info = registry_.at(replayed->segment);
+    ICOLLECT_ENSURES(info.replay_pins > 0);
+    --info.replay_pins;
+    resolve_if_dead(replayed->segment, info);
   }
   departed_origins_.emplace(p.origin(), sim_.now());
   ++p.incarnation;
@@ -481,25 +479,21 @@ void Network::count_egress(proto::PeerCore::EgressResult result,
   if (result == proto::PeerCore::EgressResult::kHonest) return;
   ++metrics_.blocks_corrupted;
   if (result == proto::PeerCore::EgressResult::kReplayCached) {
-    const auto it = registry_.find(block.segment);
-    ICOLLECT_ENSURES(it != registry_.end());
-    ++it->second.replay_pins;
+    ++registry_.at(block.segment).replay_pins;
   }
 }
 
 void Network::note_degree_drop(const coding::SegmentId& id,
                                std::size_t count) {
-  const auto it = registry_.find(id);
-  ICOLLECT_ENSURES(it != registry_.end());
-  ICOLLECT_ENSURES(it->second.degree >= count);
-  it->second.degree -= count;
-  if (it->second.degree == 0 && !it->second.decoded && !it->second.lost) {
-    it->second.lost = true;
+  SegmentInfo& info = registry_.at(id);
+  ICOLLECT_ENSURES(info.degree >= count);
+  info.degree -= count;
+  if (info.degree == 0 && !info.decoded && !info.lost) {
+    info.lost = true;
     ++metrics_.segments_lost;
-    emit(TraceEventKind::kSegmentLost, it->second.origin_slot, id,
-         it->second.collected);
+    emit(TraceEventKind::kSegmentLost, info.origin_slot, id, info.collected);
   }
-  resolve_if_dead(id, it->second);
+  resolve_if_dead(id, info);
 }
 
 void Network::resolve_if_dead(const coding::SegmentId& id,
@@ -625,11 +619,14 @@ SavedDataCensus Network::saved_data_census() const {
                  .first;
       }
       coding::Decoder& dec = it->second;
-      sb->for_each_block([&dec, &seg_id](const coding::CodedBlock& b) {
+      sb->for_each_block([&dec, &seg_id](
+                             std::span<const gf::Element> coefficients,
+                             std::span<const std::uint8_t> /*payload*/) {
         if (!dec.complete()) {
           coding::CodedBlock coeff_only;
           coeff_only.segment = seg_id;
-          coeff_only.coefficients = b.coefficients;
+          coeff_only.coefficients.assign(coefficients.begin(),
+                                         coefficients.end());
           dec.add(coeff_only);
         }
       });
@@ -670,22 +667,16 @@ DepartedDataStats Network::departed_data_stats() const {
 }
 
 std::size_t Network::compact_registry() {
-  std::size_t removed = 0;
-  for (auto it = registry_.begin(); it != registry_.end();) {
-    const SegmentInfo& info = it->second;
-    if (!info.resolved) {
-      ++it;
-      continue;
-    }
-    if (departed_origins_.contains(it->first.origin)) {
-      compacted_departed_.blocks_generated += info.segment_size;
-      compacted_departed_.blocks_delivered +=
-          std::min(info.collected, info.segment_size);
-    }
-    it = registry_.erase(it);
-    ++removed;
-  }
-  return removed;
+  return registry_.erase_if(
+      [this](const coding::SegmentId& id, const SegmentInfo& info) {
+        if (!info.resolved) return false;
+        if (departed_origins_.contains(id.origin)) {
+          compacted_departed_.blocks_generated += info.segment_size;
+          compacted_departed_.blocks_delivered +=
+              std::min(info.collected, info.segment_size);
+        }
+        return true;
+      });
 }
 
 DepartedDataStats Network::last_words_stats(double window) const {

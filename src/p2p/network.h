@@ -38,7 +38,6 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "coding/coded_block.h"
@@ -47,6 +46,7 @@
 #include "obs/profiler.h"
 #include "p2p/config.h"
 #include "p2p/metrics.h"
+#include "p2p/segment_registry.h"
 #include "p2p/topology.h"
 #include "proto/integrity.h"
 #include "proto/peer_core.h"
@@ -86,27 +86,6 @@ struct Peer {
   [[nodiscard]] const proto::PeerBuffer& buffer() const noexcept {
     return core.buffer();
   }
-};
-
-/// Global bookkeeping for one injected segment.
-struct SegmentInfo {
-  sim::Time injected_at = 0.0;
-  std::size_t origin_slot = 0;
-  std::size_t segment_size = 0;
-  std::size_t degree = 0;  ///< live block copies network-wide
-  std::size_t collected = 0;  ///< useful blocks pulled by the servers (≤ s)
-  bool decoded = false;
-  bool lost = false;  ///< vanished from the network before decoding
-  /// No block of the segment can reach a peer or a server again: degree
-  /// 0 and no replay pin. Its server decoder, integrity tags and CRCs are
-  /// freed at that moment; the entry itself stays.
-  bool resolved = false;
-  /// Dishonest slots whose replay cache holds a block of this segment.
-  /// Each can re-emit it at any time, so a pinned segment is never
-  /// resolved, whatever its degree.
-  std::size_t replay_pins = 0;
-  sim::Time decoded_at = 0.0;
-  std::vector<std::uint32_t> original_crcs;  ///< when payloads in use
 };
 
 /// Snapshot of the data "saved up in the network for future delivery"
@@ -212,8 +191,9 @@ class Network {
     ICOLLECT_EXPECTS(slot < peers_.size());
     return peers_[slot];
   }
-  [[nodiscard]] const std::unordered_map<coding::SegmentId, SegmentInfo>&
-  segment_registry() const noexcept {
+  /// Every registered segment; iterates in (origin, seq) order, so two
+  /// runs of the same seed list the same entries in the same order.
+  [[nodiscard]] const SegmentRegistry& segment_registry() const noexcept {
     return registry_;
   }
   /// Adversary wiring (configured via cfg.adversary): whether a slot is
@@ -352,7 +332,7 @@ class Network {
   /// the global view itself). nullptr under uniform policies.
   std::unique_ptr<sched::RankTracker> tracker_;
   NetworkMetrics metrics_;
-  std::unordered_map<coding::SegmentId, SegmentInfo> registry_;
+  SegmentRegistry registry_;
   PayloadSource payload_source_;
   const workload::ArrivalProfile* arrival_profile_ = nullptr;
   TraceSink trace_;

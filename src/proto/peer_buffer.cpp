@@ -7,49 +7,31 @@ namespace icollect::proto {
 coding::BlockHandle PeerBuffer::insert(coding::CodedBlock block) {
   ICOLLECT_EXPECTS(has_room(1));
   const coding::SegmentId id = block.segment;
-  const std::uint32_t slot =
-      free_handles_.empty() ? static_cast<std::uint32_t>(handles_.size())
-                            : free_handles_.back();
-  const std::uint64_t serial = next_serial_;
-  const coding::BlockHandle handle = (serial << kSlotBits) | slot;
-  // Add the block before committing any bookkeeping, so a block the
-  // SegmentBuffer rejects leaves the buffer untouched.
+  // The slab checks the block's shape before it takes anything, so a
+  // rejected block leaves the buffer untouched.
+  const std::uint32_t k = slab_->acquire(std::move(block));
   if (const std::size_t pos = index_of(id); pos != kNotFound) {
-    entries_[pos].blocks.add(handle, std::move(block));
+    entries_[pos].blocks.add(k);
   } else {
-    coding::SegmentBuffer fresh{id, block.coefficients.size()};
-    fresh.add(handle, std::move(block));
-    entries_.push_back(Entry{std::move(fresh), next_arrival_seq_++});
+    entries_.push_back(
+        Entry{coding::SegmentBuffer{id, *slab_}, next_arrival_seq_++});
+    entries_.back().blocks.add(k);
     segment_list_.push_back(id);
   }
-  if (free_handles_.empty()) {
-    handles_.emplace_back();
-  } else {
-    free_handles_.pop_back();
-  }
-  handles_[slot] = HandleSlot{id, serial};
-  ++next_serial_;
   ++total_blocks_;
-  return handle;
+  return slab_->handle(k);
 }
 
 std::optional<coding::SegmentId> PeerBuffer::erase(
     coding::BlockHandle handle) {
-  const auto slot = static_cast<std::uint32_t>(
-      handle & ((coding::BlockHandle{1} << kSlotBits) - 1));
-  const std::uint64_t serial = handle >> kSlotBits;
-  if (slot >= handles_.size() || serial == 0 ||
-      handles_[slot].serial != serial) {
-    return std::nullopt;
-  }
-  const coding::SegmentId id = handles_[slot].segment;
-  handles_[slot].serial = 0;
-  free_handles_.push_back(slot);
+  const std::uint32_t k = slab_->slot_of(handle);
+  if (k == coding::BlockSlab::kNil) return std::nullopt;
+  const coding::SegmentId id = slab_->slot(k).segment;
   const std::size_t pos = index_of(id);
   ICOLLECT_ENSURES(pos != kNotFound);
   coding::SegmentBuffer& sb = entries_[pos].blocks;
-  const bool removed = sb.remove(handle);
-  ICOLLECT_ENSURES(removed);
+  sb.remove(k);
+  slab_->release(k);
   --total_blocks_;
   if (sb.empty()) drop_segment_at(pos);
   return id;
@@ -103,10 +85,7 @@ std::size_t PeerBuffer::clear() {
   const std::size_t lost = total_blocks_;
   segment_list_.clear();
   entries_.clear();
-  // Serials keep counting, so every handle issued so far stays stale
-  // even once its slot is handed out again.
-  handles_.clear();
-  free_handles_.clear();
+  slab_->clear();
   total_blocks_ = 0;
   return lost;
 }

@@ -15,12 +15,15 @@
 /// Layout: no hashing. The buffered segment ids form one flat list with
 /// a parallel vector of {SegmentBuffer, first-arrival seq}; a segment is
 /// appended on its first block and swap-popped on its last, and found by
-/// a linear scan — the list holds at most B ids. Handles are allocated
-/// here: each packs a slot of a per-buffer handle table (slot → segment)
-/// with a serial that is never reused, so a stale handle (after erase,
-/// clear, or an eviction) is recognised in O(1).
+/// a linear scan — the list holds at most B ids. The blocks themselves
+/// live in the buffer's coding::BlockSlab: one slot per block, its
+/// coefficients in one flat arena. A handle names a slot plus a serial
+/// that is never reused, so erasing one is a slot lookup and an unlink,
+/// and a stale handle (after erase, clear, or an eviction) is
+/// recognised in O(1).
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -34,10 +37,15 @@ namespace icollect::proto {
 
 class PeerBuffer {
  public:
-  /// Precondition: 0 < capacity <= 2^24 (a handle's slot field).
-  explicit PeerBuffer(std::size_t capacity) : cap_{capacity} {
+  /// A buffer of `capacity` blocks of segments of `segment_size`.
+  /// Precondition: 0 < capacity <= 2^24 (a handle's slot field) and
+  /// segment_size > 0.
+  PeerBuffer(std::size_t capacity, std::size_t segment_size)
+      : cap_{capacity},
+        slab_{std::make_unique<coding::BlockSlab>(segment_size)} {
     ICOLLECT_EXPECTS(capacity > 0);
-    ICOLLECT_EXPECTS(capacity <= (std::size_t{1} << kSlotBits));
+    ICOLLECT_EXPECTS(capacity <=
+                     (std::size_t{1} << coding::BlockSlab::kSlotBits));
   }
 
   [[nodiscard]] std::size_t capacity() const noexcept { return cap_; }
@@ -55,7 +63,8 @@ class PeerBuffer {
   }
 
   /// Insert a block; returns its handle, unique over the buffer's
-  /// lifetime. Precondition: has_room(1).
+  /// lifetime. Precondition: has_room(1), and the block has the
+  /// buffer's segment size and is not degenerate.
   coding::BlockHandle insert(coding::CodedBlock block);
 
   /// Remove the block with this handle (TTL expiry). Returns the id of
@@ -99,18 +108,11 @@ class PeerBuffer {
   std::size_t clear();
 
  private:
-  /// Handle-table slots take the low kSlotBits bits of a handle; the
-  /// serial takes the rest.
-  static constexpr unsigned kSlotBits = 24;
   static constexpr std::size_t kNotFound = static_cast<std::size_t>(-1);
 
   struct Entry {
     coding::SegmentBuffer blocks;
     std::uint64_t arrival_seq;  ///< first arrival, monotonic per buffer
-  };
-  struct HandleSlot {
-    coding::SegmentId segment;
-    std::uint64_t serial = 0;  ///< of the live handle; 0 while free
   };
 
   [[nodiscard]] std::size_t index_of(const coding::SegmentId& id) const;
@@ -123,9 +125,9 @@ class PeerBuffer {
   std::vector<coding::SegmentId> segment_list_;
   std::vector<Entry> entries_;
   std::uint64_t next_arrival_seq_ = 0;
-  std::vector<HandleSlot> handles_;
-  std::vector<std::uint32_t> free_handles_;
-  std::uint64_t next_serial_ = 1;
+  // Behind a pointer so the SegmentBuffers' references to it survive a
+  // move of the buffer.
+  std::unique_ptr<coding::BlockSlab> slab_;
 };
 
 }  // namespace icollect::proto

@@ -9,7 +9,7 @@ namespace icollect::proto {
 PeerCore::PeerCore(const Params& params, coding::OriginId origin,
                    common::Rng& rng)
     : params_{params}, origin_{origin}, rng_{rng},
-      buffer_{params.buffer_cap} {
+      buffer_{params.buffer_cap, params.segment_size} {
   ICOLLECT_EXPECTS(params.segment_size > 0);
   ICOLLECT_EXPECTS(params.buffer_cap >= params.segment_size);
   ICOLLECT_EXPECTS(params.gamma > 0.0);

@@ -27,7 +27,7 @@ TEST(BatchDecoder, EmptyBatch) {
 TEST(BatchDecoder, FullRankBatchDecodes) {
   sim::Rng rng{201};
   const auto orig = random_originals(6, 20, rng);
-  const SegmentBuffer src = source_buffer({1, 0}, orig);
+  const auto src = source_buffer({1, 0}, orig);
   std::vector<CodedBlock> blocks;
   for (int i = 0; i < 9; ++i) blocks.push_back(src.recode(rng));
   EXPECT_TRUE(BatchDecoder::decodable(blocks));
@@ -39,7 +39,7 @@ TEST(BatchDecoder, FullRankBatchDecodes) {
 TEST(BatchDecoder, RankDeficientBatchFails) {
   sim::Rng rng{202};
   const auto orig = random_originals(5, 8, rng);
-  const SegmentBuffer src = source_buffer({1, 0}, orig);
+  const auto src = source_buffer({1, 0}, orig);
   std::vector<CodedBlock> blocks;
   for (int i = 0; i < 3; ++i) blocks.push_back(src.recode(rng));
   EXPECT_FALSE(BatchDecoder::decodable(blocks));
@@ -52,15 +52,15 @@ TEST(BatchDecoder, RankDeficientBatchFails) {
 
 TEST(BatchDecoder, MixedSegmentsRejected) {
   sim::Rng rng{203};
-  const SegmentBuffer a = source_buffer({1, 0}, random_originals(3, 4, rng));
-  const SegmentBuffer b = source_buffer({2, 0}, random_originals(3, 4, rng));
+  const auto a = source_buffer({1, 0}, random_originals(3, 4, rng));
+  const auto b = source_buffer({2, 0}, random_originals(3, 4, rng));
   std::vector<CodedBlock> blocks{a.recode(rng), b.recode(rng)};
   EXPECT_THROW((void)BatchDecoder::rank(blocks), std::invalid_argument);
 }
 
 TEST(BatchDecoder, InconsistentPayloadsRejected) {
   sim::Rng rng{204};
-  const SegmentBuffer src = source_buffer({1, 0}, random_originals(3, 4, rng));
+  const auto src = source_buffer({1, 0}, random_originals(3, 4, rng));
   std::vector<CodedBlock> blocks{src.recode(rng), src.recode(rng),
                                  src.recode(rng)};
   blocks[1].payload.resize(2);
@@ -71,7 +71,7 @@ TEST(BatchDecoder, AgreesWithProgressiveDecoderOnRank) {
   sim::Rng rng{205};
   for (int trial = 0; trial < 20; ++trial) {
     const std::size_t s = 2 + rng.uniform_index(10);
-    const SegmentBuffer src =
+    const auto src =
         source_buffer({7, 7}, random_originals(s, 8, rng));
     std::vector<CodedBlock> blocks;
     const std::size_t n = 1 + rng.uniform_index(2 * s);

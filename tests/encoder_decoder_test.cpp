@@ -9,6 +9,7 @@
 
 #include "coding/decoder.h"
 #include "coding/segment_buffer.h"
+#include "proto/peer_buffer.h"
 #include "sim/random.h"
 #include "source_segment.h"
 
@@ -25,7 +26,7 @@ TEST_P(CodecRoundTripTest, RandomCodedBlocksDecode) {
   sim::Rng rng{1000 + s};
   const SegmentId id{3, 7};
   const auto originals = random_originals(s, 32, rng);
-  const SegmentBuffer src = source_buffer(id, originals);
+  const auto src = source_buffer(id, originals);
   Decoder dec{id, s, 32};
 
   std::size_t offered = 0;
@@ -66,20 +67,16 @@ TEST_P(CodecRoundTripTest, RecodedChainStillDecodes) {
   sim::Rng rng{3000 + s};
   const SegmentId id{9, 4};
   const auto originals = random_originals(s, 24, rng);
-  const SegmentBuffer src = source_buffer(id, originals);
+  const auto src = source_buffer(id, originals);
 
-  SegmentBuffer a{id, s};
-  for (std::size_t k = 0; k < 2 * s; ++k) {
-    a.add(k + 1, src.recode(rng));
-  }
-  SegmentBuffer b{id, s};
-  for (std::size_t k = 0; k < 2 * s; ++k) {
-    b.add(1000 + k, a.recode(rng));
-  }
+  proto::PeerBuffer a{2 * s, s};
+  for (std::size_t k = 0; k < 2 * s; ++k) a.insert(src.recode(rng));
+  proto::PeerBuffer b{2 * s, s};
+  for (std::size_t k = 0; k < 2 * s; ++k) b.insert(a.find(id)->recode(rng));
   Decoder dec{id, s, 24};
   std::size_t offered = 0;
   while (!dec.complete() && offered < 6 * s + 30) {
-    dec.add(b.recode(rng));
+    dec.add(b.find(id)->recode(rng));
     ++offered;
   }
   ASSERT_TRUE(dec.complete());
@@ -92,7 +89,7 @@ INSTANTIATE_TEST_SUITE_P(SegmentSizes, CodecRoundTripTest,
 TEST(DecoderTest, DuplicateBlockIsRedundant) {
   sim::Rng rng{7};
   const auto originals = random_originals(4, 8, rng);
-  const SegmentBuffer src = source_buffer(SegmentId{1, 0}, originals);
+  const auto src = source_buffer(SegmentId{1, 0}, originals);
   Decoder dec{SegmentId{1, 0}, 4, 8};
   const CodedBlock b = src.recode(rng);
   EXPECT_TRUE(dec.add(b));
@@ -104,7 +101,7 @@ TEST(DecoderTest, DuplicateBlockIsRedundant) {
 TEST(DecoderTest, LinearCombinationOfKnownRowsIsRedundant) {
   sim::Rng rng{8};
   const auto originals = random_originals(5, 8, rng);
-  const SegmentBuffer src = source_buffer(SegmentId{1, 0}, originals);
+  const auto src = source_buffer(SegmentId{1, 0}, originals);
   Decoder dec{SegmentId{1, 0}, 5, 8};
   const CodedBlock b1 = src.recode(rng);
   const CodedBlock b2 = src.recode(rng);
@@ -129,7 +126,7 @@ TEST(DecoderTest, RedundantAddLeavesRowsByteIdentical) {
   const SegmentId id{2, 5};
   sim::Rng rng{10};
   const auto originals = random_originals(kS, kPayload, rng);
-  const SegmentBuffer src = source_buffer(id, originals);
+  const auto src = source_buffer(id, originals);
   Decoder dec{id, kS, kPayload};
   std::vector<CodedBlock> held;
   while (held.size() < 3) {
@@ -179,7 +176,7 @@ TEST(DecoderTest, RedundantAddLeavesRowsByteIdentical) {
 TEST(DecoderTest, IsInnovativeDoesNotMutate) {
   sim::Rng rng{9};
   const auto originals = random_originals(4, 4, rng);
-  const SegmentBuffer src = source_buffer(SegmentId{1, 0}, originals);
+  const auto src = source_buffer(SegmentId{1, 0}, originals);
   Decoder dec{SegmentId{1, 0}, 4, 4};
   const CodedBlock b = src.recode(rng);
   EXPECT_TRUE(dec.is_innovative(b));
@@ -211,7 +208,7 @@ TEST(DecoderTest, OriginalBeforeCompleteViolatesContract) {
 TEST(DecoderTest, AfterCompleteEverythingIsRedundant) {
   sim::Rng rng{10};
   const auto originals = random_originals(3, 4, rng);
-  const SegmentBuffer src = source_buffer(SegmentId{1, 0}, originals);
+  const auto src = source_buffer(SegmentId{1, 0}, originals);
   Decoder dec{SegmentId{1, 0}, 3, 4};
   while (!dec.complete()) dec.add(src.recode(rng));
   const auto redundant_before = dec.redundant_count();

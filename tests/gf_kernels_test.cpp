@@ -14,6 +14,7 @@
 
 #include "coding/decoder.h"
 #include "coding/segment_buffer.h"
+#include "proto/peer_buffer.h"
 #include "common/rng.h"
 #include "gf/gf256.h"
 #include "gf/kernels.h"
@@ -347,7 +348,7 @@ TEST(GfKernels, DecoderAddIsAllocationFreeInSteadyState) {
     blk.resize(payload);
     rng.fill_gf(blk);
   }
-  const coding::SegmentBuffer src =
+  const auto src =
       fixtures::source_buffer(coding::SegmentId{1, 1}, originals);
   coding::Decoder dec{coding::SegmentId{1, 1}, s, payload};
 
@@ -380,10 +381,11 @@ TEST(GfKernels, RecodeIntoIsAllocationFreeOnceWarm) {
     blk.resize(payload);
     rng.fill_gf(blk);
   }
-  const coding::SegmentBuffer src =
+  const auto src =
       fixtures::source_buffer(coding::SegmentId{2, 2}, originals);
-  coding::SegmentBuffer buf{coding::SegmentId{2, 2}, s};
-  for (std::size_t i = 0; i < s; ++i) buf.add(i + 1, src.recode(rng));
+  proto::PeerBuffer peer{s, s};
+  for (std::size_t i = 0; i < s; ++i) peer.insert(src.recode(rng));
+  const coding::SegmentBuffer& buf = *peer.find(coding::SegmentId{2, 2});
 
   coding::CodedBlock scratch;
   buf.recode_into(scratch, rng);  // warm: buffers grow to full size here

@@ -24,7 +24,7 @@ coding::CodedBlock block_of(coding::SegmentId id, std::size_t s,
 
 TEST(GossipSelection, NewestTracksFirstArrivalOrder) {
   sim::Rng rng{61};
-  PeerBuffer pb{20};
+  PeerBuffer pb{20, 2};
   pb.insert(block_of({1, 0}, 2, rng));
   pb.insert(block_of({2, 0}, 2, rng));
   EXPECT_EQ(pb.newest_segment(), (coding::SegmentId{2, 0}));
@@ -37,7 +37,7 @@ TEST(GossipSelection, NewestTracksFirstArrivalOrder) {
 
 TEST(GossipSelection, NewestRecomputedAfterEviction) {
   sim::Rng rng{62};
-  PeerBuffer pb{20};
+  PeerBuffer pb{20, 2};
   pb.insert(block_of({1, 0}, 2, rng));
   const auto h2 = pb.insert(block_of({2, 0}, 2, rng));
   pb.erase(h2);  // the newest segment vanishes
@@ -46,7 +46,7 @@ TEST(GossipSelection, NewestRecomputedAfterEviction) {
 
 TEST(GossipSelection, ReinsertionRefreshesArrival) {
   sim::Rng rng{63};
-  PeerBuffer pb{20};
+  PeerBuffer pb{20, 2};
   const auto h1 = pb.insert(block_of({1, 0}, 2, rng));
   pb.insert(block_of({2, 0}, 2, rng));
   pb.erase(h1);  // segment 1 fully leaves...
@@ -56,7 +56,7 @@ TEST(GossipSelection, ReinsertionRefreshesArrival) {
 
 TEST(GossipSelection, RarestPicksFewestBlocks) {
   sim::Rng rng{64};
-  PeerBuffer pb{20};
+  PeerBuffer pb{20, 4};
   pb.insert(block_of({1, 0}, 4, rng));
   pb.insert(block_of({1, 0}, 4, rng));
   pb.insert(block_of({1, 0}, 4, rng));
@@ -71,14 +71,14 @@ TEST(GossipSelection, RarestPicksFewestBlocks) {
 
 TEST(GossipSelection, RarestTieBrokenByRecency) {
   sim::Rng rng{65};
-  PeerBuffer pb{20};
+  PeerBuffer pb{20, 4};
   pb.insert(block_of({1, 0}, 4, rng));
   pb.insert(block_of({2, 0}, 4, rng));  // both have one block
   EXPECT_EQ(pb.rarest_segment(), (coding::SegmentId{2, 0}));
 }
 
 TEST(GossipSelection, EmptyBufferViolatesContract) {
-  PeerBuffer pb{4};
+  PeerBuffer pb{4, 2};
   EXPECT_THROW((void)pb.newest_segment(), ContractViolation);
   EXPECT_THROW((void)pb.rarest_segment(), ContractViolation);
 }

@@ -4,8 +4,9 @@
 ///    the hub's pooled buffers and the delivery closure is inline;
 ///  - TimerWheel schedule / cancel / fire allocates nothing, including
 ///    timers re-filed over several revolutions;
-///  - SegmentBuffer add -> rank -> remove -> rank allocates nothing —
-///    the rank basis is one arena reused across resets.
+///  - a peer buffer's insert -> rank -> erase -> rank cycle allocates
+///    nothing — blocks live in the buffer's slab and the rank basis is
+///    one arena reused across resets.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,7 @@
 #include "net/loopback.h"
 #include "net/timer_wheel.h"
 #include "net/transport.h"
+#include "proto/peer_buffer.h"
 #include "sim/random.h"
 
 namespace icollect::net {
@@ -123,7 +125,7 @@ TEST(LoopbackAlloc, SegmentBufferRankCycleDoesNotAllocate) {
   sim::Rng rng{77};
   // Blocks are built up front: constructing one allocates, storing a
   // moved-in one must not.
-  std::vector<coding::CodedBlock> blocks(kS + kCycles);
+  std::vector<coding::CodedBlock> blocks(kS + 1 + kCycles);
   for (auto& blk : blocks) {
     blk.segment = id;
     blk.coefficients.assign(kS, gf::Element{0});
@@ -131,29 +133,41 @@ TEST(LoopbackAlloc, SegmentBufferRankCycleDoesNotAllocate) {
       for (auto& c : blk.coefficients) c = rng.gf_element();
     }
   }
-  coding::SegmentBuffer sb{id, kS};
-  coding::BlockHandle next = 1;
-  for (std::size_t k = 0; k < kS; ++k) sb.add(next++, std::move(blocks[k]));
-  ASSERT_EQ(sb.rank(), kS);  // warm-up: the basis arena is allocated
-  ASSERT_TRUE(sb.remove(1));
-  ASSERT_EQ(sb.rank(), kS - 1);
+  // Room for one block over the segment's kS, so the slab's high-water
+  // mark is reached in warm-up.
+  proto::PeerBuffer pb{kS + 1, kS};
+  // Handles in insertion order; the cycle erases from the middle.
+  std::vector<coding::BlockHandle> handles;
+  handles.reserve(blocks.size());
+  for (std::size_t k = 0; k < kS; ++k) {
+    handles.push_back(pb.insert(std::move(blocks[k])));
+  }
+  const coding::SegmentBuffer* sb = pb.find(id);
+  ASSERT_EQ(sb->rank(), kS);  // warm-up: the basis arena is allocated
+  handles.push_back(pb.insert(std::move(blocks[kS])));
+  ASSERT_TRUE(pb.erase(handles.front()).has_value());
+  sb = pb.find(id);
+  ASSERT_EQ(sb->rank(), kS);
 
   g_alloc_count.store(0);
   g_counting.store(true);
   std::size_t rank_sum = 0;
   int removed = 0;
-  for (int i = 0; i < kCycles; ++i) {
-    sb.add(next, std::move(blocks[kS + static_cast<std::size_t>(i)]));
-    rank_sum += sb.rank();
-    // Remove from the middle, then re-query from scratch.
-    removed += sb.remove(next - kS / 2) ? 1 : 0;
-    rank_sum += sb.rank();
-    ++next;
+  for (int i = 1; i <= kCycles; ++i) {
+    // Remove from the middle, re-query from scratch, then add.
+    const std::size_t at = handles.size() - kS / 2;
+    removed += pb.erase(handles[at]).has_value() ? 1 : 0;
+    sb = pb.find(id);
+    rank_sum += sb->rank();
+    handles.push_back(
+        pb.insert(std::move(blocks[kS + static_cast<std::size_t>(i)])));
+    sb = pb.find(id);
+    rank_sum += sb->rank();
   }
   g_counting.store(false);
 
   EXPECT_EQ(g_alloc_count.load(), 0U)
-      << "SegmentBuffer add/rank/remove allocated in steady state";
+      << "PeerBuffer insert/rank/erase allocated in steady state";
   EXPECT_EQ(removed, kCycles);
   // Random 16-byte rows: every query sees (almost surely) full rank.
   EXPECT_GE(rank_sum, 2U * kCycles * (kS - 1));

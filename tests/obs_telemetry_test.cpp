@@ -145,6 +145,44 @@ TEST(Telemetry, FilePrefixSharesBundleDirectory) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(Telemetry, DirectSummaryOmitsStorageTerms) {
+  // One bundle, both schemes, written as icollect_sim direct=1 writes
+  // them: Theorem 1's storage terms belong to the indirect summary
+  // only — a pinned report queue has no gossip-held share.
+  const std::string dir =
+      (std::filesystem::path(testing::TempDir()) / "obs_direct").string();
+  std::filesystem::remove_all(dir);
+  TelemetryOptions opts;
+  opts.metrics_dir = dir;
+  Telemetry indirect_tel{opts};
+  CollectionSystem indirect{small_config()};
+  indirect.attach_telemetry(indirect_tel);
+  indirect.run(2.0);
+  indirect_tel.write_summary(to_json(indirect.report()));
+
+  opts.file_prefix = "direct_";
+  Telemetry direct_tel{opts};
+  CollectionSystem direct = CollectionSystem::direct_baseline(small_config());
+  direct.attach_telemetry(direct_tel);
+  direct.run(2.0);
+  direct_tel.write_summary(to_direct_json(direct.report()));
+
+  const std::string summary = read_file(dir + "/summary.json");
+  const std::string direct_summary = read_file(dir + "/direct_summary.json");
+  for (const char* key : {"\"storage_overhead\":", "\"overhead_bound\":"}) {
+    EXPECT_NE(summary.find(key), std::string::npos) << key;
+    EXPECT_EQ(direct_summary.find(key), std::string::npos) << key;
+  }
+  // Everything else the two summaries share.
+  for (const char* key : {"\"normalized_throughput\":",
+                          "\"mean_blocks_per_peer\":",
+                          "\"empty_peer_fraction\":", "\"saved\":"}) {
+    EXPECT_NE(summary.find(key), std::string::npos) << key;
+    EXPECT_NE(direct_summary.find(key), std::string::npos) << key;
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(Telemetry, DirectCollectorMetricsRegister) {
   // The direct baseline is a Network, so it registers through the same
   // bridge as the indirect scheme.

@@ -1,14 +1,18 @@
-/// SegmentBuffer: per-peer per-segment storage, rank tracking, recoding.
+/// SegmentBuffer: per-segment view of a peer's block slab — rank
+/// tracking, recoding, insertion-order walks. Blocks enter and leave
+/// through proto::PeerBuffer, the slab's owner.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "coding/decoder.h"
 #include "coding/segment_buffer.h"
 #include "gf/gf_vector.h"
+#include "proto/peer_buffer.h"
 #include "sim/random.h"
 #include "source_segment.h"
 
@@ -17,9 +21,22 @@ namespace {
 
 using fixtures::random_originals;
 using fixtures::source_buffer;
+using proto::PeerBuffer;
+
+/// A block with the stored block's rows, for decoder oracles.
+CodedBlock materialize(const SegmentId& id,
+                       std::span<const gf::Element> coefficients,
+                       std::span<const std::uint8_t> payload) {
+  CodedBlock b;
+  b.segment = id;
+  b.coefficients.assign(coefficients.begin(), coefficients.end());
+  b.payload.assign(payload.begin(), payload.end());
+  return b;
+}
 
 TEST(SegmentBuffer, StartsEmpty) {
-  const SegmentBuffer sb{SegmentId{1, 2}, 4};
+  BlockSlab slab{4};
+  const SegmentBuffer sb{SegmentId{1, 2}, slab};
   EXPECT_TRUE(sb.empty());
   EXPECT_EQ(sb.block_count(), 0u);
   EXPECT_EQ(sb.rank(), 0u);
@@ -30,61 +47,74 @@ TEST(SegmentBuffer, RankGrowsWithIndependentBlocks) {
   sim::Rng rng{41};
   const SegmentId id{1, 2};
   const auto orig = random_originals(4, 8, rng);
-  SegmentBuffer sb{id, 4};
+  PeerBuffer pb{4, 4};
   for (std::size_t k = 0; k < 4; ++k) {
-    sb.add(k + 1, CodedBlock::systematic(id, 4, k, orig[k]));
-    EXPECT_EQ(sb.rank(), k + 1);
+    pb.insert(CodedBlock::systematic(id, 4, k, orig[k]));
+    EXPECT_EQ(pb.find(id)->rank(), k + 1);
   }
-  EXPECT_TRUE(sb.full_rank());
+  EXPECT_TRUE(pb.find(id)->full_rank());
 }
 
 TEST(SegmentBuffer, DuplicateBlocksCountButDoNotRaiseRank) {
   sim::Rng rng{42};
   const SegmentId id{1, 2};
-  const SegmentBuffer src = source_buffer(id, random_originals(4, 8, rng));
-  SegmentBuffer sb{id, 4};
+  const auto src = source_buffer(id, random_originals(4, 8, rng));
+  PeerBuffer pb{4, 4};
   const CodedBlock b = src.recode(rng);
-  sb.add(1, b);
-  sb.add(2, b);
-  EXPECT_EQ(sb.block_count(), 2u);
-  EXPECT_EQ(sb.rank(), 1u);
+  pb.insert(b);
+  pb.insert(b);
+  EXPECT_EQ(pb.find(id)->block_count(), 2u);
+  EXPECT_EQ(pb.find(id)->rank(), 1u);
 }
 
 TEST(SegmentBuffer, RemoveRecomputesRank) {
   sim::Rng rng{43};
   const SegmentId id{3, 3};
-  SegmentBuffer sb = source_buffer(id, random_originals(3, 8, rng));
-  EXPECT_TRUE(sb.full_rank());
-  EXPECT_TRUE(sb.remove(2));
-  EXPECT_EQ(sb.block_count(), 2u);
-  EXPECT_EQ(sb.rank(), 2u);
-  EXPECT_FALSE(sb.full_rank());
-  EXPECT_FALSE(sb.remove(2));  // already gone
+  const auto orig = random_originals(3, 8, rng);
+  PeerBuffer pb{3, 3};
+  std::vector<BlockHandle> hs;
+  for (std::size_t k = 0; k < 3; ++k) {
+    hs.push_back(pb.insert(CodedBlock::systematic(id, 3, k, orig[k])));
+  }
+  const SegmentBuffer* sb = pb.find(id);
+  EXPECT_TRUE(sb->full_rank());
+  EXPECT_TRUE(pb.erase(hs[1]).has_value());
+  sb = pb.find(id);
+  EXPECT_EQ(sb->block_count(), 2u);
+  EXPECT_EQ(sb->rank(), 2u);
+  EXPECT_FALSE(sb->full_rank());
+  EXPECT_FALSE(pb.erase(hs[1]).has_value());  // already gone
 }
 
 TEST(SegmentBuffer, HandlesAreReported) {
   sim::Rng rng{44};
   const SegmentId id{5, 5};
-  const SegmentBuffer src = source_buffer(id, random_originals(2, 4, rng));
-  SegmentBuffer sb{id, 2};
-  sb.add(11, src.recode(rng));
-  sb.add(22, src.recode(rng));
-  auto hs = sb.handles();
-  std::sort(hs.begin(), hs.end());
-  EXPECT_EQ(hs, (std::vector<BlockHandle>{11, 22}));
+  const auto src = source_buffer(id, random_originals(2, 4, rng));
+  PeerBuffer pb{4, 2};
+  const BlockHandle h1 = pb.insert(src.recode(rng));
+  const BlockHandle h2 = pb.insert(src.recode(rng));
+  // Oldest first, also once a freed slot is reused behind the tail.
+  EXPECT_EQ(pb.find(id)->handles(), (std::vector<BlockHandle>{h1, h2}));
+  pb.erase(h1);
+  const BlockHandle h3 = pb.insert(src.recode(rng));
+  EXPECT_EQ(pb.find(id)->handles(), (std::vector<BlockHandle>{h2, h3}));
 }
 
 TEST(SegmentBuffer, RecodeStaysInsideStoredSpan) {
   sim::Rng rng{45};
   const SegmentId id{6, 6};
-  const SegmentBuffer src = source_buffer(id, random_originals(5, 8, rng));
-  SegmentBuffer sb{id, 5};
+  const auto src = source_buffer(id, random_originals(5, 8, rng));
+  PeerBuffer pb{5, 5};
   // Store only 2 independent blocks: the recoded output must lie in that
   // 2-dimensional span (never innovative to a decoder that knows it).
-  sb.add(1, src.recode(rng));
-  sb.add(2, src.recode(rng));
+  pb.insert(src.recode(rng));
+  pb.insert(src.recode(rng));
+  const SegmentBuffer& sb = *pb.find(id);
   Decoder span{id, 5, 8};
-  sb.for_each_block([&](const CodedBlock& b) { span.add(b); });
+  sb.for_each_block([&](std::span<const gf::Element> c,
+                        std::span<const std::uint8_t> p) {
+    span.add(materialize(id, c, p));
+  });
   for (int t = 0; t < 50; ++t) {
     EXPECT_FALSE(span.is_innovative(sb.recode(rng)));
   }
@@ -95,7 +125,7 @@ TEST(SegmentBuffer, RecodePreservesPayloadConsistency) {
   sim::Rng rng{46};
   const SegmentId id{7, 7};
   const auto orig = random_originals(4, 16, rng);
-  const SegmentBuffer sb = source_buffer(id, orig);
+  const auto sb = source_buffer(id, orig);
   Decoder dec{id, 4, 16};
   int guard = 0;
   while (!dec.complete() && ++guard < 100) dec.add(sb.recode(rng));
@@ -106,7 +136,7 @@ TEST(SegmentBuffer, RecodePreservesPayloadConsistency) {
 TEST(SegmentBuffer, RecodeNeverDegenerate) {
   // At s = 1 a draw is all-zero with probability 1/256, so the redraw runs.
   sim::Rng rng{47};
-  const SegmentBuffer sb =
+  const auto sb =
       source_buffer(SegmentId{8, 8}, random_originals(1, 2, rng));
   for (int t = 0; t < 300; ++t) {
     EXPECT_FALSE(sb.recode(rng).is_degenerate());
@@ -116,7 +146,7 @@ TEST(SegmentBuffer, RecodeNeverDegenerate) {
 TEST(SegmentBuffer, SourceRecodeNeverDegenerate) {
   // The source encoder: a recode over s = 4 systematic blocks.
   sim::Rng rng{5};
-  const SegmentBuffer sb =
+  const auto sb =
       source_buffer(SegmentId{1, 0}, random_originals(4, 2, rng));
   for (int t = 0; t < 300; ++t) {
     EXPECT_FALSE(sb.recode(rng).is_degenerate());
@@ -126,7 +156,7 @@ TEST(SegmentBuffer, SourceRecodeNeverDegenerate) {
 TEST(SegmentBuffer, SourceRecodeIsTheStatedCombination) {
   sim::Rng rng{6};
   const auto orig = random_originals(3, 10, rng);
-  const SegmentBuffer src = source_buffer(SegmentId{1, 0}, orig);
+  const auto src = source_buffer(SegmentId{1, 0}, orig);
   const CodedBlock b = src.recode(rng);
   std::vector<std::uint8_t> expect(10, 0);
   for (std::size_t j = 0; j < 3; ++j) {
@@ -137,41 +167,49 @@ TEST(SegmentBuffer, SourceRecodeIsTheStatedCombination) {
 
 TEST(SegmentBuffer, RecodeOnEmptyViolatesContract) {
   sim::Rng rng{48};
-  SegmentBuffer sb{SegmentId{9, 9}, 3};
+  BlockSlab slab{3};
+  const SegmentBuffer sb{SegmentId{9, 9}, slab};
   EXPECT_THROW((void)sb.recode(rng), ContractViolation);
 }
 
 TEST(SegmentBuffer, AddWrongSegmentViolatesContract) {
-  sim::Rng rng{49};
-  SegmentBuffer sb{SegmentId{1, 0}, 3};
+  BlockSlab slab{3};
+  SegmentBuffer sb{SegmentId{1, 0}, slab};
   CodedBlock b;
   b.segment = SegmentId{1, 1};
   b.coefficients = {1, 0, 0};
-  EXPECT_THROW(sb.add(1, b), ContractViolation);
+  const std::uint32_t k = slab.acquire(std::move(b));
+  EXPECT_THROW(sb.add(k), ContractViolation);
+  EXPECT_TRUE(sb.empty());
+  // A block of the wrong shape never gets a slot.
+  CodedBlock wide;
+  wide.segment = SegmentId{1, 0};
+  wide.coefficients = {1, 0, 0, 0};
+  EXPECT_THROW((void)slab.acquire(std::move(wide)), ContractViolation);
 }
 
 TEST(SegmentBuffer, IsInnovativeAgreesWithRankChange) {
   sim::Rng rng{50};
   const SegmentId id{2, 9};
-  const SegmentBuffer src = source_buffer(id, random_originals(6, 4, rng));
-  SegmentBuffer sb{id, 6};
+  const auto src = source_buffer(id, random_originals(6, 4, rng));
+  PeerBuffer pb{20, 6};
   for (std::size_t k = 0; k < 20; ++k) {
     const CodedBlock b = src.recode(rng);
     // Oracle: a coefficient-only decoder fed the stored blocks.
     Decoder probe{id, 6, 0};
-    sb.for_each_block([&](const CodedBlock& stored) {
-      CodedBlock coeff_only;
-      coeff_only.segment = id;
-      coeff_only.coefficients = stored.coefficients;
-      probe.add(coeff_only);
-    });
+    if (const SegmentBuffer* sb = pb.find(id); sb != nullptr) {
+      sb->for_each_block([&](std::span<const gf::Element> c,
+                             std::span<const std::uint8_t> /*payload*/) {
+        probe.add(materialize(id, c, {}));
+      });
+    }
     CodedBlock candidate;
     candidate.segment = id;
     candidate.coefficients = b.coefficients;
     const bool predicted = probe.is_innovative(candidate);
-    const std::size_t before = sb.rank();
-    sb.add(k + 1, b);
-    EXPECT_EQ(predicted, sb.rank() > before);
+    const std::size_t before = k == 0 ? 0 : pb.find(id)->rank();
+    pb.insert(b);
+    EXPECT_EQ(predicted, pb.find(id)->rank() > before);
   }
 }
 
@@ -210,35 +248,35 @@ TEST(SegmentBuffer, IncrementalRankMatchesDecoderModel) {
       row.resize(s);
       for (auto& c : row) c = rng.gf_element();
     }
-    SegmentBuffer sb{id, s};
+    PeerBuffer pb{2 * s + 4, s};
     // The model: stored blocks in insertion order, with their handles.
     std::vector<CodedBlock> blocks;
     std::vector<BlockHandle> handles;
-    BlockHandle next = 1;
     bool added_at_full_rank = false;
     bool removed_from_middle = false;
     for (int op = 0; op < 600; ++op) {
       const bool grow = blocks.size() < 2 ||
                         (blocks.size() < 2 * s + 4 && rng.bernoulli(0.6));
       if (grow) {
-        added_at_full_rank |= blocks.size() >= 2 && sb.rank() == s;
+        added_at_full_rank |=
+            blocks.size() >= 2 && pb.find(id)->rank() == s;
         // Mostly low-dimensional spans; sometimes the full space.
         const std::size_t k = rng.bernoulli(0.3)
                                   ? s
                                   : 1 + rng.uniform_index((s + 1) / 2);
         CodedBlock b = block_in_span(id, sources, k, rng);
         blocks.push_back(b);
-        handles.push_back(next);
-        sb.add(next++, std::move(b));
+        handles.push_back(pb.insert(std::move(b)));
       } else {
         const std::size_t at = rng.uniform_index(blocks.size());
         removed_from_middle |= at > 0 && at + 1 < blocks.size();
-        EXPECT_TRUE(sb.remove(handles[at]));
+        EXPECT_TRUE(pb.erase(handles[at]).has_value());
         blocks.erase(blocks.begin() + static_cast<std::ptrdiff_t>(at));
         handles.erase(handles.begin() + static_cast<std::ptrdiff_t>(at));
       }
       // Query on most steps only, so some queries absorb several adds.
       if (rng.bernoulli(0.7)) {
+        const SegmentBuffer& sb = *pb.find(id);
         ASSERT_EQ(sb.rank(), reference_rank(id, s, blocks)) << "op " << op;
         EXPECT_EQ(sb.full_rank(), sb.rank() == s);
       }

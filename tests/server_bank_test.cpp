@@ -16,7 +16,7 @@ TEST(ServerBank, RealCodingDecodesSegment) {
   common::Rng rng{81};
   const coding::SegmentId id{1, 0};
   const auto orig = random_originals(4, 8, rng);
-  const coding::SegmentBuffer src = source_buffer(id, orig);
+  const auto src = source_buffer(id, orig);
   ServerBank bank{/*keep_payloads=*/true};
   std::size_t decodes = 0;
   bank.set_decode_callback([&](const ServerBank::DecodeEvent& ev) {
@@ -41,7 +41,7 @@ TEST(ServerBank, RealCodingDecodesSegment) {
 TEST(ServerBank, RedundantAfterDecode) {
   common::Rng rng{82};
   const coding::SegmentId id{1, 0};
-  const coding::SegmentBuffer src =
+  const auto src =
       source_buffer(id, random_originals(2, 4, rng));
   ServerBank bank;
   while (!bank.is_decoded(id)) (void)bank.offer(src.recode(rng), 0.0);
@@ -53,7 +53,7 @@ TEST(ServerBank, RedundantAfterDecode) {
 TEST(ServerBank, DependentBlockIsRedundant) {
   common::Rng rng{83};
   const coding::SegmentId id{2, 0};
-  const coding::SegmentBuffer src =
+  const auto src =
       source_buffer(id, random_originals(5, 4, rng));
   ServerBank bank;
   const auto b = src.recode(rng);
@@ -112,7 +112,7 @@ TEST(ServerBank, TracksManySegmentsIndependently) {
 TEST(ServerBank, ForgetReleasesPartialDecoder) {
   common::Rng rng{86};
   const coding::SegmentId id{6, 0};
-  const coding::SegmentBuffer src =
+  const auto src =
       source_buffer(id, random_originals(4, 8, rng));
   ServerBank bank;
   ASSERT_EQ(bank.offer(src.recode(rng), 0.0),
@@ -143,7 +143,7 @@ TEST(ServerBank, ForgetDecodedOrUnknownChangesNothing) {
   common::Rng rng{87};
   const coding::SegmentId id{8, 0};
   const auto orig = random_originals(3, 8, rng);
-  const coding::SegmentBuffer src = source_buffer(id, orig);
+  const auto src = source_buffer(id, orig);
   ServerBank bank{/*keep_payloads=*/true};
   while (!bank.is_decoded(id)) (void)bank.offer(src.recode(rng), 0.0);
   (void)bank.offer_counted({9, 0}, 4, 0.0);
@@ -164,7 +164,7 @@ TEST(ServerBank, ForgetDecodedOrUnknownChangesNothing) {
 TEST(ServerBank, DiscardPayloadsMode) {
   common::Rng rng{85};
   const coding::SegmentId id{5, 0};
-  const coding::SegmentBuffer src =
+  const auto src =
       source_buffer(id, random_originals(2, 4, rng));
   ServerBank bank{/*keep_payloads=*/false};
   while (!bank.is_decoded(id)) (void)bank.offer(src.recode(rng), 0.0);

@@ -2,7 +2,7 @@
 
 /// \file source_segment.h
 /// Test helpers for the source side of a segment: random originals,
-/// and the SegmentBuffer an origin encodes from. That buffer holds the
+/// and the peer buffer an origin encodes from. That buffer holds the
 /// s originals as s systematic blocks, as proto::PeerCore::inject
 /// stores a peer's own segment. A recode over it draws s coefficients
 /// and redraws the all-zero vector, so it is uniform over
@@ -15,6 +15,7 @@
 #include "coding/coded_block.h"
 #include "coding/segment_buffer.h"
 #include "common/rng.h"
+#include "proto/peer_buffer.h"
 
 namespace icollect::fixtures {
 
@@ -29,16 +30,32 @@ inline std::vector<std::vector<std::uint8_t>> random_originals(
   return blocks;
 }
 
-/// Segment `id`'s source buffer over `originals` (see the file comment).
-inline coding::SegmentBuffer source_buffer(
+/// Segment `id`'s source (see the file comment): a peer buffer that
+/// holds only that segment's systematic blocks.
+class SourceSegment {
+ public:
+  SourceSegment(const coding::SegmentId& id,
+                const std::vector<std::vector<std::uint8_t>>& originals)
+      : id_{id}, buffer_{originals.size(), originals.size()} {
+    const std::size_t s = originals.size();
+    for (std::size_t k = 0; k < s; ++k) {
+      buffer_.insert(coding::CodedBlock::systematic(id, s, k, originals[k]));
+    }
+  }
+
+  [[nodiscard]] coding::CodedBlock recode(common::Rng& rng) const {
+    return buffer_.find(id_)->recode(rng);
+  }
+
+ private:
+  coding::SegmentId id_;
+  proto::PeerBuffer buffer_;
+};
+
+inline SourceSegment source_buffer(
     const coding::SegmentId& id,
     const std::vector<std::vector<std::uint8_t>>& originals) {
-  const std::size_t s = originals.size();
-  coding::SegmentBuffer buf{id, s};
-  for (std::size_t k = 0; k < s; ++k) {
-    buf.add(k + 1, coding::CodedBlock::systematic(id, s, k, originals[k]));
-  }
-  return buf;
+  return SourceSegment{id, originals};
 }
 
 }  // namespace icollect::fixtures

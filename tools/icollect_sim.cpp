@@ -305,7 +305,7 @@ int main(int argc, char** argv) {
     std::printf("normalized throughput %.4f | delay %.4f | loss %.4f\n",
                 d.normalized_throughput, d.mean_block_delay, loss);
     if (direct_tel) {
-      direct_tel->write_summary(to_json(d));
+      direct_tel->write_summary(to_direct_json(d));
       std::printf("telemetry: %zu direct snapshots in %s\n",
                   direct_tel->snapshotter().samples(),
                   topts.metrics_dir.c_str());
