@@ -55,10 +55,10 @@ void BM_PoissonProcessChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_PoissonProcessChurn);
 
-/// The simulator's dominant event shape: ~100k pending TTL expiries, each
-/// a 32-byte closure [this, slot, incarnation, handle] like
-/// p2p::Network's. Hold model: every fired expiry arms a fresh one, so
-/// the queue stays at its working size.
+/// A large queue of one-shot expiries: ~100k pending events, each a
+/// 32-byte closure [this, slot, incarnation, handle], the most an
+/// InlineAction holds. Hold model: every fired expiry arms a fresh one,
+/// so the queue stays at its working size.
 void BM_TtlShapedHold(benchmark::State& state) {
   const auto pending = static_cast<std::size_t>(state.range(0));
   struct Sink {

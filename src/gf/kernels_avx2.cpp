@@ -3,11 +3,15 @@
 /// loop) via VPSHUFB nibble-split half-table lookups, the same scheme as
 /// the SSSE3 kernels with the 16-byte half-tables broadcast to both
 /// lanes; dot is bit-sliced like the SSSE3 one, 32 bytes per step.
+/// Coefficient rows are s bytes (4 to 24 in every golden and workload),
+/// so add_assign, scale_assign and add_scaled finish with one 16-byte
+/// xmm step and one 8-byte movq step before their byte-at-a-time
+/// remainder (under 8 bytes).
 ///
 /// The byte-stream kernels: the MT19937-64 twist and temper four state
 /// words per instruction, splitmix64 four lanes wide (the 64-bit
 /// multiplies built from 32x32 VPMULUDQ products), and a PCLMULQDQ
-/// CRC-32 fold. Sub-vector tails run the scalar entries.
+/// CRC-32 fold. Their sub-vector tails run the scalar entries.
 ///
 /// Compiled with -mavx2 -mpclmul (this TU only); selected at runtime
 /// only when CPUID reports both. The byte-stream kernels read constants
@@ -28,6 +32,21 @@
 namespace icollect::gf {
 namespace {
 
+inline __m128i load16(const std::uint8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+inline void store16(std::uint8_t* p, __m128i v) {
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
+}
+/// 8 bytes into the low half of an xmm register (movq); the high half
+/// is zero.
+inline __m128i load8(const std::uint8_t* p) {
+  return _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p));
+}
+inline void store8(std::uint8_t* p, __m128i v) {
+  _mm_storel_epi64(reinterpret_cast<__m128i*>(p), v);
+}
+
 void avx2_add_assign(Element* dst, const Element* src, std::size_t n) {
   std::size_t i = 0;
   for (; i + 32 <= n; i += 32) {
@@ -38,6 +57,14 @@ void avx2_add_assign(Element* dst, const Element* src, std::size_t n) {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
                         _mm256_xor_si256(d, s));
   }
+  if (i + 16 <= n) {
+    store16(dst + i, _mm_xor_si128(load16(dst + i), load16(src + i)));
+    i += 16;
+  }
+  if (i + 8 <= n) {
+    store8(dst + i, _mm_xor_si128(load8(dst + i), load8(src + i)));
+    i += 8;
+  }
   for (; i < n; ++i) dst[i] ^= src[i];
 }
 
@@ -47,6 +74,16 @@ inline __m256i mul32(__m256i s, __m256i lo, __m256i hi, __m256i mask) {
   const __m256i hi_idx = _mm256_and_si256(_mm256_srli_epi64(s, 4), mask);
   return _mm256_xor_si256(_mm256_shuffle_epi8(lo, lo_idx),
                           _mm256_shuffle_epi8(hi, hi_idx));
+}
+
+/// mul32 on the low 16 bytes (the low lane of each table).
+inline __m128i mul16(__m128i s, __m256i lo, __m256i hi, __m256i mask) {
+  const __m128i m = _mm256_castsi256_si128(mask);
+  const __m128i lo_idx = _mm_and_si128(s, m);
+  const __m128i hi_idx = _mm_and_si128(_mm_srli_epi64(s, 4), m);
+  return _mm_xor_si128(
+      _mm_shuffle_epi8(_mm256_castsi256_si128(lo), lo_idx),
+      _mm_shuffle_epi8(_mm256_castsi256_si128(hi), hi_idx));
 }
 
 void avx2_scale_assign(Element* dst, Element c, std::size_t n) {
@@ -67,6 +104,14 @@ void avx2_scale_assign(Element* dst, Element c, std::size_t n) {
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
                         mul32(s, lo, hi, mask));
+  }
+  if (i + 16 <= n) {
+    store16(dst + i, mul16(load16(dst + i), lo, hi, mask));
+    i += 16;
+  }
+  if (i + 8 <= n) {
+    store8(dst + i, mul16(load8(dst + i), lo, hi, mask));
+    i += 8;
   }
   const Element* row = GF256::mul_row(c);
   for (; i < n; ++i) dst[i] = row[dst[i]];
@@ -109,11 +154,23 @@ void avx2_add_scaled(Element* dst, const Element* src, Element c,
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
                         _mm256_xor_si256(d, mul32(s, lo, hi, mask)));
   }
+  if (i + 16 <= n) {
+    store16(dst + i, _mm_xor_si128(load16(dst + i),
+                                   mul16(load16(src + i), lo, hi, mask)));
+    i += 16;
+  }
+  if (i + 8 <= n) {
+    store8(dst + i, _mm_xor_si128(load8(dst + i),
+                                  mul16(load8(src + i), lo, hi, mask)));
+    i += 8;
+  }
   const Element* row = GF256::mul_row(c);
   for (; i < n; ++i) dst[i] ^= row[src[i]];
 }
 
-/// Bit-sliced dot, 32 bytes per step; see ssse3_dot.
+/// Bit-sliced dot, 32 bytes per step; see ssse3_dot. Below 32 bytes
+/// the scalar table walk is faster: the Horner fold alone costs more
+/// than a 31-byte row of lookups (docs/PERFORMANCE.md).
 Element avx2_dot(const Element* a, const Element* b, std::size_t n) {
   if (n < 32) return detail::kScalarKernels.dot(a, b, n);
   const __m256i zero = _mm256_setzero_si256();
@@ -320,10 +377,6 @@ inline __m128i fold16(__m128i acc, __m128i k, __m128i data) {
       _mm_xor_si128(_mm_clmulepi64_si128(acc, k, 0x00),
                     _mm_clmulepi64_si128(acc, k, 0x11)),
       data);
-}
-
-inline __m128i load16(const std::uint8_t* p) {
-  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
 }
 
 /// The fold of Gopal et al. over a whole number of 16-byte blocks, at

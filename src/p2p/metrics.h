@@ -43,6 +43,7 @@ struct NetworkMetrics {
   std::uint64_t server_empty_probes = 0;  ///< blind pulls that hit empty peers
   std::uint64_t peers_departed = 0;
   std::uint64_t blocks_lost_to_churn = 0;
+  std::uint64_t blocks_dropped_on_ack = 0; ///< decoded, ACKed, dropped
   std::uint64_t segments_lost = 0;        ///< vanished undecoded (degree→0)
   std::uint64_t segments_resolved = 0;    ///< see SegmentInfo::resolved
   std::uint64_t payload_crc_failures = 0; ///< end-to-end integrity errors

@@ -86,14 +86,12 @@ Network::Network(ProtocolConfig cfg, proto::PeerCore::Params rules)
         on_segment_decoded(ev);
       });
 
-  // Expected concurrent events: one injector + one gossiper timer per
-  // peer, up to buffer_cap TTL timers per peer, one timer per server,
-  // plus churn departure timers. Reserving up front keeps the hot loop
-  // free of heap and slot-table regrowth.
-  const std::size_t ttl_slack =
-      cfg_.num_peers * std::min<std::size_t>(cfg_.buffer_cap, 2);
-  sim_.reserve_events(cfg_.num_peers * (cfg_.churn.enabled ? 3 : 2) +
-                      ttl_slack + cfg_.num_servers + 64);
+  // Expected concurrent events: one injector, one gossiper and one TTL
+  // wakeup per peer, one timer per server, plus churn departure timers.
+  // Reserving up front keeps the hot loop free of heap and slot-table
+  // regrowth.
+  sim_.reserve_events(cfg_.num_peers * (cfg_.churn.enabled ? 4 : 3) +
+                      cfg_.num_servers + 64);
 
   // Per-peer recurring processes. Rates are the paper's: injection λ/s,
   // gossip μ. Empty-buffer gossip firings are thinned inside do_gossip,
@@ -135,14 +133,30 @@ void Network::wire_core(std::size_t slot) {
         update_occupancy(slot, before);
       });
   // The core draws the Exp(γ) lifetime; the driver owns the clock, so
-  // expiry lands on the event queue stamped with the occupant's
-  // incarnation (delayed expiries of a departed occupant are no-ops).
+  // the expiry goes in the slot's calendar.
   core.set_arm_ttl([this, slot](coding::BlockHandle handle, double delay) {
-    const std::uint64_t incarnation = peers_[slot].incarnation;
-    sim_.schedule_after(delay, [this, slot, incarnation, handle] {
-      do_ttl_expire(slot, incarnation, handle);
-    });
+    arm_expiry(slot, handle, sim_.now() + delay);
   });
+}
+
+void Network::arm_expiry(std::size_t slot, coding::BlockHandle handle,
+                         sim::Time at) {
+  TtlCalendar& cal = peers_[slot].ttl;
+  // Descending by time. A tie goes in front of the entries already filed
+  // for that time, so it fires after them: the event queue's FIFO order.
+  const auto pos = std::lower_bound(
+      cal.entries.begin(), cal.entries.end(), at,
+      [](const TtlCalendar::Entry& e, sim::Time t) { return e.at > t; });
+  const bool soonest = pos == cal.entries.end();
+  cal.entries.insert(pos, TtlCalendar::Entry{at, handle});
+  if (!soonest) return;
+  sim_.cancel(cal.wakeup);  // no-op when the calendar was empty
+  schedule_wakeup(slot, at);
+}
+
+void Network::schedule_wakeup(std::size_t slot, sim::Time at) {
+  peers_[slot].ttl.wakeup =
+      sim_.schedule_at(at, [this, slot] { do_ttl_expire(slot); });
 }
 
 void Network::set_payload_source(PayloadSource source) {
@@ -420,19 +434,26 @@ void Network::ack_origin(const coding::SegmentId& id,
   p.core.on_ack(id);
   const std::size_t dropped = before - p.buffer().size();
   if (dropped == 0) return;
+  metrics_.blocks_dropped_on_ack += dropped;
   metrics_.total_blocks.add(sim_.now(), -static_cast<double>(dropped));
   note_degree_drop(id, dropped);
   update_occupancy(origin_slot, before);
 }
 
-void Network::do_ttl_expire(std::size_t slot, std::uint64_t incarnation,
-                            coding::BlockHandle handle) {
+void Network::do_ttl_expire(std::size_t slot) {
   const obs::ProfScope prof{prof_ttl_};
   Peer& p = peers_[slot];
-  if (p.incarnation != incarnation) return;  // occupant changed (churn)
+  TtlCalendar& cal = p.ttl;
+  const coding::BlockHandle handle = cal.entries.back().handle;
+  cal.entries.pop_back();
+  if (cal.entries.empty()) {
+    cal.wakeup = sim::kInvalidEventId;
+  } else {
+    schedule_wakeup(slot, cal.entries.back().at);
+  }
   const std::size_t before = p.buffer().size();
   const auto seg = p.core.on_ttl_expired(handle);
-  if (!seg) return;  // already removed
+  if (!seg) return;  // already removed (dropped on ACK)
   ++metrics_.ttl_expirations;
   metrics_.total_blocks.add(sim_.now(), -1.0);
   emit(TraceEventKind::kTtlExpired, slot, *seg, 0);
@@ -450,6 +471,9 @@ void Network::do_depart(std::size_t slot) {
   }
   const std::size_t before = p.buffer().size();
   const std::size_t lost = p.core.clear_all();
+  p.ttl.entries.clear();
+  sim_.cancel(p.ttl.wakeup);
+  p.ttl.wakeup = sim::kInvalidEventId;
   ++metrics_.peers_departed;
   metrics_.blocks_lost_to_churn += lost;
   metrics_.total_blocks.add(sim_.now(), -static_cast<double>(lost));
@@ -467,7 +491,6 @@ void Network::do_depart(std::size_t slot) {
     resolve_if_dead(replayed->segment, info);
   }
   departed_origins_.emplace(p.origin(), sim_.now());
-  ++p.incarnation;
   p.core.rebirth(next_origin_++);
 
   sim_.schedule_after(sample_lifetime(cfg_.churn, rng_),

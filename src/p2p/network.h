@@ -66,15 +66,27 @@ using proto::TraceEvent;
 using proto::TraceEventKind;
 using proto::TraceSink;
 
+/// One slot's pending TTL expiries. Every armed block has an entry
+/// (expiry time, handle), kept sorted by descending time so the soonest
+/// is at back(); the event queue holds one wakeup per slot, due at that
+/// soonest time. A departure clears the calendar and cancels the wakeup,
+/// so no expiry armed by one occupant can reach the next.
+struct TtlCalendar {
+  struct Entry {
+    sim::Time at;
+    coding::BlockHandle handle;
+  };
+  std::vector<Entry> entries;
+  sim::EventId wakeup = sim::kInvalidEventId;  ///< pending iff non-empty
+};
+
 /// A peer slot in the network: the protocol core plus the slot identity
 /// that survives churn replacements. Under the replacement churn model
-/// the slot persists while its occupant changes; `incarnation`
-/// disambiguates delayed events (TTL expiries) that reference a previous
-/// occupant.
+/// the slot persists while its occupant changes.
 struct Peer {
-  std::size_t slot = 0;           ///< index in the topology
-  std::uint64_t incarnation = 0;  ///< bumped on each replacement
-  proto::PeerCore core;           ///< the Sec. 2 peer state machine
+  std::size_t slot = 0;   ///< index in the topology
+  proto::PeerCore core;   ///< the Sec. 2 peer state machine
+  TtlCalendar ttl;        ///< the occupant's armed block expiries
 
   Peer(std::size_t slot_idx, const proto::PeerCore::Params& params,
        coding::OriginId origin_id, common::Rng& rng)
@@ -284,15 +296,19 @@ class Network {
   void schedule_profile_injection(std::size_t slot);
   void do_gossip(std::size_t slot);
   void do_server_pull();
-  void do_ttl_expire(std::size_t slot, std::uint64_t incarnation,
-                     coding::BlockHandle handle);
+  /// The slot's calendar wakeup: expire its soonest armed block and
+  /// re-arm the wakeup at the next one.
+  void do_ttl_expire(std::size_t slot);
   void do_depart(std::size_t slot);
 
   /// Wire one slot's core to the driver: the stored hook maintains the
   /// registry degree, occupancy lists and time-weighted metrics; arm_ttl
-  /// schedules the core-drawn Exp(γ) expiry on the event queue, stamped
-  /// with the occupant's incarnation.
+  /// files the core-drawn Exp(γ) expiry in the slot's TtlCalendar.
   void wire_core(std::size_t slot);
+  /// File an expiry at absolute time `at` in the slot's calendar, moving
+  /// the wakeup forward if this block is now the soonest.
+  void arm_expiry(std::size_t slot, coding::BlockHandle handle, sim::Time at);
+  void schedule_wakeup(std::size_t slot, sim::Time at);
 
   /// Pick an eligible gossip destination for (source, segment) or
   /// proto::kNoSelection if none exists (uniform over the eligible

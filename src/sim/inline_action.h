@@ -7,10 +7,10 @@
 /// Closures live in a fixed in-object buffer, so constructing, moving
 /// and destroying an action never touches the heap. A closure that does
 /// not fit is a compile error, not a silent heap fallback: the capacity
-/// is sized for the largest closure the simulator schedules (the 32-byte
-/// TTL expiry `[this, slot, incarnation, handle]`, or a copied
-/// std::function<void()>). Trivially copyable closures — every capture
-/// list of pointers and integers — relocate with a plain memcpy.
+/// is sized for a copied std::function<void()> (32 bytes in libstdc++),
+/// or four words of captures; the simulator's own closures capture at
+/// most two. Trivially copyable closures — every capture list of
+/// pointers and integers — relocate with a plain memcpy.
 
 #include <cstddef>
 #include <cstring>

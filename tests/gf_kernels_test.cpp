@@ -100,10 +100,12 @@ const gf::KernelTable& table_for(Kernels::Kind kind) {
   return t;
 }
 
-// Lengths chosen to cross every vector-width boundary (16/32/64) in both
-// directions, plus empty, single-byte and odd straddles.
-const std::size_t kLengths[] = {0,  1,  2,   3,   7,   15,  16,  17,
-                                31, 32, 33,  48,  63,  64,  65,  100,
+// Lengths chosen to cross every vector-width boundary (8/16/32/64) in
+// both directions, plus empty, single-byte and odd straddles, and the
+// coefficient-row lengths (s) the goldens and benchmark workloads run.
+const std::size_t kLengths[] = {0,   1,   2,   3,   4,   5,    7,   8,
+                                9,   10,  12,  15,  16,  17,   20,  24,
+                                31,  32,  33,  48,  63,  64,   65,  100,
                                 127, 128, 129, 255, 256, 257, 1024, 1025};
 
 // Start offsets that break 16/32-byte alignment of the working pointers.

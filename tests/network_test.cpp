@@ -64,16 +64,45 @@ void check_structural_invariants(const Network& net) {
                    static_cast<double>(total_blocks));
 }
 
-/// Every injected block is eventually accounted for exactly once.
+/// Every stored block is eventually accounted for exactly once: blocks
+/// stored = TTL expiries + churn losses + ACK drops + still buffered.
 void check_block_conservation(const Network& net) {
   const auto& m = net.metrics();
   std::size_t in_network = 0;
   for (std::size_t slot = 0; slot < net.config().num_peers; ++slot) {
     in_network += net.peer(slot).buffer().size();
   }
-  const std::uint64_t created = m.blocks_injected + m.gossip_sent;
-  const std::uint64_t gone = m.ttl_expirations + m.blocks_lost_to_churn;
-  EXPECT_EQ(created, gone + in_network);
+  const std::uint64_t stored = m.blocks_injected + m.gossip_sent;
+  const std::uint64_t gone =
+      m.ttl_expirations + m.blocks_lost_to_churn + m.blocks_dropped_on_ack;
+  EXPECT_EQ(stored, gone + in_network);
+}
+
+/// Every slot's calendar is sorted soonest-last, has a wakeup iff it is
+/// non-empty, and holds nothing already due. Without drop-on-ACK every
+/// entry is a buffered block: no departed occupant's expiry survives.
+void check_ttl_calendars(const Network& net) {
+  for (std::size_t slot = 0; slot < net.config().num_peers; ++slot) {
+    const TtlCalendar& cal = net.peer(slot).ttl;
+    for (std::size_t i = 1; i < cal.entries.size(); ++i) {
+      ASSERT_GE(cal.entries[i - 1].at, cal.entries[i].at) << "slot " << slot;
+    }
+    if (cal.entries.empty()) {
+      ASSERT_EQ(cal.wakeup, sim::kInvalidEventId) << "slot " << slot;
+    } else {
+      ASSERT_NE(cal.wakeup, sim::kInvalidEventId) << "slot " << slot;
+      ASSERT_GT(cal.entries.back().at, net.now()) << "slot " << slot;
+    }
+    ASSERT_EQ(cal.entries.size(), net.peer(slot).buffer().size())
+        << "slot " << slot;
+  }
+}
+
+ProtocolConfig churny_config() {
+  ProtocolConfig cfg = small_config();
+  cfg.churn.enabled = true;
+  cfg.churn.mean_lifetime = 2.0;
+  return cfg;
 }
 
 TEST(PeerStruct, IdentityFields) {
@@ -84,8 +113,36 @@ TEST(PeerStruct, IdentityFields) {
   const Peer p{3, params, 42, rng};
   EXPECT_EQ(p.slot, 3u);
   EXPECT_EQ(p.origin(), 42u);
-  EXPECT_EQ(p.incarnation, 0u);
+  EXPECT_TRUE(p.ttl.entries.empty());
+  EXPECT_EQ(p.ttl.wakeup, sim::kInvalidEventId);
   EXPECT_EQ(p.buffer().capacity(), 16u);
+}
+
+TEST(TtlCalendar, DepartureClearsTheSlotsCalendar) {
+  Network net{churny_config()};
+  std::uint64_t departures = 0;
+  net.set_trace_sink([&](const TraceEvent& ev) {
+    if (ev.kind != TraceEventKind::kPeerDeparted) return;
+    ++departures;
+    const TtlCalendar& cal = net.peer(ev.slot).ttl;
+    EXPECT_TRUE(cal.entries.empty()) << "slot " << ev.slot;
+    EXPECT_EQ(cal.wakeup, sim::kInvalidEventId) << "slot " << ev.slot;
+  });
+  net.run_until(12.0);
+  EXPECT_GT(departures, 0u);
+}
+
+TEST(TtlCalendar, DepartedOccupantsExpiriesNeverFire) {
+  // Every wakeup expires a buffered block: the predecessor's pending
+  // expiries left with it, so none fires as a no-op at its successor.
+  Network net{churny_config()};
+  obs::Profiler profiler;
+  net.set_profiler(&profiler);
+  net.run_until(12.0);
+  const auto& m = net.metrics();
+  EXPECT_GT(m.peers_departed, 0u);
+  EXPECT_GT(m.ttl_expirations, 0u);
+  EXPECT_EQ(profiler.timer("net.ttl_expire").stat().count, m.ttl_expirations);
 }
 
 TEST(Network, StructuralInvariantsAfterRun) {
@@ -93,33 +150,35 @@ TEST(Network, StructuralInvariantsAfterRun) {
   net.run_until(10.0);
   check_structural_invariants(net);
   check_block_conservation(net);
+  check_ttl_calendars(net);
 }
 
 TEST(Network, InvariantsHoldUnderChurn) {
-  ProtocolConfig cfg = small_config();
-  cfg.churn.enabled = true;
-  cfg.churn.mean_lifetime = 2.0;
-  Network net{cfg};
+  Network net{churny_config()};
   net.run_until(12.0);
   check_structural_invariants(net);
   check_block_conservation(net);
+  check_ttl_calendars(net);
   EXPECT_GT(net.metrics().peers_departed, 0u);
   EXPECT_GT(net.metrics().blocks_lost_to_churn, 0u);
+  EXPECT_GT(net.metrics().ttl_expirations, 0u);
+  EXPECT_EQ(net.metrics().blocks_dropped_on_ack, 0u);  // nothing is ACKed
 }
 
 TEST(Network, DirectBaselineKeepsStructuralInvariants) {
   // Decode ACKs drop the origin's pinned report: the registry degree,
-  // occupancy and total_blocks must follow, through the real decoder.
-  ProtocolConfig cfg = small_config();
+  // occupancy, total_blocks and the block ledger must follow, through
+  // the real decoder.
+  ProtocolConfig cfg = churny_config();
   cfg.buffer_cap = 8;
-  cfg.churn.enabled = true;
-  cfg.churn.mean_lifetime = 2.0;
   auto net = Network::direct_baseline(cfg);
   net.run_until(12.0);
   check_structural_invariants(net);
+  check_block_conservation(net);
   EXPECT_GT(net.servers().segments_decoded(), 0u);
   EXPECT_GT(net.metrics().injection_blocked, 0u);
   EXPECT_GT(net.metrics().blocks_lost_to_churn, 0u);
+  EXPECT_GT(net.metrics().blocks_dropped_on_ack, 0u);
   EXPECT_EQ(net.metrics().ttl_expirations, 0u);  // pinned until the ACK
 }
 

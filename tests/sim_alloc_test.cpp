@@ -17,8 +17,9 @@
 namespace icollect::sim {
 namespace {
 
-/// Stand-in for the simulator's TTL handler: the closure that schedules
-/// it captures [this, slot, incarnation, handle], like p2p::Network's.
+/// Stand-in for a per-block expiry handler: the closure that schedules
+/// it captures four words [this, slot, incarnation, handle], the most
+/// an InlineAction holds.
 struct TtlSink {
   std::uint64_t fired = 0;
   std::uint64_t checksum = 0;
